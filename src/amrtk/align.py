@@ -82,19 +82,6 @@ class CandidateAlignment:
     def aligned_heads(self):
         return [h for h, rec in self.choices.items() if rec is not None]
 
-    def spans(self):
-        return {rec.span for rec in self.choices.values() if rec is not None}
-
-    def heads_at(self, span):
-        return [h for h, rec in self.choices.items()
-                if rec is not None and rec.span == span]
-
-    def covering_span(self, index):
-        for rec in self.choices.values():
-            if rec is not None and rec.span.covers(index):
-                return rec.span
-        return None
-
     def pairs(self):
         """(head, span) pairs for scoring."""
         return {(h, rec.span) for h, rec in self.choices.items() if rec is not None}
@@ -146,7 +133,6 @@ class AlignmentContext:
         self.graph = graph
         self.tokens = tuple(tokens)
         self.fragments = fragments
-        self.frag_by_head = {f.head: f for f in fragments}
         self.resources = resources or Resources()
 
     def span_tokens(self, span):

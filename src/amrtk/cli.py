@@ -7,9 +7,9 @@ identical invocations produce byte-identical output.
 """
 
 import argparse
+import contextlib
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import align as align_mod
 from . import corpus as corpus_mod
@@ -51,16 +51,24 @@ def _resource_path(path):
     return path
 
 
-def _open_input(path):
+def _read(path, reader):
+    """`reader` applied to the file at `path`; `-` is stdin, left open."""
     if path == "-":
-        return sys.stdin
-    return open(path, encoding="utf-8")
+        return reader(sys.stdin)
+    with open(path, encoding="utf-8") as stream:
+        return reader(stream)
 
 
 def _open_output(path):
+    """A context manager for the output; `-` is stdout, left open."""
     if path == "-":
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
+
+
+def _write(path, writer, items):
+    with _open_output(path) as stream:
+        writer(items, stream)
 
 
 def _load_resources(args):
@@ -76,13 +84,6 @@ def _load_resources(args):
         threshold = resources_mod.DEFAULT_COSINE_THRESHOLD
     return resources_mod.Resources(embeddings=embeddings, morph=morph,
                                    lemmas=lemmas, cosine_threshold=threshold)
-
-
-def _parallel_map(function, items, jobs):
-    if jobs <= 1:
-        return [function(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(function, items))
 
 
 def _require_tokens(doc):
@@ -102,45 +103,37 @@ def cmd_align(args):
         rules = align_mod.base_rule_set()
     else:
         rules = align_mod.full_rule_set(resources)
-    documents = corpus_mod.read_corpus(_open_input(args.input))
-
-    def align_one(doc):
+    documents = _read(args.input, corpus_mod.read_corpus)
+    for doc in documents:
         if doc.graph is None:
             raise corpus_mod.CorpusFormatError(
                 "document %s has no graph" % doc.id)
-        return align_mod.enumerate_alignments(
+        aset = align_mod.enumerate_alignments(
             doc.graph, _require_tokens(doc), rules,
             limit=args.max_candidates, resources=resources,
             per_fragment_cap=args.per_fragment_cap)
-
-    results = _parallel_map(align_one, documents, args.jobs)
-    for doc, aset in zip(documents, results):
         doc.set_candidates(aset.candidates)
-    corpus_mod.write_corpus(documents, _open_output(args.output))
+    _write(args.output, corpus_mod.write_corpus, documents)
     return 0
 
 
 def cmd_tune(args):
-    documents = corpus_mod.read_corpus(_open_input(args.input))
-
-    def tune_one(doc):
+    documents = _read(args.input, corpus_mod.read_corpus)
+    runs = []
+    for doc in documents:
         candidates = doc.alignment_candidates()
         if not candidates:
             raise corpus_mod.CorpusFormatError(
                 "document %s has no alignment candidates" % doc.id)
         aset = align_mod.AlignmentSet(doc.graph, _require_tokens(doc), candidates)
-        return oracle_mod.tune(aset.tokens, doc.graph, aset,
-                               smatch_restarts=args.restarts,
-                               smatch_seed=args.seed)
-
-    results = _parallel_map(tune_one, documents, args.jobs)
-    runs = []
-    for doc, (best, run) in zip(documents, results):
+        best, run = oracle_mod.tune(aset.tokens, doc.graph, aset,
+                                    smatch_restarts=args.restarts,
+                                    smatch_seed=args.seed)
         doc.set_alignment(best)
         doc.metadata["oracle-smatch"] = "%.4f" % run.smatch_f1
         doc.metadata["oracle-actions"] = str(run.action_count)
         runs.append(run)
-    corpus_mod.write_corpus(documents, _open_output(args.output))
+    _write(args.output, corpus_mod.write_corpus, documents)
     mean_f1 = sum(r.smatch_f1 for r in runs) / len(runs) if runs else 0.0
     mean_actions, _ = oracle_mod.action_stats(runs) if runs else (0.0, {})
     report = "mean-oracle-smatch\t%.4f\nmean-actions\t%.2f\n" % (
@@ -163,29 +156,24 @@ def _tuned_candidate(doc):
 
 
 def cmd_oracle(args):
-    documents = corpus_mod.read_corpus(_open_input(args.input))
-
-    def run_one(doc):
-        return oracle_mod.oracle_run(_require_tokens(doc), doc.graph,
-                                     _tuned_candidate(doc),
-                                     smatch_restarts=args.restarts,
-                                     smatch_seed=args.seed)
-
-    results = _parallel_map(run_one, documents, args.jobs)
     blocks = []
-    for doc, run in zip(documents, results):
+    for doc in _read(args.input, corpus_mod.read_corpus):
+        run = oracle_mod.oracle_run(_require_tokens(doc), doc.graph,
+                                    _tuned_candidate(doc),
+                                    smatch_restarts=args.restarts,
+                                    smatch_seed=args.seed)
         metadata = {k: doc.metadata[k] for k in ("id", "tok", "pos")
                     if k in doc.metadata}
         metadata.setdefault("tok", " ".join(_require_tokens(doc)))
         metadata["oracle-smatch"] = "%.4f" % run.smatch_f1
         blocks.append((metadata, [str(a) for a in run.actions]))
-    corpus_mod.write_traces(blocks, _open_output(args.output))
+    _write(args.output, corpus_mod.write_traces, blocks)
     return 0
 
 
 def _read_training_corpus(path):
     examples = []
-    for metadata, action_lines in corpus_mod.read_traces(_open_input(path)):
+    for metadata, action_lines in _read(path, corpus_mod.read_traces):
         if "tok" not in metadata:
             raise corpus_mod.CorpusFormatError("trace block lacks ::tok")
         tokens = tuple(metadata["tok"].split())
@@ -222,28 +210,23 @@ def cmd_parse(args):
     lemma_table = None
     if args.lemmas:
         lemma_table = resources_mod.load_lemmas(_resource_path(args.lemmas))
-    documents = corpus_mod.read_corpus(_open_input(args.input))
-
-    def parse_one(doc):
-        return parser_mod.decode(model, _require_tokens(doc), pos=doc.pos,
-                                 lemma_table=lemma_table)
-
-    results = _parallel_map(parse_one, documents, args.jobs)
     out_docs = []
-    for doc, result in zip(documents, results):
+    for doc in _read(args.input, corpus_mod.read_corpus):
+        result = parser_mod.decode(model, _require_tokens(doc), pos=doc.pos,
+                                   lemma_table=lemma_table)
         metadata = {k: doc.metadata[k] for k in ("id", "snt", "tok", "pos")
                     if k in doc.metadata}
         if result.warning:
             metadata["parse-warning"] = result.warning
         out_docs.append(corpus_mod.CorpusDocument(
             metadata, result.graph, serialize_penman(result.graph)))
-    corpus_mod.write_corpus(out_docs, _open_output(args.output))
+    _write(args.output, corpus_mod.write_corpus, out_docs)
     return 0
 
 
 def cmd_smatch(args):
-    gold_docs = corpus_mod.read_corpus(_open_input(args.gold))
-    pred_docs = corpus_mod.read_corpus(_open_input(args.pred))
+    gold_docs = _read(args.gold, corpus_mod.read_corpus)
+    pred_docs = _read(args.pred, corpus_mod.read_corpus)
     if len(gold_docs) != len(pred_docs):
         raise corpus_mod.CorpusFormatError(
             "gold has %d graphs, pred has %d" % (len(gold_docs), len(pred_docs)))
@@ -272,15 +255,15 @@ def cmd_smatch(args):
 def cmd_stats(args):
     blocks = []
     for path in args.traces:
-        blocks.extend(corpus_mod.read_traces(_open_input(path)))
+        blocks.extend(_read(path, corpus_mod.read_traces))
     if not blocks:
         raise oracle_mod.StatsError("no trace blocks found")
-    out = _open_output(args.output)
     total = 0
-    for metadata, actions in blocks:
-        n_tokens = len(metadata.get("tok", "").split())
-        out.write("%d\t%d\n" % (n_tokens, len(actions)))
-        total += len(actions)
+    with _open_output(args.output) as out:
+        for metadata, actions in blocks:
+            n_tokens = len(metadata.get("tok", "").split())
+            out.write("%d\t%d\n" % (n_tokens, len(actions)))
+            total += len(actions)
     sys.stderr.write("mean-actions\t%.2f\n" % (total / len(blocks)))
     return 0
 
@@ -295,11 +278,6 @@ def _add_io(sub, output_default="-"):
                      help="output file (default: stdout)")
 
 
-def _add_jobs(sub):
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker threads; output order is deterministic")
-
-
 def _add_seed(sub):
     sub.add_argument("--seed", type=int, default=1, help="random seed")
 
@@ -312,7 +290,6 @@ def build_arg_parser():
 
     sub = subs.add_parser("align", help="annotate a corpus with candidate alignments")
     _add_io(sub)
-    _add_jobs(sub)
     sub.add_argument("--embeddings", help="GloVe-layout embedding file")
     sub.add_argument("--morph", help="morphosemantic link TSV")
     sub.add_argument("--lemmas", help="lemma TSV")
@@ -327,7 +304,6 @@ def build_arg_parser():
     sub = subs.add_parser("tune", help="pick the best candidate per sentence "
                                        "with the oracle parser")
     _add_io(sub)
-    _add_jobs(sub)
     _add_seed(sub)
     sub.add_argument("--restarts", type=int, default=4)
     sub.add_argument("--report", help="write the mean-score report here "
@@ -336,7 +312,6 @@ def build_arg_parser():
 
     sub = subs.add_parser("oracle", help="export oracle action traces")
     _add_io(sub)
-    _add_jobs(sub)
     _add_seed(sub)
     sub.add_argument("--restarts", type=int, default=4)
     sub.set_defaults(func=cmd_oracle)
@@ -353,7 +328,6 @@ def build_arg_parser():
 
     sub = subs.add_parser("parse", help="parse sentences with trained model(s)")
     _add_io(sub)
-    _add_jobs(sub)
     sub.add_argument("--model", action="append", required=True,
                      help="model file; repeat to decode as an ensemble")
     sub.add_argument("--lemmas", help="lemma TSV for the copy-lemma action")

@@ -126,60 +126,61 @@ def parse_alignment(text, graph, tokens):
     return CandidateAlignment(graph, tokens, choices)
 
 
-def _iter_blocks(stream):
-    block = []
-    for line in stream:
-        line = line.rstrip("\n")
-        if line.strip():
-            block.append(line)
-        elif block:
-            yield block
-            block = []
-    if block:
-        yield block
-
-
-def read_corpus(source, parse_graphs=True):
-    """Read CorpusDocuments from a path, stream or string."""
+def read_blocks(source):
+    """(metadata, body lines) for each blank-line-separated block of a
+    path, stream or string.  `# ::key value` lines are metadata; other
+    `#` lines are comments and are skipped."""
     if isinstance(source, str) and "\n" not in source:
         with open(source, encoding="utf-8") as handle:
-            return read_corpus(handle, parse_graphs=parse_graphs)
+            return read_blocks(handle)
     if isinstance(source, str):
         source = io.StringIO(source)
+    blocks = []
+    block = None
+    for line in source:
+        line = line.rstrip("\n")
+        if not line.strip():
+            block = None
+            continue
+        if block is None:
+            block = ({}, [])
+            blocks.append(block)
+        match = _META_RE.match(line)
+        if match:
+            block[0][match.group(1)] = match.group(2)
+        elif not line.startswith("#"):
+            block[1].append(line)
+    return blocks
+
+
+def write_blocks(blocks, stream):
+    """Write (metadata, body lines) blocks, blank-line separated, with the
+    HEADER_ORDER keys first and the other keys in insertion order."""
+    for i, (metadata, body) in enumerate(blocks):
+        if i:
+            stream.write("\n")
+        keys = [k for k in HEADER_ORDER if k in metadata]
+        keys += [k for k in metadata if k not in HEADER_ORDER]
+        for key in keys:
+            stream.write("# ::%s %s\n" % (key, metadata[key]))
+        for line in body:
+            stream.write(line + "\n")
+
+
+def read_corpus(source):
+    """Read CorpusDocuments from a path, stream or string."""
     documents = []
-    for block in _iter_blocks(source):
-        metadata = {}
-        graph_lines = []
-        for line in block:
-            match = _META_RE.match(line)
-            if match:
-                metadata[match.group(1)] = match.group(2)
-            elif line.startswith("#"):
-                continue
-            else:
-                graph_lines.append(line)
-        graph_text = "\n".join(graph_lines) if graph_lines else None
-        graph = None
-        if graph_text and parse_graphs:
-            graph = parse_penman(graph_text, metadata=metadata)
+    for metadata, graph_lines in read_blocks(source):
+        graph_text = "\n".join(graph_lines) or None
+        graph = (parse_penman(graph_text, metadata=metadata)
+                 if graph_text else None)
         documents.append(CorpusDocument(metadata, graph, graph_text))
     return documents
 
 
 def write_corpus(documents, stream):
-    for i, doc in enumerate(documents):
-        if i:
-            stream.write("\n")
-        emitted = set()
-        for key in HEADER_ORDER:
-            if key in doc.metadata:
-                stream.write("# ::%s %s\n" % (key, doc.metadata[key]))
-                emitted.add(key)
-        for key, value in doc.metadata.items():
-            if key not in emitted:
-                stream.write("# ::%s %s\n" % (key, value))
-        if doc.graph_text:
-            stream.write(doc.graph_text + "\n")
+    write_blocks([(doc.metadata, [doc.graph_text] if doc.graph_text else [])
+                  for doc in documents], stream)
 
 
 def corpus_to_string(documents):
@@ -191,34 +192,9 @@ def corpus_to_string(documents):
 def read_traces(source):
     """Read an action-trace file: metadata headers then one action per
     line, blank-line separated.  Returns (metadata, action strings) pairs."""
-    if isinstance(source, str) and "\n" not in source:
-        with open(source, encoding="utf-8") as handle:
-            return read_traces(handle)
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    blocks = []
-    for block in _iter_blocks(source):
-        metadata = {}
-        actions = []
-        for line in block:
-            match = _META_RE.match(line)
-            if match:
-                metadata[match.group(1)] = match.group(2)
-            elif not line.startswith("#"):
-                actions.append(line.strip())
-        blocks.append((metadata, actions))
-    return blocks
+    return [(metadata, [line.strip() for line in lines])
+            for metadata, lines in read_blocks(source)]
 
 
 def write_traces(blocks, stream):
-    for i, (metadata, actions) in enumerate(blocks):
-        if i:
-            stream.write("\n")
-        for key in HEADER_ORDER:
-            if key in metadata:
-                stream.write("# ::%s %s\n" % (key, metadata[key]))
-        for key, value in metadata.items():
-            if key not in HEADER_ORDER:
-                stream.write("# ::%s %s\n" % (key, value))
-        for action in actions:
-            stream.write(action + "\n")
+    write_blocks(blocks, stream)

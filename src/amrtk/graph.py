@@ -134,22 +134,7 @@ class AmrGraph:
         return {cid: i for i, cid in enumerate(self.concepts)}
 
     def is_connected(self):
-        return len(self._undirected_reach(self.root)) == len(self.concepts)
-
-    def _undirected_reach(self, start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            cid = stack.pop()
-            for rel in self.outgoing(cid):
-                if rel.target not in seen:
-                    seen.add(rel.target)
-                    stack.append(rel.target)
-            for rel in self.incoming(cid):
-                if rel.source not in seen:
-                    seen.add(rel.source)
-                    stack.append(rel.source)
-        return seen
+        return len(bfs_depths(self)) == len(self.concepts)
 
     def __repr__(self):
         return "AmrGraph(root=%r, %d concepts, %d relations)" % (
@@ -427,10 +412,10 @@ def _compute_depths(graph):
                     depths[rel.target] = cand
     else:
         logger.warning("cycle detected; graph distance falls back to shortest path")
-        depths = _bfs_depths(graph, directed=True)
+        depths = bfs_depths(graph, directed=True)
     missing = [cid for cid in graph.concepts if cid not in depths]
     if missing:
-        undirected = _bfs_depths(graph, directed=False)
+        undirected = bfs_depths(graph)
         for cid in missing:
             depths[cid] = undirected.get(cid, 0)
     return depths
@@ -454,11 +439,12 @@ def _topological_order(graph):
     return order
 
 
-def _bfs_depths(graph, directed):
+def bfs_depths(graph, directed=False):
+    """Breadth-first distance from the root to every concept it reaches,
+    following edges in both directions unless `directed`."""
     depths = {graph.root: 0}
     queue = [graph.root]
-    while queue:
-        cid = queue.pop(0)
+    for cid in queue:
         neighbors = [rel.target for rel in graph.outgoing(cid)]
         if not directed:
             neighbors += [rel.source for rel in graph.incoming(cid)]

@@ -11,7 +11,9 @@ import logging
 from dataclasses import dataclass
 
 from . import transition
-from .graph import AmrGraph, Relation, depth_to_root, extract_fragments
+from .graph import (
+    AmrGraph, Relation, bfs_depths, depth_to_root, extract_fragments,
+)
 from .smatch import smatch_score
 from .transition import Action, apply, initial_state, is_terminal
 
@@ -87,21 +89,12 @@ def prune_unaligned(graph, alignment):
                      if r.source != removed and r.target != removed]
 
     # keep only the component still connected to the root
-    reachable = {root}
-    changed = True
-    while changed:
-        changed = False
-        for rel in relations:
-            if rel.source in reachable and rel.target not in reachable:
-                reachable.add(rel.target)
-                changed = True
-            elif rel.target in reachable and rel.source not in reachable:
-                reachable.add(rel.source)
-                changed = True
-    concepts = {cid: c for cid, c in graph.concepts.items()
-                if cid in kept and cid in reachable}
-    relations = [r for r in relations
-                 if r.source in reachable and r.target in reachable]
+    kept_graph = AmrGraph({cid: c for cid, c in graph.concepts.items()
+                           if cid in kept}, relations, root)
+    reachable = bfs_depths(kept_graph)
+    concepts = {cid: c for cid, c in kept_graph.concepts.items()
+                if cid in reachable}
+    relations = [r for r in relations if r.source in reachable]
     return AmrGraph(concepts, relations, root)
 
 
@@ -122,11 +115,11 @@ class EdgeLedger:
         self.fragments = extract_fragments(pruned)
         self.frag_of = {f.head: f for f in self.fragments}
         self.span_of = {}
-        order = {cid: i for i, cid in enumerate(pruned.concepts)}
+        self.order = pruned.addresses()
         for head, record in alignment.choices.items():
             if record is not None and head in self.frag_of:
                 self.span_of[head] = record.span
-        self.heads_order = sorted(self.span_of, key=order.__getitem__)
+        self.heads_order = sorted(self.span_of, key=self.order.__getitem__)
 
     # --- alignment geometry -------------------------------------------------
 
@@ -171,6 +164,13 @@ class EdgeLedger:
 
     def mark_processed(self, key):
         self.processed[key] = True
+
+    def close_edges(self, gold_id):
+        """Mark every edge of a concept processed: edges that can no
+        longer be built."""
+        for key in self.edge_keys:
+            if gold_id in (key[0], key[1]):
+                self.processed[key] = True
 
     # --- realization --------------------------------------------------------
 
@@ -218,14 +218,13 @@ class EdgeLedger:
             if head in reachable or head == built:
                 continue
             self.forfeited.add(head)
-            for key in self.edge_keys:
-                if head in (key[0], key[1]):
-                    self.processed[key] = True
+            self.close_edges(head)
             logger.debug("forfeited unreachable same-span concept %s", head)
 
 
-def oracle_action(state, pruned, alignment, ledger):
+def oracle_action(state, ledger):
     """Pick the next action by checking the oracle conditions in order."""
+    pruned = ledger.graph
     b0 = state.b0
     s0 = state.s0
 
@@ -248,9 +247,8 @@ def oracle_action(state, pruned, alignment, ledger):
             top = wrapper if wrapper is not None else entity
             ledger.pending = ("entity", top, entity, span)
             return Action(transition.ENTITY, pruned.concept(top).label)
-        order = {cid: i for i, cid in enumerate(pruned.concepts)}
         chosen = max(pending,
-                     key=lambda h: (depth_to_root(pruned, h), -order[h]))
+                     key=lambda h: (depth_to_root(pruned, h), -ledger.order[h]))
         ledger.pending = ("confirm", chosen, span)
         return Action(transition.CONFIRM, pruned.concept(chosen).label)
 
@@ -277,7 +275,8 @@ def oracle_action(state, pruned, alignment, ledger):
                          if gold_s0 is not None else 0)
         if pending_edges > 0 and b0 is not None:
             return Action(transition.CACHE)
-        if pending_edges == 0 and s0.is_concept():
+        # with the buffer empty, pending edges of s0 can no longer be built
+        if s0.is_concept() and (pending_edges == 0 or b0 is None):
             return Action(transition.REDUCE)
 
     if b0 is not None and b0.is_concept():
@@ -314,9 +313,7 @@ def _finalize(ledger, state):
                 ledger.realized.add(entity)
             # the name node lives inside the entity fragment and never
             # reaches the stack or buffer; edges into it are unbuildable
-            for key in ledger.edge_keys:
-                if not ledger.processed[key] and entity in (key[0], key[1]):
-                    ledger.mark_processed(key)
+            ledger.close_edges(entity)
         else:
             ledger.realized.add(entity)
         for rel in ledger.frag_of[entity].relations:
@@ -339,7 +336,7 @@ def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
     limit = STEP_LIMIT_FACTOR * len(tokens) + 100
     steps = 0
     while not is_terminal(state):
-        action = oracle_action(state, pruned, alignment, ledger)
+        action = oracle_action(state, ledger)
         state = apply(state, action)
         _finalize(ledger, state)
         steps += 1

@@ -128,6 +128,7 @@ class ActionScorer:
                  predicate_lemmas=(), lemma_fallback=True):
         self.actions = list(actions)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
+        self.vocabulary = parse_vocabulary(self.actions)
         self.hash_dim = hash_dim
         self.hash_seed = hash_seed
         self.weights = [dict() for _ in self.actions]
@@ -181,6 +182,10 @@ class Ensemble:
     @property
     def actions(self):
         return self.members[0].actions
+
+    @property
+    def vocabulary(self):
+        return self.members[0].vocabulary
 
     @property
     def predicate_lemmas(self):
@@ -240,17 +245,37 @@ def _collect_vocabulary(corpus, lemma_table, lemma_fallback):
     return sorted(vocab), rewritten, predicate_lemmas
 
 
+_TAG_RANK = {tag: i for i, tag in enumerate(transition.ALL_TAGS)}
+
+
+def parse_vocabulary(names):
+    """name -> (action, tie-break key) for each vocabulary entry.
+
+    CONFIRM-LEMMA has no fixed action (its label depends on the word) and
+    sorts among the CONFIRM actions as if its label were `0-lemma`.  The
+    key orders by the transition table's row order, then by label.
+    """
+    table = {}
+    for name in names:
+        if name == LEMMA_ACTION:
+            table[name] = (None, (_TAG_RANK[CONFIRM], "0-lemma"))
+        else:
+            action = parse_action(name)
+            table[name] = (action, (_TAG_RANK[action.tag], action.label or ""))
+    return table
+
+
 def legal_action_names(model, state):
     """Vocabulary entries whose tag pattern matches the state, with
     duplicate-arc label filtering for Left/Right."""
     tags = legal_actions(state)
     names = []
     for name in model.actions:
-        if name == LEMMA_ACTION:
+        action, _ = model.vocabulary[name]
+        if action is None:
             if CONFIRM in tags:
                 names.append(name)
             continue
-        action = parse_action(name)
         if action.tag not in tags:
             continue
         if action.tag in (LEFT, RIGHT):
@@ -263,11 +288,12 @@ def legal_action_names(model, state):
     return names
 
 
-def materialize(name, state, lemma_table, predicate_lemmas):
-    if name == LEMMA_ACTION:
+def materialize(model, name, state, lemma_table):
+    action, _ = model.vocabulary[name]
+    if action is None:
         return Action(CONFIRM, lemma_label(state.b0.surface, lemma_table,
-                                           predicate_lemmas))
-    return parse_action(name)
+                                           model.predicate_lemmas))
+    return action
 
 
 def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
@@ -368,24 +394,15 @@ def decode(model, tokens, pos=None, lemma_table=None):
             state = _drain(state)
             break
         probs = averaged_scores(model, state, legal, pos)
-        # argmax with ties broken by the transition table's row order,
-        # then lexicographically by label
-        best = min(legal, key=lambda a: (-probs[a],) + _tag_sort_key(a))
-        action = materialize(best, state, lemma_table, model.predicate_lemmas)
+        # argmax with ties broken by the vocabulary's tie-break key
+        best = min(legal, key=lambda a: (-probs[a],) + model.vocabulary[a][1])
+        action = materialize(model, best, state, lemma_table)
         state = apply(state, action)
         steps += 1
     graph = extract_graph(state, force=True)
     if warning:
         graph.metadata["parse-warning"] = warning
     return DecodeResult(graph, state.history, warning)
-
-
-_TAG_RANK = {tag: i for i, tag in enumerate(transition.ALL_TAGS)}
-
-
-def _tag_sort_key(name):
-    action = parse_action(name if name != LEMMA_ACTION else "CONFIRM(0-lemma)")
-    return (_TAG_RANK[action.tag], action.label or "")
 
 
 def _drain(state):

@@ -29,7 +29,6 @@ CACHE = "CACHE"
 SHIFT = "SHIFT"
 REDUCE = "REDUCE"
 
-CONCEPT_ACTIONS = frozenset({CONFIRM, ENTITY, NEW})
 RELATION_ACTIONS = frozenset({LEFT, RIGHT})
 BARE_ACTIONS = frozenset({DROP, MERGE, CACHE, SHIFT, REDUCE})
 ALL_TAGS = (DROP, MERGE, CONFIRM, ENTITY, NEW, LEFT, RIGHT, CACHE, SHIFT, REDUCE)
@@ -117,9 +116,6 @@ class ParserState:
             if nid == node:
                 return label
         raise StateError("unknown node %r" % node)
-
-    def has_arc(self, head, role, dep):
-        return (head, role, dep) in self.arcs
 
 
 def initial_state(tokens):

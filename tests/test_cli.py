@@ -8,6 +8,11 @@ RES = dict(
 )
 
 
+def read_text(path):
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -29,7 +34,7 @@ def align_tune(tmp_path, capsys, source=None):
 
 def test_align_annotates_every_block(tmp_path, capsys):
     aligned, _ = align_tune(tmp_path, capsys)
-    text = open(aligned).read()
+    text = read_text(aligned)
     assert text.count("::alignments-0") == 10
 
 
@@ -39,7 +44,7 @@ def test_align_max_candidates_one(tmp_path, capsys):
                          "-o", out, "--lemmas", RES["lemmas"],
                          "--max-candidates", "1")
     assert code == 0
-    text = open(out).read()
+    text = read_text(out)
     assert "::alignments-0" in text
     assert "::alignments-1" not in text
 
@@ -51,7 +56,7 @@ def test_align_base_only_reproducible(tmp_path, capsys):
         code, _, _ = run_cli(capsys, "align", "-i", fixture("train_corpus.amr"),
                              "-o", out, "--base-only")
         assert code == 0
-    assert open(out1).read() == open(out2).read()
+    assert read_text(out1) == read_text(out2)
 
 
 def test_tune_writes_metadata_and_report(tmp_path, capsys):
@@ -64,11 +69,11 @@ def test_tune_writes_metadata_and_report(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "tune", "-i", aligned, "-o", tuned,
                          "--report", report)
     assert code == 0
-    text = open(tuned).read()
+    text = read_text(tuned)
     assert text.count("::alignments ") == 10
     assert text.count("::oracle-smatch 1.0000") == 10
     assert "::oracle-actions" in text
-    lines = open(report).read().splitlines()
+    lines = read_text(report).splitlines()
     assert lines[0] == "mean-oracle-smatch\t1.0000"
     assert lines[1].startswith("mean-actions\t")
 
@@ -81,7 +86,7 @@ def test_full_pipeline(tmp_path, capsys):
 
     code, _, _ = run_cli(capsys, "oracle", "-i", tuned, "-o", traces)
     assert code == 0
-    trace_text = open(traces).read()
+    trace_text = read_text(traces)
     assert "CONFIRM" in trace_text and "SHIFT" in trace_text
 
     code, _, err = run_cli(capsys, "train", "--traces", traces,
@@ -113,7 +118,7 @@ def test_parse_ensemble_identity(tmp_path, capsys):
             "--lemmas", RES["lemmas"])
     run_cli(capsys, "parse", "-i", tuned, "-o", double, "--model", model,
             "--model", model, "--lemmas", RES["lemmas"])
-    assert open(single).read() == open(double).read()
+    assert read_text(single) == read_text(double)
 
 
 def test_smatch_identical_files(capsys):
@@ -143,16 +148,6 @@ def test_stats_tsv(tmp_path, capsys):
     assert err.startswith("mean-actions\t")
 
 
-def test_jobs_flag_is_deterministic(tmp_path, capsys):
-    seq = str(tmp_path / "seq.amr")
-    par = str(tmp_path / "par.amr")
-    run_cli(capsys, "align", "-i", fixture("train_corpus.amr"), "-o", seq,
-            "--lemmas", RES["lemmas"])
-    run_cli(capsys, "align", "-i", fixture("train_corpus.amr"), "-o", par,
-            "--lemmas", RES["lemmas"], "--jobs", "4")
-    assert open(seq).read() == open(par).read()
-
-
 def test_missing_file_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "align", "-i", str(tmp_path / "nope.amr"),
                            "-o", "-")
@@ -163,9 +158,9 @@ def test_missing_file_errors(tmp_path, capsys):
 def test_bad_model_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "other"}')
-    corpus = str(tmp_path / "c.amr")
-    open(corpus, "w").write("# ::tok a\n(c / cat)\n")
-    code, _, err = run_cli(capsys, "parse", "-i", corpus, "-o", "-",
+    corpus = tmp_path / "c.amr"
+    corpus.write_text("# ::tok a\n(c / cat)\n")
+    code, _, err = run_cli(capsys, "parse", "-i", str(corpus), "-o", "-",
                            "--model", str(bad))
     assert code == 2
     assert err.startswith("ERR:model:")
@@ -187,4 +182,4 @@ def test_resource_dir_env_var(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "align", "-i", fixture("train_corpus.amr"),
                          "-o", out, "--lemmas", "lemmas.tsv")
     assert code == 0
-    assert "::alignments-0" in open(out).read()
+    assert "::alignments-0" in read_text(out)

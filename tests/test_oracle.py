@@ -2,7 +2,7 @@ import pytest
 
 from amrtk.align import (
     AlignmentRecord, AlignmentSet, CandidateAlignment, Span,
-    enumerate_alignments, full_rule_set,
+    base_rule_set, enumerate_alignments, full_rule_set,
 )
 from amrtk.graph import parse_penman
 from amrtk.oracle import (
@@ -192,6 +192,27 @@ def test_oracle_is_deterministic():
     first = oracle_run(FIGURE_TOKENS, g, aset[0])
     second = oracle_run(FIGURE_TOKENS, g, aset[0])
     assert first.actions == second.actions
+
+
+def test_oracle_repeated_entities_reduce_on_empty_buffer():
+    # most candidates stack both person/name pairs on one "Mary" span; the
+    # run then ends with stacked concepts whose edges can no longer be built
+    g = parse_penman("""
+    (a / and
+        :op1 (s / speak-01
+            :ARG0 (p / person :name (n / name :op1 "Mary"))
+            :ARG1 (l / language :name (n2 / name :op1 "French")))
+        :op2 (s2 / speak-01
+            :ARG0 (p2 / person :name (n3 / name :op1 "Mary"))
+            :ARG1 (l2 / language :name (n4 / name :op1 "French"))))
+    """)
+    tokens = "Mary speaks French and Mary speaks French .".split()
+    aset = enumerate_alignments(g, tokens, base_rule_set())
+    for cand in aset:
+        run = oracle_run(tokens, g, cand)
+        assert run.actions[-1].tag == "REDUCE"
+    best, run = tune(tokens, g, aset)
+    assert run.smatch_f1 == pytest.approx(1.0)
 
 
 def test_ledger_conservation():

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+import amrtk.parser
 from amrtk.align import AlignmentRecord, CandidateAlignment, Span
-from amrtk.graph import parse_penman
+from amrtk.graph import parse_penman, serialize_penman
 from amrtk.oracle import oracle_run
 from amrtk.parser import (
     ActionScorer, DecodeError, Ensemble, TrainingError, TrainingExample,
@@ -259,6 +260,25 @@ def test_model_save_load_roundtrip(tmp_path):
     first = decode(model, examples[0].tokens, lemma_table=LEMMAS)
     second = decode(loaded, examples[0].tokens, lemma_table=LEMMAS)
     assert first.actions == second.actions
+
+
+def test_vocabulary_is_parsed_once(tmp_path, monkeypatch):
+    _, examples = tiny_corpus()
+    model = train(examples, epochs=15, seed=1, lemma_table=LEMMAS)
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    loaded = load_model(path)
+    expected = [decode(model, ex.tokens, lemma_table=LEMMAS) for ex in examples]
+
+    def no_parsing(text):
+        raise AssertionError("decode parsed the action name %r" % text)
+
+    monkeypatch.setattr(amrtk.parser, "parse_action", no_parsing)
+    for decoder in (model, loaded, Ensemble([model, loaded])):
+        for example, want in zip(examples, expected):
+            got = decode(decoder, example.tokens, lemma_table=LEMMAS)
+            assert got.actions == want.actions
+            assert serialize_penman(got.graph) == serialize_penman(want.graph)
 
 
 def test_model_version_check(tmp_path):

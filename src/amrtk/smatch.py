@@ -1,13 +1,15 @@
 """Smatch precision/recall/F1 between two AMR graphs.
 
 Triples are matched under an injective variable mapping found by
-restarted hill-climbing; `exhaustive_smatch` searches every mapping and
-serves as the exact reference for small graphs.
+restarted hill-climbing.  The climb scores its moves from a weight table
+of candidate variable pairs (Cai & Knight 2013), built once per graph
+pair, instead of recounting every triple; `exhaustive_smatch` searches
+every mapping and serves as the exact reference for small graphs.
 """
 
 import itertools
 import random
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .graph import LITERAL_KINDS
 
@@ -98,45 +100,132 @@ def _random_init(vars_a, vars_b, rng):
     return {va: vb for va, vb in zip(order_a, shuffled_b)}
 
 
-def _hill_climb(ta, tb, vars_a, vars_b, mapping):
-    """Steepest-ascent over single reassignments and pair swaps."""
+def _weight_table(ta, tb, vars_a, vars_b):
+    """Candidate-pair weight table of Cai & Knight (2013).
+
+    Maps each variable of `vars_a` to a dict, in `vars_b` order, of the
+    variables of `vars_b` it can match any triple against.  Each entry
+    (unary, partners) holds the number of instance, attribute and
+    self-loop relation triples matched when va maps to vb, and one
+    (va2, vb2) per other relation triple of va that is matched when va2
+    also maps to vb2.
+    """
+    pairs = defaultdict(lambda: [0, []])
+    for kind_a, kind_b in ((ta.instances, tb.instances),
+                           (ta.attributes, tb.attributes)):
+        by_key = defaultdict(list)
+        for vb, role, value in kind_b:
+            by_key[role, value].append(vb)
+        for va, role, value in kind_a:
+            for vb in by_key.get((role, value), ()):
+                pairs[va, vb][0] += 1
+    by_role = defaultdict(list)
+    for src_b, role, tgt_b in tb.relations:
+        by_role[role].append((src_b, tgt_b))
+    for src, role, tgt in ta.relations:
+        for src_b, tgt_b in by_role.get(role, ()):
+            # an injective mapping sends a self-loop only onto a self-loop
+            if src == tgt:
+                if src_b == tgt_b:
+                    pairs[src, src_b][0] += 1
+            elif src_b != tgt_b:
+                pairs[src, src_b][1].append((tgt, tgt_b))
+                pairs[tgt, tgt_b][1].append((src, src_b))
+    return {va: {vb: tuple(pairs[va, vb]) for vb in vars_b if (va, vb) in pairs}
+            for va in vars_a}
+
+
+def _contribution(table, mapping, va, vb):
+    """Triples of `va` matched when it maps to `vb` and every other
+    variable maps as in `mapping`."""
+    entry = table[va].get(vb)
+    if entry is None:
+        return 0
+    unary, partners = entry
+    for va2, vb2 in partners:
+        if mapping.get(va2) == vb2:
+            unary += 1
+    return unary
+
+
+def _linked(table, va1, vb1, va2, vb2):
+    """Relations between `va1` and `va2` matched when they map to `vb1`
+    and `vb2`."""
+    entry = table[va1].get(vb1)
+    return entry[1].count((va2, vb2)) if entry else 0
+
+
+def _held(table, mapping):
+    """Contribution of each mapped variable at its current image."""
+    return {va: _contribution(table, mapping, va, vb)
+            for va, vb in mapping.items()}
+
+
+def _move_gain(table, mapping, held, va, vb):
+    """Change in matched triples when `va` moves to the unused `vb`
+    (None: unmapped); `held` is `_held(table, mapping)`."""
+    gain = -held.get(va, 0)
+    if vb is not None:
+        gain += _contribution(table, mapping, va, vb)
+    return gain
+
+
+def _swap_gain(table, mapping, held, va1, va2):
+    """Change in matched triples when the mapped `va1` and `va2` swap
+    images; `held` is `_held(table, mapping)`."""
+    vb1 = mapping[va1]
+    vb2 = mapping[va2]
+    # both held contributions count the relations between va1 and va2,
+    # the new ones (read against the unswapped mapping) none of them
+    return (_contribution(table, mapping, va1, vb2)
+            + _contribution(table, mapping, va2, vb1)
+            + _linked(table, va1, vb2, va2, vb1)
+            - held[va1] - held[va2]
+            + _linked(table, va1, vb1, va2, vb2))
+
+
+def _hill_climb(ta, tb, vars_a, mapping, table):
+    """Steepest-ascent over single reassignments and pair swaps.
+
+    Each step tries the moves in `vars_a` x `vars_b` order (the rows of
+    `table` keep `vars_b` order), then the swaps of every two mapped
+    variables, taken in `vars_a` order, and applies the first strictly
+    best one.  Gains come from the weight `table` of
+    `_weight_table`, so a move costs O(degree) rather than a recount of
+    every triple.  A move or swap whose new pairs have no table entry
+    matches nothing through them, so its gain is at most 0 and it can
+    never beat the strict test; such moves, including every move to
+    unmapped, are skipped without changing the result.
+    """
     current = _match_count(ta, tb, mapping)
     while True:
         best_gain = 0
         best_move = None
+        held = _held(table, mapping)
         used = set(mapping.values())
         for va in vars_a:
-            old = mapping.get(va)
-            for vb in itertools.chain(vars_b, [None]):
-                if vb == old or (vb is not None and vb in used and vb != old):
+            for vb in table[va]:
+                if vb in used:
                     continue
-                if vb is None:
-                    mapping.pop(va, None)
-                else:
-                    mapping[va] = vb
-                gain = _match_count(ta, tb, mapping) - current
-                if old is None:
-                    mapping.pop(va, None)
-                else:
-                    mapping[va] = old
+                gain = _move_gain(table, mapping, held, va, vb)
                 if gain > best_gain:
                     best_gain = gain
                     best_move = ("move", va, vb)
-        for va1, va2 in itertools.combinations(list(mapping), 2):
-            mapping[va1], mapping[va2] = mapping[va2], mapping[va1]
-            gain = _match_count(ta, tb, mapping) - current
-            mapping[va1], mapping[va2] = mapping[va2], mapping[va1]
-            if gain > best_gain:
-                best_gain = gain
-                best_move = ("swap", va1, va2)
+        mapped = [va for va in vars_a if va in mapping]
+        for i, va1 in enumerate(mapped):
+            for va2 in mapped[i + 1:]:
+                if (mapping[va2] not in table[va1]
+                        and mapping[va1] not in table[va2]):
+                    continue
+                gain = _swap_gain(table, mapping, held, va1, va2)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_move = ("swap", va1, va2)
         if best_move is None:
             return current, mapping
         kind, x, y = best_move
         if kind == "move":
-            if y is None:
-                mapping.pop(x, None)
-            else:
-                mapping[x] = y
+            mapping[x] = y
         else:
             mapping[x], mapping[y] = mapping[y], mapping[x]
         current += best_gain
@@ -155,11 +244,12 @@ def smatch_counts(a, b, restarts=4, seed=1):
     labels_a = {v: a.concept(v).label for v in vars_a}
     labels_b = {v: b.concept(v).label for v in vars_b}
     rng = random.Random(seed)
+    table = _weight_table(ta, tb, vars_a, vars_b)
     best = 0
     starts = [_label_init(vars_a, vars_b, labels_a, labels_b)]
     starts += [_random_init(vars_a, vars_b, rng) for _ in range(restarts)]
     for start in starts:
-        count, _ = _hill_climb(ta, tb, vars_a, vars_b, dict(start))
+        count, _ = _hill_climb(ta, tb, vars_a, dict(start), table)
         if count > best:
             best = count
     return best, triple_count(ta), triple_count(tb)

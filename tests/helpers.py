@@ -1,8 +1,11 @@
-"""Shared test utilities: random graph pairs and fixture paths."""
+"""Shared test utilities: random graph pairs, fixture paths and the
+reference Smatch hill-climbing."""
 
+import itertools
 import os
 
 from amrtk.graph import ATTRIBUTE, ENTITY_TYPE, AmrGraph, Concept, Relation
+from amrtk.smatch import _match_count
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -77,3 +80,49 @@ def perturbed_pair(rng, n_vars):
     relations = [r for r in relations
                  if r.source in reachable and r.target in reachable]
     return g, AmrGraph(concepts, relations, g.root)
+
+
+def reference_hill_climb(ta, tb, vars_a, vars_b, mapping):
+    """The recount-based hill-climbing that `amrtk.smatch._hill_climb`
+    replaced: every move and swap is scored by recounting every triple.
+    Kept verbatim as the test oracle for the incremental search."""
+    current = _match_count(ta, tb, mapping)
+    while True:
+        best_gain = 0
+        best_move = None
+        used = set(mapping.values())
+        for va in vars_a:
+            old = mapping.get(va)
+            for vb in itertools.chain(vars_b, [None]):
+                if vb == old or (vb is not None and vb in used and vb != old):
+                    continue
+                if vb is None:
+                    mapping.pop(va, None)
+                else:
+                    mapping[va] = vb
+                gain = _match_count(ta, tb, mapping) - current
+                if old is None:
+                    mapping.pop(va, None)
+                else:
+                    mapping[va] = old
+                if gain > best_gain:
+                    best_gain = gain
+                    best_move = ("move", va, vb)
+        for va1, va2 in itertools.combinations(list(mapping), 2):
+            mapping[va1], mapping[va2] = mapping[va2], mapping[va1]
+            gain = _match_count(ta, tb, mapping) - current
+            mapping[va1], mapping[va2] = mapping[va2], mapping[va1]
+            if gain > best_gain:
+                best_gain = gain
+                best_move = ("swap", va1, va2)
+        if best_move is None:
+            return current, mapping
+        kind, x, y = best_move
+        if kind == "move":
+            if y is None:
+                mapping.pop(x, None)
+            else:
+                mapping[x] = y
+        else:
+            mapping[x], mapping[y] = mapping[y], mapping[x]
+        current += best_gain

@@ -1,12 +1,20 @@
+import itertools
 import random
 
 import pytest
 
-from amrtk.graph import parse_penman
+import amrtk.smatch
+from amrtk.corpus import read_corpus
+from amrtk.graph import ATTRIBUTE, AmrGraph, Concept, parse_penman
 from amrtk.smatch import (
-    SmatchSizeError, exhaustive_smatch, smatch_score, to_triples, triple_count,
+    SmatchSizeError, TripleSet, _held, _hill_climb, _label_init, _match_count,
+    _move_gain, _random_init, _swap_gain, _weight_table, exhaustive_smatch,
+    smatch_counts, smatch_score, to_triples, triple_count,
 )
-from helpers import random_graph, random_graph_pair
+from helpers import (
+    fixture, perturbed_pair, random_graph, random_graph_pair,
+    reference_hill_climb,
+)
 
 FIGURE_TEXT = """
 (f / freeze-01
@@ -14,6 +22,16 @@ FIGURE_TEXT = """
     :ARG1 (a / act-01 :poss c :mod (n2 / nucleus))
     :ARG2-of (e / exchange-01
         :ARG1 (r / reactor :quant 2 :mod (n3 / nucleus))))
+"""
+
+# FIGURE_TEXT with one concept relabeled, one edge re-roled and one
+# attribute changed
+FIGURE_PERTURBED = """
+(f / freeze-01
+    :ARG0 (c / country :name (n / name :op1 "North" :op2 "Korea"))
+    :ARG1 (a / act-01 :mod c :mod (n2 / nucleus))
+    :ARG2-of (e / exchange-01
+        :ARG1 (r / plant :quant 3 :mod (n3 / nucleus))))
 """
 
 
@@ -109,3 +127,102 @@ def test_seeded_determinism():
     first = smatch_score(a, b, restarts=4, seed=99)
     second = smatch_score(a, b, restarts=4, seed=99)
     assert first == second
+
+
+def test_hill_climb_recounts_once_per_start(monkeypatch):
+    # gains come from the weight table; only each start is counted in full
+    calls = []
+
+    def counting(ta, tb, mapping):
+        calls.append(1)
+        return _match_count(ta, tb, mapping)
+
+    monkeypatch.setattr(amrtk.smatch, "_match_count", counting)
+    a = parse_penman(FIGURE_TEXT)
+    b = parse_penman(FIGURE_PERTURBED)
+    matched, n_a, n_b = smatch_counts(a, b, restarts=4)
+    assert 0 < matched < min(n_a, n_b)
+    assert len(calls) <= 5
+
+
+def test_hill_climb_matches_recount_reference():
+    rng = random.Random(17)
+    graphs = [doc.graph for doc in read_corpus(fixture("graphs.amr"))]
+    pairs = [(a, b) for a in graphs for b in graphs]
+    pairs += [perturbed_pair(rng, rng.randint(8, 15)) for _ in range(30)]
+    pairs += [(random_graph(rng, rng.randint(8, 15)),
+               random_graph(rng, rng.randint(8, 15))) for _ in range(20)]
+    unequal = 0
+    for a, b in pairs:
+        ta, tb = to_triples(a), to_triples(b)
+        vars_a, vars_b = a.var_ids(), b.var_ids()
+        table = _weight_table(ta, tb, vars_a, vars_b)
+        unequal += len(vars_a) != len(vars_b)
+        labels_a = {v: a.concept(v).label for v in vars_a}
+        labels_b = {v: b.concept(v).label for v in vars_b}
+        starts = [_label_init(vars_a, vars_b, labels_a, labels_b)]
+        starts += [_random_init(vars_a, vars_b, rng) for _ in range(2)]
+        partial = _random_init(vars_a, vars_b, rng)
+        for va in rng.sample(list(partial), len(partial) // 3):
+            del partial[va]
+        starts.append(partial)
+        for start in starts:
+            assert _hill_climb(ta, tb, vars_a, dict(start), table) == \
+                reference_hill_climb(ta, tb, vars_a, vars_b, dict(start))
+    # unequal variable counts leave some variables unmapped, which is
+    # where the order of the swaps decides ties
+    assert unequal >= 200
+
+
+def _assert_gains_match_recounts(ta, tb, vars_a, vars_b, mapping):
+    table = _weight_table(ta, tb, vars_a, vars_b)
+    held = _held(table, mapping)
+    base = _match_count(ta, tb, mapping)
+    used = set(mapping.values())
+    for va in vars_a:
+        for vb in vars_b + [None]:
+            if vb in used and vb != mapping.get(va):
+                continue
+            moved = dict(mapping)
+            if vb is None:
+                moved.pop(va, None)
+            else:
+                moved[va] = vb
+            assert _move_gain(table, mapping, held, va, vb) == \
+                _match_count(ta, tb, moved) - base
+    for va1, va2 in itertools.combinations(mapping, 2):
+        swapped = dict(mapping)
+        swapped[va1], swapped[va2] = mapping[va2], mapping[va1]
+        assert _swap_gain(table, mapping, held, va1, va2) == \
+            _match_count(ta, tb, swapped) - base
+
+
+def test_move_and_swap_gains_equal_recount_differences():
+    rng = random.Random(23)
+    literal_root = AmrGraph({"k": Concept("k", "2", ATTRIBUTE)}, [], "k")
+    graphs = [parse_penman(text) for text in (
+        '(a / "x")', "(x / x)", FIGURE_TEXT, FIGURE_PERTURBED,
+        "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")]
+    graphs.append(literal_root)
+    pairs = [(a, b) for a in graphs for b in graphs]
+    pairs += [perturbed_pair(rng, rng.randint(8, 15)) for _ in range(10)]
+    pairs += [random_graph_pair(rng, max_vars=9) for _ in range(10)]
+    for a, b in pairs:
+        ta, tb = to_triples(a), to_triples(b)
+        vars_a, vars_b = a.var_ids(), b.var_ids()
+        for _ in range(3):
+            mapping = _random_init(vars_a, vars_b, rng)
+            for va in rng.sample(list(mapping), len(mapping) // 4):
+                del mapping[va]
+            _assert_gains_match_recounts(ta, tb, vars_a, vars_b, mapping)
+    # the Penman reader rejects self-loops; the table still counts them
+    ta = TripleSet({("a", "instance", "x"), ("b", "instance", "y")},
+                   {("a", "TOP", "x")},
+                   {("a", ":mod", "a"), ("a", ":ARG0", "b")})
+    tb = TripleSet({("p", "instance", "x"), ("q", "instance", "y"),
+                    ("r", "instance", "x")},
+                   {("r", "TOP", "x")},
+                   {("p", ":mod", "p"), ("r", ":ARG0", "q"), ("q", ":mod", "q")})
+    for image in itertools.permutations(["p", "q", "r", None], 2):
+        mapping = {va: vb for va, vb in zip("ab", image) if vb is not None}
+        _assert_gains_match_recounts(ta, tb, ["a", "b"], ["p", "q", "r"], mapping)

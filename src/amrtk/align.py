@@ -4,26 +4,21 @@ sentence/graph pair.
 Matching rules compare a fragment directly with a token span; updating
 rules align a fragment based on an already-aligned related fragment and
 record that dependency.  All rule hits are kept per fragment, and the
-candidate set is the legality-filtered Cartesian product of the
-per-fragment choices.
+candidates are the best-ranked legal combinations of the per-fragment
+choices, found by a depth-first search over span assignments.
 """
 
 import itertools
-import logging
 from dataclasses import dataclass
 
 from .graph import extract_fragments, name_op_values, strip_sense
 from .resources import Resources, morph_match, semantic_match
 from .surface import NEGATION_WORDS, date_attributes, numeric_form
 
-logger = logging.getLogger(__name__)
-
 MATCHING = "matching"
 UPDATING = "updating"
 
 DEFAULT_CANDIDATE_LIMIT = 50
-DEFAULT_PER_FRAGMENT_CAP = 5
-DEFAULT_PRODUCT_CAP = 100000
 
 FUZZY_PREFIX_LEN = 4
 
@@ -85,14 +80,6 @@ class CandidateAlignment:
     def pairs(self):
         """(head, span) pairs for scoring."""
         return {(h, rec.span) for h, rec in self.choices.items() if rec is not None}
-
-    def key(self, fragment_order):
-        unaligned = sum(1 for h in fragment_order if self.choices.get(h) is None)
-        spans = tuple(
-            (rec.span.start, rec.span.end) if rec is not None else (1 << 30, 1 << 30)
-            for h in fragment_order
-            for rec in [self.choices.get(h)])
-        return (unaligned, spans)
 
     def __eq__(self, other):
         return (isinstance(other, CandidateAlignment)
@@ -330,10 +317,9 @@ def full_rule_set(resources):
     return matching + extended_rule_set(resources) + updating
 
 
-def all_spans(n_tokens, max_len=None):
-    limit = n_tokens if max_len is None else min(max_len, n_tokens)
+def all_spans(n_tokens):
     for start in range(n_tokens):
-        for end in range(start + 1, min(start + limit, n_tokens) + 1):
+        for end in range(start + 1, n_tokens + 1):
             yield Span(start, end)
 
 
@@ -391,63 +377,79 @@ def is_legal(choices):
 
 
 def enumerate_alignments(graph, tokens, rules, limit=DEFAULT_CANDIDATE_LIMIT,
-                         resources=None, per_fragment_cap=DEFAULT_PER_FRAGMENT_CAP,
-                         product_cap=DEFAULT_PRODUCT_CAP):
-    """All legal alignment combinations, deterministically ordered.
-
-    Candidates are sorted by fewest unaligned fragments, then by span
-    order, and truncated to `limit`.  When the raw product would exceed
-    `product_cap`, per-fragment record sets are pruned to the
-    `per_fragment_cap` best records first.
+                         resources=None, per_fragment_cap=None):
+    """The first `limit` legal alignments, ranked by the spans of the
+    fragments that have records in fragment order, ties in the order of
+    the records' product.  A depth-first search places those fragments in
+    order, each on its spans in ascending order, and stops at `limit` + 1
+    candidates; `truncated` means more exist.  With no legal alignment the
+    one candidate leaves every fragment unaligned.  `per_fragment_cap` is
+    accepted for older callers and ignored.
     """
     if not tokens:
         raise AlignmentInputError("token list may not be empty")
+    if limit is not None and limit < 1:
+        raise AlignmentInputError("candidate limit must be at least 1")
     fragments, records = collect_records(graph, tokens, rules, resources)
     order = [f.head for f in fragments]
+    heads = [h for h in order if records[h]]
+    by_span = {h: {} for h in heads}         # span -> records, spans ascending
+    dependents = {h: set() for h in heads}   # heads with a record triggered here
+    covering = [set() for _ in tokens]       # heads with a span over the token
+    for head in heads:
+        for rec in sorted(records[head], key=lambda r: (
+                r.span, r.trigger or "", r.trigger_span or r.span)):
+            by_span[head].setdefault(rec.span, []).append(rec)
+            for index in range(rec.span.start, rec.span.end):
+                covering[index].add(head)
+            if rec.trigger is not None:
+                dependents[rec.trigger].add(head)
 
-    def record_key(rec):
-        trig = rec.trigger or ""
-        tspan = (rec.trigger_span.start, rec.trigger_span.end) if rec.trigger_span else (-1, -1)
-        return (rec.span.start, rec.span.end, trig, tspan)
+    def usable(rec, domains):
+        return rec.trigger is None or rec.trigger_span in domains[rec.trigger]
 
-    sets = {}
-    product_size = 1
-    for head in order:
-        options = sorted(records[head], key=record_key)
-        sets[head] = options if options else [None]
-        product_size *= max(1, len(options))
-    if product_size > product_cap:
-        logger.warning(
-            "alignment product size %d exceeds cap %d; pruning to %d records "
-            "per fragment", product_size, product_cap, per_fragment_cap)
-        for head in order:
-            if sets[head][0] is not None:
-                sets[head] = sets[head][:per_fragment_cap]
+    def propagate(domains, changed):
+        """Drop spans partially overlapping a fragment's last span or whose
+        records all need a trigger span now lost; False if a domain empties."""
+        while changed:
+            head = changed.pop()
+            fixed = domains[head][0] if len(domains[head]) == 1 else None
+            affected = dependents[head].union(
+                *covering[fixed.start:fixed.end]) if fixed else dependents[head]
+            for other in affected:
+                kept = [s for s in domains[other]
+                        if not (fixed and s.overlaps(fixed) and s != fixed)
+                        and any(usable(r, domains) for r in by_span[other][s])]
+                if not kept:
+                    return False
+                if len(kept) < len(domains[other]):
+                    domains[other] = kept
+                    changed.append(other)
+        return True
 
-    candidates = []
-    seen = set()
-    examined = 0
-    truncated = False
-    for combo in itertools.product(*(sets[h] for h in order)):
-        examined += 1
-        if examined > product_cap:
-            logger.warning("stopped after examining %d combinations", product_cap)
-            truncated = True
-            break
-        choices = dict(zip(order, combo))
-        if not is_legal(choices):
-            continue
-        candidate = CandidateAlignment(graph, tokens, choices)
-        if candidate not in seen:
-            seen.add(candidate)
-            candidates.append(candidate)
-    if not candidates:
-        candidates = [CandidateAlignment(graph, tokens, {h: None for h in order})]
-    candidates.sort(key=lambda c: c.key(order))
-    if limit is not None and len(candidates) > limit:
-        candidates = candidates[:limit]
-        truncated = True
-    return AlignmentSet(graph, tokens, candidates, truncated=truncated)
+    def search(domains, depth):
+        """Legal record combinations, heads[:depth] placed, in rank order."""
+        while depth < len(heads) and len(domains[heads[depth]]) == 1:
+            depth += 1
+        if depth == len(heads):
+            yield from itertools.product(*(
+                [r for r in by_span[h][domains[h][0]] if usable(r, domains)]
+                for h in heads))
+            return
+        for span in domains[heads[depth]]:
+            narrowed = {**domains, heads[depth]: [span]}
+            if propagate(narrowed, [heads[depth]]):
+                yield from search(narrowed, depth + 1)
+
+    domains = {h: list(spans) for h, spans in by_span.items()}  # spans still open
+    legal = search(domains, 0) if propagate(domains, list(heads)) else ()
+    found = list(itertools.islice(legal, None if limit is None else limit + 1))
+    unaligned = dict.fromkeys(order)
+    candidates = [
+        CandidateAlignment(graph, tokens, {**unaligned, **dict(zip(heads, combo))})
+        for combo in found[:limit] or [()]]
+    return AlignmentSet(graph, tokens, candidates,
+                        truncated=limit is not None and len(found) > limit)
 
 
 def alignment_f1(pred, gold):

@@ -110,8 +110,7 @@ def cmd_align(args):
                 "document %s has no graph" % doc.id)
         aset = align_mod.enumerate_alignments(
             doc.graph, _require_tokens(doc), rules,
-            limit=args.max_candidates, resources=resources,
-            per_fragment_cap=args.per_fragment_cap)
+            limit=args.max_candidates, resources=resources)
         doc.set_candidates(aset.candidates)
     _write(args.output, corpus_mod.write_corpus, documents)
     return 0
@@ -295,8 +294,8 @@ def build_arg_parser():
     sub.add_argument("--lemmas", help="lemma TSV")
     sub.add_argument("--base-only", action="store_true",
                      help="disable the extended semantic/morphological rules")
-    sub.add_argument("--max-candidates", type=int, default=50)
-    sub.add_argument("--per-fragment-cap", type=int, default=5)
+    sub.add_argument("--max-candidates", type=int,
+                     default=align_mod.DEFAULT_CANDIDATE_LIMIT)
     sub.add_argument("--cosine-threshold", type=float,
                      default=resources_mod.DEFAULT_COSINE_THRESHOLD)
     sub.set_defaults(func=cmd_align)

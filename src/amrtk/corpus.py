@@ -11,7 +11,7 @@ import io
 import re
 
 from .align import AlignmentRecord, CandidateAlignment, Span
-from .graph import parse_penman
+from .graph import extract_fragments, parse_penman
 
 _META_RE = re.compile(r"^# ::(\S+) ?(.*)$")
 _ALIGN_K_RE = re.compile(r"^alignments-(\d+)$")
@@ -102,7 +102,6 @@ def format_alignment(candidate):
 
 
 def parse_alignment(text, graph, tokens):
-    from .graph import extract_fragments
     order = list(graph.concepts)
     fragment_heads = {f.head for f in extract_fragments(graph)}
     choices = {}

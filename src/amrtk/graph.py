@@ -26,6 +26,7 @@ _SENSE_RE = re.compile(r"-\d+$")
 # variable references rather than constants
 _VAR_LIKE_RE = re.compile(r"^[a-z]\d*$")
 _TOKEN_RE = re.compile(r'\(|\)|/|"(?:[^"\\]|\\.)*"|[^\s()/]+')
+_BARE_ATOM_RE = re.compile(r'[^\s()/"][^\s()/]*')
 _OP_ROLE_RE = re.compile(r"^:op\d+$")
 
 
@@ -207,7 +208,7 @@ class _PenmanReader:
         if label in "()/":
             raise PenmanSyntaxError("expected a concept label, found %r" % label, lpos)
         if label.startswith('"'):
-            label = label[1:-1]
+            label = label[1:-1].replace('\\"', '"')
         if var in self.defined:
             raise PenmanStructureError("duplicate definition of variable %r" % var)
         self.defined[var] = label
@@ -293,10 +294,11 @@ def parse_penman(text, metadata=None):
     return AmrGraph(concepts, relations, root, metadata=metadata)
 
 
-def _render_literal(concept):
-    if concept.kind == CONSTANT:
-        return '"%s"' % concept.label.replace('"', '\\"')
-    return concept.label
+def _render_atom(text, quoted=False):
+    """`text` as one token: bare unless quoted or it would not read back."""
+    if quoted or not _BARE_ATOM_RE.fullmatch(text):
+        return '"%s"' % text.replace('"', '\\"')
+    return text
 
 
 def serialize_penman(graph, indent=4):
@@ -320,12 +322,12 @@ def serialize_penman(graph, indent=4):
         concept = graph.concept(cid)
         var = name_of(cid)
         defined.add(cid)
-        parts = ["(%s / %s" % (var, concept.label)]
+        parts = ["(%s / %s" % (var, _render_atom(concept.label))]
         pad = "\n" + " " * (indent * (depth + 1))
         for rel in graph.outgoing(cid):
             target = graph.concept(rel.target)
             if target.kind in LITERAL_KINDS:
-                value = _render_literal(target)
+                value = _render_atom(target.label, target.kind == CONSTANT)
             elif rel.target in defined:
                 value = name_of(rel.target)
             else:

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,11 @@ from amrtk.align import (
     is_legal,
 )
 from amrtk.graph import parse_penman
-from amrtk.resources import EmbeddingTable, LemmaTable, MorphLinkTable, Resources
+from amrtk.resources import (
+    EmbeddingTable, LemmaTable, MorphLinkTable, Resources, load_lemmas,
+    load_morphosemantic,
+)
+from helpers import fixture
 
 FIGURE_TEXT = """
 (f / freeze-01
@@ -211,6 +216,11 @@ def test_legality_rejects_partial_overlap():
     assert is_legal(choices)
 
 
+def record_key(rec):
+    tspan = rec.trigger_span and (rec.trigger_span.start, rec.trigger_span.end)
+    return (rec.span.start, rec.span.end, rec.trigger or "", tspan or (-1, -1))
+
+
 def brute_force(order, sets, graph, tokens):
     out = []
     for combo in itertools.product(*(sets[h] or [None] for h in order)):
@@ -220,7 +230,18 @@ def brute_force(order, sets, graph, tokens):
     return out
 
 
-def test_enumeration_matches_brute_force_with_triggers():
+def ranked_brute_force(graph, tokens, rules, resources=None):
+    """Every legal candidate, ranked by span tuple, ties in product order."""
+    fragments, records = collect_records(graph, tokens, rules, resources)
+    order = [f.head for f in fragments]
+    sets = {h: sorted(records[h], key=record_key) for h in order}
+    legal = brute_force(order, sets, graph, tokens)
+    legal.sort(key=lambda c: [(r.span.start, r.span.end)
+                              for r in c.choices.values() if r is not None])
+    return legal or [CandidateAlignment(graph, tokens, dict.fromkeys(order))]
+
+
+def chain_trigger_case():
     # fragment C's records trigger on fragment B; combinations where B sits
     # on a different span must be filtered out
     g = parse_penman("(a / aaaa :ARG0 (b / bbbb :ARG1 (c / cccc)))")
@@ -241,11 +262,14 @@ def test_enumeration_matches_brute_force_with_triggers():
         Rule("u", UPDATING, pair_applies=pair_cb,
              derive=lambda f, t, rec, ctx: [rec.span]),
     ]
+    return g, tokens, rules
+
+
+def test_enumeration_matches_brute_force_with_triggers():
+    g, tokens, rules = chain_trigger_case()
     fragments, records = collect_records(g, tokens, rules)
     order = [f.head for f in fragments]
-    sets = {h: sorted(records[h], key=lambda r: (r.span.start, r.span.end,
-                                                 r.trigger or "")) or [None]
-            for h in order}
+    sets = {h: sorted(records[h], key=record_key) for h in order}
     expected = {c for c in brute_force(order, sets, g, tokens)}
     got = set(enumerate_alignments(g, tokens, rules, limit=None))
     assert got == expected
@@ -253,6 +277,113 @@ def test_enumeration_matches_brute_force_with_triggers():
     for cand in got:
         if cand.span_of("c") is not None:
             assert cand.span_of("c") == cand.span_of("b")
+
+
+def ordered_equivalence_cases():
+    resources = Resources(
+        morph=load_morphosemantic(fixture("resources", "morph.tsv")),
+        lemmas=load_lemmas(fixture("resources", "lemmas.tsv")))
+    # a may overlap b; c follows b onto its span, d follows a or b onto any
+    # later token, so tied candidates share d's span but not its trigger
+    g = parse_penman("(a / aaaa :ARG0 (b / bbbb :ARG1 (c / cccc) :ARG2 (d / dddd)))")
+    tokens = ["aaaa", "bbbb", "cccc", "dddd"]
+    rules = [
+        Rule("ma", MATCHING, match=lambda f, s, ctx: f.head == "a" and s in (
+            Span(0, 1), Span(1, 2), Span(0, 2))),
+        Rule("mb", MATCHING, match=lambda f, s, ctx: f.head == "b" and s in (
+            Span(1, 2), Span(2, 3))),
+        Rule("u", UPDATING,
+             pair_applies=lambda f, t, ctx: (f.head, t.head) in (
+                 ("c", "b"), ("d", "a"), ("d", "b")),
+             derive=lambda f, t, rec, ctx: [rec.span] if f.head == "c" else [
+                 Span(i, i + 1) for i in range(rec.span.start, len(ctx.tokens))]),
+    ]
+    cases = [chain_trigger_case() + (None,), (g, tokens, rules, None)]
+    for text, toks in [
+        ("(s / sleep-01 :ARG0 (b / boy))", ["the", "boy", "sleeps", "."]),
+        ("(s / sleep-01 :polarity - :ARG0 (sh / she))",
+         ["She", "does", "not", "sleep", "."]),
+        ('(c / country :name (n / name :op1 "Russia"))',
+         ["Russia", "exports", "oil"]),
+        (FIGURE_TEXT, FIGURE_TOKENS),
+    ]:
+        cases.append((parse_penman(text), toks, full_rule_set(resources),
+                      resources))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(ordered_equivalence_cases())))
+def test_enumeration_equals_ranked_brute_force(case):
+    graph, tokens, rules, res = ordered_equivalence_cases()[case]
+    ranked = ranked_brute_force(graph, tokens, rules, res)
+    for limit in (1, 2, 5, None):
+        aset = enumerate_alignments(graph, tokens, rules, limit=limit,
+                                    resources=res)
+        assert list(aset) == ranked[:limit]
+        assert aset.truncated == (limit is not None and len(ranked) > limit)
+
+
+def and_of(parts):
+    return parse_penman("(a / and %s)" % " ".join(
+        ":op%d %s" % (i, part) for i, part in enumerate(parts, start=1)))
+
+
+def test_first_fifty_of_many_legal_candidates(caplog):
+    # "the boy and" six times: 6^7 candidates, every one legal, so the
+    # first fifty in rank order are the first fifty of the records' product
+    graph = and_of(["(b%d / boy)" % i for i in range(1, 7)])
+    tokens = "the boy and".split() * 6
+    rules = base_rule_set()
+    fragments, records = collect_records(graph, tokens, rules)
+    order = [f.head for f in fragments]
+    sets = [sorted(records[h], key=record_key) for h in order]
+    expected = [dict(zip(order, combo))
+                for combo in itertools.islice(itertools.product(*sets), 50)]
+    aset = enumerate_alignments(graph, tokens, rules)
+    assert [c.choices for c in aset] == expected
+    assert aset.truncated
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("boys_first", [False, True])
+def test_no_legal_candidate_found_fast(boys_first, caplog):
+    # the name can only take "New York", which york partially overlaps, so
+    # no legal combination exists whatever the eight boys do
+    york = ['(c / city :name (n / name :op1 "New" :op2 "York"))', "(y / york)"]
+    boys = ["(b%d / boy)" % i for i in range(1, 9)]
+    graph = and_of(boys + york if boys_first else york + boys)
+    tokens = ["New", "York"] + "the boy and".split() * 8
+    started = time.perf_counter()
+    aset = enumerate_alignments(graph, tokens, base_rule_set())
+    assert time.perf_counter() - started < 0.5
+    assert len(aset) == 1 and not aset.truncated
+    assert aset[0].aligned_heads() == []
+    assert not caplog.records
+
+
+def test_trigger_dead_end_cut_before_later_fragments():
+    # x follows t only from t's second span, so t's first span is a dead
+    # end that must be dropped when t is placed, not after every placement
+    # of the eight boys between them
+    boys = ["(b%d / boy)" % i for i in range(1, 9)]
+    graph = and_of(["(t / tttt)"] + boys + ["(x / xylophone)"])
+    tokens = ["tttt", "tttt", "xxxx"] + "the boy and".split() * 8
+    rules = base_rule_set() + [Rule(
+        "x-after-t", UPDATING,
+        pair_applies=lambda f, t, ctx: (f.head, t.head) == ("x", "t"),
+        derive=lambda f, t, rec, ctx: [Span(2, 3)] if rec.span == Span(1, 2) else [])]
+    started = time.perf_counter()
+    aset = enumerate_alignments(graph, tokens, rules)
+    assert time.perf_counter() - started < 0.5
+    assert len(aset) == 50 and aset.truncated
+    assert {(c.span_of("t"), c.span_of("x")) for c in aset} == {(Span(1, 2), Span(2, 3))}
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_rejected(limit):
+    g = parse_penman("(b / boy)")
+    with pytest.raises(AlignmentInputError):
+        enumerate_alignments(g, ["boy", "boy"], base_rule_set(), limit=limit)
 
 
 def test_rule_monotonicity():

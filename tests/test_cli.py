@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from amrtk.cli import main
 from helpers import fixture
 
@@ -57,6 +61,41 @@ def test_align_base_only_reproducible(tmp_path, capsys):
                              "-o", out, "--base-only")
         assert code == 0
     assert read_text(out1) == read_text(out2)
+
+
+# sha256 of the align, tune and oracle outputs; a change to any of them
+# changes what every later stage reads
+PINNED_DIGESTS = {
+    "train_corpus": (
+        "fcafb7024be47758f851a6b935cb113a2fd2831596ba2a5d9b5d9aab642e0996",
+        "e60f8a5c44ae34ce4c6b80dcb3cbf2b28fb3677286b7ef46e45b6377d3365d6c",
+        "0f35632587704c78eeade00048fc63e47fa5a0dc9dd422e3ad6ade255d63d5e1"),
+    "oracle_corpus": (
+        "db94106b3a0c103dc5457c40305653ba6757b098840aed5ecb3b4307f80551e8",
+        "eefb4d1bd63505b3a2238bb8c249c2277ac0abbcfba31b4ef3dea804dab10d6f",
+        "c2ec0f53d4e36f7ba417528df96be71f7d59dc00e51a7b0b43bb7a94ba5b6f54"),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(PINNED_DIGESTS))
+def test_align_tune_oracle_bytes_pinned(tmp_path, capsys, corpus):
+    aligned, tuned, traces = (str(tmp_path / name)
+                              for name in ("aligned", "tuned", "traces"))
+    steps = [
+        ("align", "-i", fixture(corpus + ".amr"), "-o", aligned,
+         "--embeddings", RES["embeddings"], "--morph", RES["morph"],
+         "--lemmas", RES["lemmas"]),
+        ("tune", "-i", aligned, "-o", tuned, "--seed", "1",
+         "--report", str(tmp_path / "report")),
+        ("oracle", "-i", tuned, "-o", traces, "--seed", "1"),
+    ]
+    for argv in steps:
+        assert run_cli(capsys, *argv)[0] == 0
+    digests = []
+    for path in (aligned, tuned, traces):
+        with open(path, "rb") as handle:
+            digests.append(hashlib.sha256(handle.read()).hexdigest())
+    assert tuple(digests) == PINNED_DIGESTS[corpus]
 
 
 def test_tune_writes_metadata_and_report(tmp_path, capsys):

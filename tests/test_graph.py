@@ -106,6 +106,19 @@ def test_serialize_quotes_string_constants():
     assert '"North"' in serialize_penman(g)
 
 
+@pytest.mark.parametrize("text, label, written", [
+    ('(a / "x y")', "x y", '(c0 / "x y")'),
+    ('(a / "say \\"hi\\"")', 'say "hi"', '(c0 / "say \\"hi\\"")'),
+    ('(a / "boy")', "boy", "(c0 / boy)"),
+])
+def test_quoted_concept_label_round_trips(text, label, written):
+    g = parse_penman(text)
+    assert g.concept("a").label == label
+    out = serialize_penman(g)
+    assert out == written
+    assert parse_penman(out).concept("c0").label == label
+
+
 def test_serialize_disconnected_fails():
     g = AmrGraph(
         {"a": Concept("a", "act-01", PREDICATE), "b": Concept("b", "boy", "entity-type")},

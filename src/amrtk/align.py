@@ -1,11 +1,13 @@
 """Rule-based aligner producing multiple candidate alignments per
 sentence/graph pair.
 
-Matching rules compare a fragment directly with a token span; updating
-rules align a fragment based on an already-aligned related fragment and
-record that dependency.  All rule hits are kept per fragment, and the
-candidates are the best-ranked legal combinations of the per-fragment
-choices, found by a depth-first search over span assignments.
+Matching rules compare a fragment directly with a token span; all but
+the date rule are one token test on one fragment shape, asked only about
+spans of the shape's width.  Updating rules align a fragment based on an
+already-aligned related fragment and record that dependency.  All rule
+hits are kept per fragment, and the candidates are the best-ranked legal
+combinations of the per-fragment choices, found by a depth-first search
+over span assignments.
 """
 
 import itertools
@@ -116,10 +118,9 @@ class AlignmentSet:
 class AlignmentContext:
     """Everything a rule predicate may look at."""
 
-    def __init__(self, graph, tokens, fragments, resources):
+    def __init__(self, graph, tokens, resources):
         self.graph = graph
         self.tokens = tuple(tokens)
-        self.fragments = fragments
         self.resources = resources or Resources()
 
     def span_tokens(self, span):
@@ -133,52 +134,68 @@ class AlignmentContext:
 class Rule:
     """An alignment rule.
 
-    Matching rules implement `match(fragment, span, ctx)`.  Updating rules
-    implement `pair_applies(fragment, trigger_fragment, ctx)` and, when
-    the pair applies, `derive(fragment, trigger_fragment, record, ctx)`
-    yields the spans the fragment may take.
+    Matching rules implement `match(fragment, span, ctx)`.  One with
+    `width(fragment, ctx)` is asked only about spans of the length it
+    returns (None: no span can match); one without, about every span.
+    Updating rules implement `pair_applies(fragment, trigger_fragment, ctx)`
+    and, when the pair applies, `derive(fragment, trigger_fragment, record,
+    ctx)` yields the spans the fragment may take.
     """
     name: str
     kind: str
     match: callable = None
     pair_applies: callable = None
     derive: callable = None
+    width: callable = None
 
 
 # ---------------------------------------------------------------------------
-# matching predicates
+# matching rules: a token test on a fragment shape
 
-def _exact_concept(fragment, span, ctx):
-    if len(fragment) != 1 or span.end - span.start != 1:
-        return False
-    label = strip_sense(ctx.graph.concept(fragment.head).label).lower()
-    token = ctx.tokens[span.start]
-    if label == token.lower():
-        return True
-    if label in ctx.lemmas(token):
+def _concept_rule(name, same):
+    """The matching rule that tests `same(label, token, ctx)` on the label
+    of a single-concept fragment and the token of a one-token span."""
+    def width(fragment, ctx):
+        return 1 if len(fragment) == 1 else None
+
+    def match(fragment, span, ctx):
+        return same(ctx.graph.concept(fragment.head).label,
+                    ctx.tokens[span.start], ctx)
+    return Rule(name, MATCHING, match=match, width=width)
+
+
+def _name_rule(name, same):
+    """The matching rule that tests `same(value, token, ctx)` on each
+    `:opN` value of a `name` fragment and the token in its place in a span
+    as wide as the values."""
+    def values(fragment, ctx):
+        if ctx.graph.concept(fragment.head).label != "name" or len(fragment) < 2:
+            return []
+        return name_op_values(ctx.graph, fragment.head)
+
+    def width(fragment, ctx):
+        return len(values(fragment, ctx)) or None
+
+    def match(fragment, span, ctx):
+        return all(same(value, token, ctx) for value, token
+                   in zip(values(fragment, ctx), ctx.span_tokens(span)))
+    return Rule(name, MATCHING, match=match, width=width)
+
+
+def _exact_concept(label, token, ctx):
+    label = strip_sense(label).lower()
+    if label == token.lower() or label in ctx.lemmas(token):
         return True
     num = numeric_form(token)
     return num is not None and label == num
 
 
-def _named_entity_values(fragment, ctx):
-    if ctx.graph.concept(fragment.head).label != "name" or len(fragment) < 2:
-        return None
-    return name_op_values(ctx.graph, fragment.head)
+def _same_text(value, token, ctx):
+    return value == token
 
 
-def _named_entity_exact(fragment, span, ctx):
-    ops = _named_entity_values(fragment, ctx)
-    if ops is None or span.end - span.start != len(ops):
-        return False
-    return list(ctx.span_tokens(span)) == ops
-
-
-def _named_entity_nocase(fragment, span, ctx):
-    ops = _named_entity_values(fragment, ctx)
-    if ops is None or span.end - span.start != len(ops):
-        return False
-    return [t.lower() for t in ctx.span_tokens(span)] == [o.lower() for o in ops]
+def _same_nocase(value, token, ctx):
+    return value.lower() == token.lower()
 
 
 def _date_entity(fragment, span, ctx):
@@ -191,13 +208,10 @@ def _date_entity(fragment, span, ctx):
     return gold == derived
 
 
-def _fuzzy_prefix(fragment, span, ctx):
-    if len(fragment) != 1 or span.end - span.start != 1:
-        return False
-    label = strip_sense(ctx.graph.concept(fragment.head).label).lower()
-    token = ctx.tokens[span.start].lower()
+def _fuzzy_prefix(label, token, ctx):
+    label = strip_sense(label).lower()
     prefix = 0
-    for a, b in zip(label, token):
+    for a, b in zip(label, token.lower()):
         if a != b:
             break
         prefix += 1
@@ -252,11 +266,11 @@ def base_rule_set():
     """The base rule catalog, matching rules before updating rules and
     exact matches before fuzzy ones."""
     return [
-        Rule("exact-concept", MATCHING, match=_exact_concept),
-        Rule("named-entity", MATCHING, match=_named_entity_exact),
+        _concept_rule("exact-concept", _exact_concept),
+        _name_rule("named-entity", _same_text),
         Rule("date-entity", MATCHING, match=_date_entity),
-        Rule("fuzzy-prefix", MATCHING, match=_fuzzy_prefix),
-        Rule("named-entity-nocase", MATCHING, match=_named_entity_nocase),
+        _concept_rule("fuzzy-prefix", _fuzzy_prefix),
+        _name_rule("named-entity-nocase", _same_nocase),
         Rule("entity-type", UPDATING,
              pair_applies=_entity_type_pair, derive=_same_span),
         Rule("minus-polarity", UPDATING,
@@ -267,60 +281,27 @@ def base_rule_set():
 
 
 def extended_rule_set(resources):
-    """The four rich-resource matching rules: semantic and morphological
-    variants of the named-entity and single-concept matches."""
-    threshold = resources.cosine_threshold
+    """The four rich-resource matching rules: the embedding and the
+    morphological token tests, each on the named-entity and the
+    single-concept shape."""
+    def semantic(value, token, ctx):
+        return semantic_match(resources.embeddings, value, token,
+                              resources.cosine_threshold)
 
-    def semantic_ne(fragment, span, ctx):
-        ops = _named_entity_values(fragment, ctx)
-        if ops is None or span.end - span.start != len(ops):
-            return False
-        return all(
-            semantic_match(resources.embeddings, op, token, threshold)
-            for op, token in zip(ops, ctx.span_tokens(span)))
-
-    def morph_ne(fragment, span, ctx):
-        ops = _named_entity_values(fragment, ctx)
-        if ops is None or span.end - span.start != len(ops):
-            return False
-        return all(
-            morph_match(resources.morph, resources.lemmas, op, token)
-            for op, token in zip(ops, ctx.span_tokens(span)))
-
-    def semantic_concept(fragment, span, ctx):
-        if len(fragment) != 1 or span.end - span.start != 1:
-            return False
-        label = ctx.graph.concept(fragment.head).label
-        return semantic_match(resources.embeddings, label,
-                              ctx.tokens[span.start], threshold)
-
-    def morph_concept(fragment, span, ctx):
-        if len(fragment) != 1 or span.end - span.start != 1:
-            return False
-        label = ctx.graph.concept(fragment.head).label
-        return morph_match(resources.morph, resources.lemmas, label,
-                           ctx.tokens[span.start])
+    def morph(value, token, ctx):
+        return morph_match(resources.morph, resources.lemmas, value, token)
 
     return [
-        Rule("semantic-named-entity", MATCHING, match=semantic_ne),
-        Rule("morphological-named-entity", MATCHING, match=morph_ne),
-        Rule("semantic-concept", MATCHING, match=semantic_concept),
-        Rule("morphological-concept", MATCHING, match=morph_concept),
+        _name_rule("semantic-named-entity", semantic),
+        _name_rule("morphological-named-entity", morph),
+        _concept_rule("semantic-concept", semantic),
+        _concept_rule("morphological-concept", morph),
     ]
 
 
 def full_rule_set(resources):
-    """Base matching rules, then the extended rules, then updating rules."""
-    base = base_rule_set()
-    matching = [r for r in base if r.kind == MATCHING]
-    updating = [r for r in base if r.kind == UPDATING]
-    return matching + extended_rule_set(resources) + updating
-
-
-def all_spans(n_tokens):
-    for start in range(n_tokens):
-        for end in range(start + 1, n_tokens + 1):
-            yield Span(start, end)
+    """The base rules plus the extended rules."""
+    return base_rule_set() + extended_rule_set(resources)
 
 
 def collect_records(graph, tokens, rules, resources=None):
@@ -329,14 +310,23 @@ def collect_records(graph, tokens, rules, resources=None):
     Returns (fragments, {head id -> set of AlignmentRecord}).
     """
     fragments = extract_fragments(graph)
-    ctx = AlignmentContext(graph, tokens, fragments, resources)
+    ctx = AlignmentContext(graph, tokens, resources)
     matching = [r for r in rules if r.kind == MATCHING]
     updating = [r for r in rules if r.kind == UPDATING]
 
     records = {f.head: set() for f in fragments}
+    every_span = [Span(start, end) for start in range(len(tokens))
+                  for end in range(start + 1, len(tokens) + 1)]
     for rule in matching:
-        for span in all_spans(len(tokens)):
-            for fragment in fragments:
+        for fragment in fragments:
+            if rule.width is None:
+                spans = every_span
+            else:
+                width = rule.width(fragment, ctx)
+                spans = () if width is None else (
+                    Span(start, start + width)
+                    for start in range(len(tokens) - width + 1))
+            for span in spans:
                 if rule.match(fragment, span, ctx):
                     records[fragment.head].add(AlignmentRecord(span))
 

@@ -28,6 +28,7 @@ _VAR_LIKE_RE = re.compile(r"^[a-z]\d*$")
 _TOKEN_RE = re.compile(r'\(|\)|/|"(?:[^"\\]|\\.)*"|[^\s()/]+')
 _BARE_ATOM_RE = re.compile(r'[^\s()/"][^\s()/]*')
 _OP_ROLE_RE = re.compile(r"^:op\d+$")
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def strip_sense(label):
@@ -208,7 +209,7 @@ class _PenmanReader:
         if label in "()/":
             raise PenmanSyntaxError("expected a concept label, found %r" % label, lpos)
         if label.startswith('"'):
-            label = label[1:-1].replace('\\"', '"')
+            label = _unquote(label)
         if var in self.defined:
             raise PenmanStructureError("duplicate definition of variable %r" % var)
         self.defined[var] = label
@@ -234,8 +235,7 @@ class _PenmanReader:
                 if value in ")/":
                     raise PenmanSyntaxError("missing value for role %s" % role, vpos2)
                 if value.startswith('"'):
-                    literal = value[1:-1].replace('\\"', '"')
-                    self.edges.append((var, role, ("quoted", literal, vpos2)))
+                    self.edges.append((var, role, ("quoted", _unquote(value), vpos2)))
                 else:
                     self.edges.append((var, role, ("atom", value, vpos2)))
 
@@ -294,10 +294,15 @@ def parse_penman(text, metadata=None):
     return AmrGraph(concepts, relations, root, metadata=metadata)
 
 
+def _unquote(token):
+    """The text of a quoted token: `\\x` stands for `x`."""
+    return _ESCAPE_RE.sub(r"\1", token[1:-1])
+
+
 def _render_atom(text, quoted=False):
     """`text` as one token: bare unless quoted or it would not read back."""
     if quoted or not _BARE_ATOM_RE.fullmatch(text):
-        return '"%s"' % text.replace('"', '\\"')
+        return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
     return text
 
 

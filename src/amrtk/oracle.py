@@ -112,8 +112,7 @@ class EdgeLedger:
         self.realized = set()
         self.forfeited = set()
         self.pending = None
-        self.fragments = extract_fragments(pruned)
-        self.frag_of = {f.head: f for f in self.fragments}
+        self.frag_of = {f.head: f for f in extract_fragments(pruned)}
         self.span_of = {}
         self.order = pruned.addresses()
         for head, record in alignment.choices.items():

@@ -1,13 +1,24 @@
-"""Shared test utilities: random graph pairs, fixture paths and the
-reference Smatch hill-climbing."""
+"""Shared test utilities: random graph pairs, fixture paths, the
+reference Smatch hill-climbing and the reference matching-rule pass."""
 
+import importlib.util
 import itertools
 import os
 
-from amrtk.graph import ATTRIBUTE, ENTITY_TYPE, AmrGraph, Concept, Relation
+from amrtk.align import (
+    FUZZY_PREFIX_LEN, AlignmentContext, AlignmentRecord, Span,
+)
+from amrtk.graph import (
+    ATTRIBUTE, ENTITY_TYPE, AmrGraph, Concept, Relation, extract_fragments,
+    name_op_values, strip_sense,
+)
+from amrtk.resources import morph_match, semantic_match
 from amrtk.smatch import _match_count
+from amrtk.surface import date_attributes, numeric_form
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "bench")
 
 LABEL_POOL = ["want-01", "go-02", "boy", "girl", "dog", "city", "see-01", "nucleus"]
 ROLE_POOL = [":ARG0", ":ARG1", ":mod", ":time", ":poss"]
@@ -16,6 +27,15 @@ VALUE_POOL = ["-", "2", "2002"]
 
 def fixture(*parts):
     return os.path.join(FIXTURES, *parts)
+
+
+def bench_module(name):
+    """A module of the benchmark directory, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_" + name, os.path.join(BENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_graph(rng, n_vars):
@@ -126,3 +146,126 @@ def reference_hill_climb(ta, tb, vars_a, vars_b, mapping):
         else:
             mapping[x], mapping[y] = mapping[y], mapping[x]
         current += best_gain
+
+
+# ---------------------------------------------------------------------------
+# The guarded matching predicates and the all-spans walk that the
+# token-test-on-a-fragment-shape rules of `amrtk.align` replaced: every rule
+# is asked about every span and rejects the widths it cannot match.  Kept
+# verbatim as the test oracle for the rules' widths.
+
+def _exact_concept(fragment, span, ctx):
+    if len(fragment) != 1 or span.end - span.start != 1:
+        return False
+    label = strip_sense(ctx.graph.concept(fragment.head).label).lower()
+    token = ctx.tokens[span.start]
+    if label == token.lower():
+        return True
+    if label in ctx.lemmas(token):
+        return True
+    num = numeric_form(token)
+    return num is not None and label == num
+
+
+def _named_entity_values(fragment, ctx):
+    if ctx.graph.concept(fragment.head).label != "name" or len(fragment) < 2:
+        return None
+    return name_op_values(ctx.graph, fragment.head)
+
+
+def _named_entity_exact(fragment, span, ctx):
+    ops = _named_entity_values(fragment, ctx)
+    if ops is None or span.end - span.start != len(ops):
+        return False
+    return list(ctx.span_tokens(span)) == ops
+
+
+def _named_entity_nocase(fragment, span, ctx):
+    ops = _named_entity_values(fragment, ctx)
+    if ops is None or span.end - span.start != len(ops):
+        return False
+    return [t.lower() for t in ctx.span_tokens(span)] == [o.lower() for o in ops]
+
+
+def _date_entity(fragment, span, ctx):
+    if ctx.graph.concept(fragment.head).label != "date-entity" or len(fragment) < 2:
+        return False
+    gold = sorted((rel.label, ctx.graph.concept(rel.target).label)
+                  for rel in fragment.relations)
+    derived = sorted((role, value)
+                     for role, value, _ in date_attributes(ctx.span_tokens(span)))
+    return gold == derived
+
+
+def _fuzzy_prefix(fragment, span, ctx):
+    if len(fragment) != 1 or span.end - span.start != 1:
+        return False
+    label = strip_sense(ctx.graph.concept(fragment.head).label).lower()
+    token = ctx.tokens[span.start].lower()
+    prefix = 0
+    for a, b in zip(label, token):
+        if a != b:
+            break
+        prefix += 1
+    return prefix >= FUZZY_PREFIX_LEN
+
+
+def _extended_predicates(resources):
+    threshold = resources.cosine_threshold
+
+    def semantic_ne(fragment, span, ctx):
+        ops = _named_entity_values(fragment, ctx)
+        if ops is None or span.end - span.start != len(ops):
+            return False
+        return all(
+            semantic_match(resources.embeddings, op, token, threshold)
+            for op, token in zip(ops, ctx.span_tokens(span)))
+
+    def morph_ne(fragment, span, ctx):
+        ops = _named_entity_values(fragment, ctx)
+        if ops is None or span.end - span.start != len(ops):
+            return False
+        return all(
+            morph_match(resources.morph, resources.lemmas, op, token)
+            for op, token in zip(ops, ctx.span_tokens(span)))
+
+    def semantic_concept(fragment, span, ctx):
+        if len(fragment) != 1 or span.end - span.start != 1:
+            return False
+        label = ctx.graph.concept(fragment.head).label
+        return semantic_match(resources.embeddings, label,
+                              ctx.tokens[span.start], threshold)
+
+    def morph_concept(fragment, span, ctx):
+        if len(fragment) != 1 or span.end - span.start != 1:
+            return False
+        label = ctx.graph.concept(fragment.head).label
+        return morph_match(resources.morph, resources.lemmas, label,
+                           ctx.tokens[span.start])
+
+    return [semantic_ne, morph_ne, semantic_concept, morph_concept]
+
+
+def _all_spans(n_tokens):
+    for start in range(n_tokens):
+        for end in range(start + 1, n_tokens + 1):
+            yield Span(start, end)
+
+
+def reference_matching_records(graph, tokens, resources=None, extended=False):
+    """{head id -> set of AlignmentRecord} of the base matching rules, and
+    of the rich-resource ones too if `extended`, by asking each guarded
+    predicate about every (span, fragment) pair."""
+    fragments = extract_fragments(graph)
+    ctx = AlignmentContext(graph, tokens, resources)
+    predicates = [_exact_concept, _named_entity_exact, _date_entity,
+                  _fuzzy_prefix, _named_entity_nocase]
+    if extended:
+        predicates += _extended_predicates(resources)
+    records = {f.head: set() for f in fragments}
+    for match in predicates:
+        for span in _all_spans(len(tokens)):
+            for fragment in fragments:
+                if match(fragment, span, ctx):
+                    records[fragment.head].add(AlignmentRecord(span))
+    return records

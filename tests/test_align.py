@@ -4,18 +4,20 @@ import time
 import numpy as np
 import pytest
 
+import amrtk.align
 from amrtk.align import (
     MATCHING, UPDATING, AlignmentInputError, AlignmentRecord,
     CandidateAlignment, Rule, Span, alignment_f1, base_rule_set,
     collect_records, enumerate_alignments, extended_rule_set, full_rule_set,
     is_legal,
 )
-from amrtk.graph import parse_penman
+from amrtk.corpus import read_corpus
+from amrtk.graph import parse_penman, strip_sense
 from amrtk.resources import (
-    EmbeddingTable, LemmaTable, MorphLinkTable, Resources, load_lemmas,
-    load_morphosemantic,
+    EmbeddingTable, LemmaTable, MorphLinkTable, Resources, load_embeddings,
+    load_lemmas, load_morphosemantic,
 )
-from helpers import fixture
+from helpers import bench_module, fixture, reference_matching_records
 
 FIGURE_TEXT = """
 (f / freeze-01
@@ -394,6 +396,63 @@ def test_rule_monotonicity():
     _, big = collect_records(g, FIGURE_TOKENS, full_rule_set(res), res)
     for head in small:
         assert small[head] <= big[head]
+
+
+def rule_shape_cases():
+    """(graph, tokens) pairs: every sentence of the fixture corpora and of
+    the benchmark's composed corpora at seed 1 (the sentence-free graph
+    fixtures take their sense-stripped labels as tokens), then names wider
+    than the sentence and one-token sentences."""
+    docs = read_corpus(fixture("train_corpus.amr")) + \
+        read_corpus(fixture("oracle_corpus.amr"))
+    corpus_gen = bench_module("corpus_gen")
+    for workload in ("compose-long", "compose-short"):
+        docs += read_corpus(corpus_gen.generate(workload, 1))
+    cases = [(doc.graph, doc.tokens) for doc in docs]
+    for doc in read_corpus(fixture("graphs.amr")):
+        cases.append((doc.graph, [strip_sense(c.label)
+                                  for c in doc.graph.concepts.values()]))
+    city = '(c / city :name (n / name :op1 "New" :op2 "York" :op3 "City"))'
+    for text, tokens in [(city, ["New", "York"]), (city, ["York"]),
+                         ('(c / city :name (n / name :op1 "York"))', ["york"]),
+                         ("(y / york-01 :quant 2)", ["York"]),
+                         ("(y / york-01 :quant 2)", ["two"])]:
+        cases.append((parse_penman(text), tokens))
+    return cases
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_rule_widths_give_the_guarded_reference_records(extended):
+    res = Resources(
+        embeddings=load_embeddings(fixture("resources", "embeddings.txt")),
+        morph=load_morphosemantic(fixture("resources", "morph.tsv")),
+        lemmas=load_lemmas(fixture("resources", "lemmas.tsv")))
+    rules = full_rule_set(res) if extended else base_rule_set()
+    matching = [r for r in rules if r.kind == MATCHING]
+    for graph, tokens in rule_shape_cases():
+        _, records = collect_records(graph, tokens, matching, res)
+        assert records == reference_matching_records(
+            graph, tokens, res, extended), tokens
+
+
+def test_benchmark_hook_targets_exist():
+    for module, attr, _, _ in bench_module("tracing").HOOKS:
+        assert hasattr(module, attr), (module.__name__, attr)
+
+
+def test_resource_tests_looked_up_at_call_time(monkeypatch):
+    res = figure_resources()
+    rules = full_rule_set(res)
+    calls = {"semantic_match": 0, "morph_match": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(amrtk.align, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(amrtk.align, name, counted)
+    collect_records(parse_penman(FIGURE_TEXT), FIGURE_TOKENS, rules, res)
+    # the counts of the guarded rules: 8 single concepts x 13 tokens, then
+    # each of the 12 two-token spans for "North Korea" until a value fails
+    assert calls == {"semantic_match": 116, "morph_match": 117}
 
 
 def test_candidate_ordering_is_deterministic():

@@ -110,13 +110,20 @@ def test_serialize_quotes_string_constants():
     ('(a / "x y")', "x y", '(c0 / "x y")'),
     ('(a / "say \\"hi\\"")', 'say "hi"', '(c0 / "say \\"hi\\"")'),
     ('(a / "boy")', "boy", "(c0 / boy)"),
+    # a backslash is escaped on write and unescaped on read
+    ('(a / "c\\\\")', "c\\", "(c0 / c\\)"),
+    ('(a / "x \\\\\\"y")', 'x \\"y', '(c0 / "x \\\\\\"y")'),
+    ('(a / "x back\\\\" :ARG1 "y\\\\")', "y\\",
+     '(c0 / "x back\\\\"\n    :ARG1 "y\\\\")'),
 ])
 def test_quoted_concept_label_round_trips(text, label, written):
+    """`label` is the label of the last concept, quoted in `text`."""
     g = parse_penman(text)
-    assert g.concept("a").label == label
+    labels = [c.label for c in g.concepts.values()]
+    assert labels[-1] == label
     out = serialize_penman(g)
     assert out == written
-    assert parse_penman(out).concept("c0").label == label
+    assert [c.label for c in parse_penman(out).concepts.values()] == labels
 
 
 def test_serialize_disconnected_fails():

@@ -171,8 +171,7 @@ def read_corpus(source):
     documents = []
     for metadata, graph_lines in read_blocks(source):
         graph_text = "\n".join(graph_lines) or None
-        graph = (parse_penman(graph_text, metadata=metadata)
-                 if graph_text else None)
+        graph = parse_penman(graph_text) if graph_text else None
         documents.append(CorpusDocument(metadata, graph, graph_text))
     return documents
 

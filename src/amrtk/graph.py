@@ -25,7 +25,7 @@ _SENSE_RE = re.compile(r"-\d+$")
 # bare atoms of this shape that never get defined are treated as dangling
 # variable references rather than constants
 _VAR_LIKE_RE = re.compile(r"^[a-z]\d*$")
-_TOKEN_RE = re.compile(r'\(|\)|/|"(?:[^"\\]|\\.)*"|[^\s()/]+')
+_TOKEN_RE = re.compile(r'\(|\)|/|(?P<quoted>"(?:[^"\\]|\\.)*")|[^\s()/]+')
 _BARE_ATOM_RE = re.compile(r'[^\s()/"][^\s()/]*')
 _OP_ROLE_RE = re.compile(r"^:op\d+$")
 _ESCAPE_RE = re.compile(r"\\(.)")
@@ -90,11 +90,10 @@ class AmrGraph:
     addressing scheme for alignment files.
     """
 
-    def __init__(self, concepts, relations, root, metadata=None):
+    def __init__(self, concepts, relations, root):
         self.concepts = dict(concepts)  # id -> Concept, insertion-ordered
         self.relations = tuple(relations)
         self.root = root
-        self.metadata = dict(metadata or {})
         if root not in self.concepts:
             raise PenmanStructureError("root %r is not a concept" % root)
         seen = set()
@@ -161,6 +160,8 @@ def tokenize_penman(text):
         between = text[pos:match.start()]
         if between.strip():
             raise PenmanSyntaxError("unexpected character %r" % between.strip()[0], pos)
+        if match.group().startswith('"') and not match.group("quoted"):
+            raise PenmanSyntaxError("unterminated quote", match.start())
         tokens.append((match.group(), match.start()))
         pos = match.end()
     if text[pos:].strip():
@@ -174,7 +175,6 @@ class _PenmanReader:
         self.tokens = tokenize_penman(text)
         self.i = 0
         self.defined = {}     # var -> label
-        self.order = []       # variable definition order
         self.edges = []       # (source var, role, ('var'|'atom'|'quoted', value, pos))
 
     def peek(self):
@@ -213,7 +213,6 @@ class _PenmanReader:
         if var in self.defined:
             raise PenmanStructureError("duplicate definition of variable %r" % var)
         self.defined[var] = label
-        self.order.append(("var", var))
         while True:
             tok, pos = self.peek()
             if tok == ")":
@@ -240,7 +239,7 @@ class _PenmanReader:
                     self.edges.append((var, role, ("atom", value, vpos2)))
 
 
-def parse_penman(text, metadata=None):
+def parse_penman(text):
     """Read one Penman expression into an AmrGraph.
 
     Variable names are kept as concept ids.  Repeated variables become
@@ -269,29 +268,19 @@ def parse_penman(text, metadata=None):
             node_kind = CONSTANT if kind == "quoted" else ATTRIBUTE
             resolved_edges.append((source, role, lid, Concept(lid, value, node_kind)))
 
-    # appearance order: walk edges in file order, defining variables at their
-    # first occurrence (the reader recorded definition order separately)
-    def_order = [v for k, v in reader.order if k == "var"]
-    emitted = set()
-    first_var = def_order[0]
-    concepts[first_var] = Concept(first_var, reader.defined[first_var],
-                                  classify_label(reader.defined[first_var]))
-    emitted.add(first_var)
+    # appearance order: the root, then edges in file order, defining each
+    # variable at its first occurrence; every other variable is an edge
+    # target, so this reaches them all
+    concepts[root] = Concept(root, reader.defined[root],
+                             classify_label(reader.defined[root]))
     for source, role, target, literal in resolved_edges:
         if literal is not None:
             concepts[literal.id] = literal
-        elif target not in emitted:
+        elif target not in concepts:
             concepts[target] = Concept(target, reader.defined[target],
                                        classify_label(reader.defined[target]))
-            emitted.add(target)
         relations.append(Relation(source, target, role))
-    for var in def_order:
-        if var not in emitted:  # defensive; definitions happen along edges
-            concepts[var] = Concept(var, reader.defined[var],
-                                    classify_label(reader.defined[var]))
-            emitted.add(var)
-
-    return AmrGraph(concepts, relations, root, metadata=metadata)
+    return AmrGraph(concepts, relations, root)
 
 
 def _unquote(token):

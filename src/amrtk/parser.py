@@ -1,9 +1,10 @@
 """Trainable greedy transition parser.
 
-States are featurized into sparse hashed vectors and scored by a linear
-multiclass model (softmax over the legal actions); the model is trained
-on oracle action traces.  An ensemble decodes with the per-step average
-of its members' action distributions.
+States are featurized into sparse vectors hashed into one fixed feature
+space and scored by a linear multiclass model (softmax over the legal
+actions); the model is trained on oracle action traces.  An ensemble
+decodes with the per-step average of its members' action distributions,
+all scoring the same encoding of each state.
 """
 
 import json
@@ -16,8 +17,8 @@ from .graph import strip_sense
 from .resources import LemmaTable
 from . import transition
 from .transition import (
-    CONFIRM, LEFT, RIGHT, Action, apply, extract_graph,
-    initial_state, is_terminal, legal_actions, parse_action,
+    CONFIRM, RELATION_ACTIONS, Action, apply, extract_graph,
+    initial_state, is_terminal, legal_actions, new_arc, parse_action,
 )
 
 MODEL_FORMAT = "amrtk-model"
@@ -25,7 +26,10 @@ MODEL_VERSION = 1
 
 LEMMA_ACTION = "CONFIRM-LEMMA"
 
-DEFAULT_HASH_DIM = 1 << 20
+# the feature space every model shares: features hash into HASH_DIM
+# buckets, salted with HASH_SEED
+HASH_DIM = 1 << 20
+HASH_SEED = 1
 STEP_FACTOR = 20
 
 
@@ -116,30 +120,27 @@ def encode_state(state, pos_tags=None):
     return feats
 
 
-def hash_features(feats, dim, seed):
-    return [zlib.crc32(("%d|%s" % (seed, f)).encode("utf-8")) % dim
+def hash_features(feats):
+    return [zlib.crc32(("%d|%s" % (HASH_SEED, f)).encode("utf-8")) % HASH_DIM
             for f in feats]
+
+
+def encode(state, pos_tags=None):
+    """The hashed feature indices of a state, the same for every model."""
+    return hash_features(encode_state(state, pos_tags))
 
 
 class ActionScorer:
     """Sparse linear multiclass model over an action vocabulary."""
 
-    def __init__(self, actions, hash_dim=DEFAULT_HASH_DIM, hash_seed=1,
-                 predicate_lemmas=(), lemma_fallback=True):
+    def __init__(self, actions, predicate_lemmas=()):
         self.actions = list(actions)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         self.vocabulary = parse_vocabulary(self.actions)
-        self.hash_dim = hash_dim
-        self.hash_seed = hash_seed
         self.weights = [dict() for _ in self.actions]
         self.bias = [0.0 for _ in self.actions]
         self.predicate_lemmas = set(predicate_lemmas)
-        self.lemma_fallback = lemma_fallback
         self.train_log = []
-
-    def encode(self, state, pos_tags=None):
-        return hash_features(encode_state(state, pos_tags),
-                             self.hash_dim, self.hash_seed)
 
     def logit(self, action_idx, encoding):
         weights = self.weights[action_idx]
@@ -191,16 +192,12 @@ class Ensemble:
     def predicate_lemmas(self):
         return self.members[0].predicate_lemmas
 
-    @property
-    def lemma_fallback(self):
-        return self.members[0].lemma_fallback
-
 
 def averaged_scores(model, state, legal, pos_tags=None):
     members = model.members if isinstance(model, Ensemble) else [model]
+    encoding = encode(state, pos_tags)
     total = {a: 0.0 for a in legal}
     for member in members:
-        encoding = member.encode(state, pos_tags)
         for action, prob in score_actions(member, encoding, legal).items():
             total[action] += prob
     n = len(members)
@@ -219,30 +216,20 @@ def lemma_label(surface, lemma_table, predicate_lemmas):
     return lemma
 
 
-def _collect_vocabulary(corpus, lemma_table, lemma_fallback):
-    predicate_lemmas = set()
-    for example in corpus:
-        for action in example.actions:
-            if action.tag == CONFIRM and strip_sense(action.label) != action.label:
-                predicate_lemmas.add(strip_sense(action.label))
-    vocab = set()
-    rewritten = []
-    for example in corpus:
-        state = initial_state(example.tokens)
-        gold_strings = []
-        for action in example.actions:
-            name = str(action)
-            if lemma_fallback and action.tag == CONFIRM and \
-                    state.b0 is not None and state.b0.is_word():
-                expected = lemma_label(state.b0.surface, lemma_table,
-                                       predicate_lemmas)
-                if action.label == expected:
-                    name = LEMMA_ACTION
-            gold_strings.append(name)
-            vocab.add(name)
-            state = apply(state, action)
-        rewritten.append(tuple(gold_strings))
-    return sorted(vocab), rewritten, predicate_lemmas
+def _replay(example, lemma_table, predicate_lemmas):
+    """(encoding, state, gold name) for each gold action of a trace.  A
+    CONFIRM whose label is the word's lemma label is named CONFIRM-LEMMA."""
+    state = initial_state(example.tokens)
+    steps = []
+    for action in example.actions:
+        successor = apply(state, action)  # raises on an illegal gold action
+        name = str(action)
+        if action.tag == CONFIRM and action.label == lemma_label(
+                state.b0.surface, lemma_table, predicate_lemmas):
+            name = LEMMA_ACTION
+        steps.append((encode(state, example.pos), state, name))
+        state = successor
+    return steps
 
 
 _TAG_RANK = {tag: i for i, tag in enumerate(transition.ALL_TAGS)}
@@ -278,14 +265,15 @@ def legal_action_names(model, state):
             continue
         if action.tag not in tags:
             continue
-        if action.tag in (LEFT, RIGHT):
-            s0, b0 = state.s0, state.b0
-            arc = (b0.node, action.label, s0.node) if action.tag == LEFT \
-                else (s0.node, action.label, b0.node)
-            if arc in state.arcs:
-                continue
+        if action.tag in RELATION_ACTIONS and new_arc(state, action) is None:
+            continue
         names.append(name)
     return names
+
+
+def best_action(model, probs, legal):
+    """argmax with ties broken by the vocabulary's tie-break key"""
+    return min(legal, key=lambda a: (-probs[a],) + model.vocabulary[a][1])
 
 
 def materialize(model, name, state, lemma_table):
@@ -297,8 +285,7 @@ def materialize(model, name, state, lemma_table):
 
 
 def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
-          hash_dim=DEFAULT_HASH_DIM, hash_seed=1, lemma_table=None,
-          lemma_fallback=True, log=None):
+          lemma_table=None, log=None):
     """Fit the linear scorer on oracle traces by SGD on the multiclass
     logistic objective; reports per-epoch action accuracy."""
     corpus = list(corpus)
@@ -307,35 +294,31 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
     lemma_table = lemma_table or LemmaTable()
     rng = random.Random(seed)
 
-    vocab, gold_name_seqs, predicate_lemmas = _collect_vocabulary(
-        corpus, lemma_table, lemma_fallback)
-    model = ActionScorer(vocab, hash_dim=hash_dim, hash_seed=hash_seed,
-                         predicate_lemmas=predicate_lemmas,
-                         lemma_fallback=lemma_fallback)
+    predicate_lemmas = {strip_sense(action.label)
+                        for example in corpus for action in example.actions
+                        if action.tag == CONFIRM
+                        and strip_sense(action.label) != action.label}
+    replays = [_replay(example, lemma_table, predicate_lemmas)
+               for example in corpus]
+    model = ActionScorer(sorted({name for steps in replays
+                                 for _, _, name in steps}),
+                         predicate_lemmas=predicate_lemmas)
 
     indices = list(range(len(corpus)))
     rng.shuffle(indices)
     n_dev = int(len(corpus) * dev_fraction)
     dev_idx = set(indices[:n_dev])
 
-    def instances_of(example, gold_names):
-        state = initial_state(example.tokens)
-        out = []
-        for action, gold_name in zip(example.actions, gold_names):
-            encoding = model.encode(state, example.pos)
-            legal = legal_action_names(model, state)
-            if gold_name not in legal:
-                raise TrainingError(
-                    "gold action %s is illegal in its state" % gold_name)
-            out.append((encoding, legal, gold_name))
-            state = apply(state, action)
-        return out
-
     train_instances = []
     dev_instances = []
-    for i, (example, gold_names) in enumerate(zip(corpus, gold_name_seqs)):
+    for i, steps in enumerate(replays):
         bucket = dev_instances if i in dev_idx else train_instances
-        bucket.extend(instances_of(example, gold_names))
+        # `apply` and `legal_action_names` share one legality rule, so the
+        # replay has already checked that each gold name is legal here
+        for encoding, state, gold_name in steps:
+            bucket.append((encoding, legal_action_names(model, state),
+                           gold_name))
+    del replays  # the states were kept only to find the legal names
     if not train_instances:
         raise TrainingError("no training instances after the dev split")
 
@@ -345,8 +328,7 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
         hits = 0
         for encoding, legal, gold in instances:
             probs = score_actions(model, encoding, legal)
-            predicted = max(legal, key=lambda a: (probs[a], a))
-            hits += predicted == gold
+            hits += best_action(model, probs, legal) == gold
         return hits / len(instances)
 
     for epoch in range(epochs):
@@ -394,15 +376,12 @@ def decode(model, tokens, pos=None, lemma_table=None):
             state = _drain(state)
             break
         probs = averaged_scores(model, state, legal, pos)
-        # argmax with ties broken by the vocabulary's tie-break key
-        best = min(legal, key=lambda a: (-probs[a],) + model.vocabulary[a][1])
-        action = materialize(model, best, state, lemma_table)
+        action = materialize(model, best_action(model, probs, legal), state,
+                             lemma_table)
         state = apply(state, action)
         steps += 1
-    graph = extract_graph(state, force=True)
-    if warning:
-        graph.metadata["parse-warning"] = warning
-    return DecodeResult(graph, state.history, warning)
+    return DecodeResult(extract_graph(state, force=True), state.history,
+                        warning)
 
 
 def _drain(state):
@@ -419,22 +398,19 @@ def _drain(state):
     return state
 
 
-def parse(model, tokens, pos=None, lemma_table=None):
-    """Greedy parse of one sentence into its graph."""
-    return decode(model, tokens, pos=pos, lemma_table=lemma_table).graph
-
-
 def save_model(model, path):
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "hash_dim": model.hash_dim,
-        "hash_seed": model.hash_seed,
+        "hash_dim": HASH_DIM,
+        "hash_seed": HASH_SEED,
         "actions": model.actions,
         "bias": model.bias,
         "weights": [{str(k): v for k, v in w.items()} for w in model.weights],
         "predicate_lemmas": sorted(model.predicate_lemmas),
-        "lemma_fallback": model.lemma_fallback,
+        # the CONFIRM-LEMMA rewrite is always on; the key keeps the file
+        # layout older readers expect
+        "lemma_fallback": True,
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True)
@@ -449,10 +425,13 @@ def load_model(path):
     if payload.get("version") != MODEL_VERSION:
         raise ModelFormatError(
             "unsupported model version %r" % payload.get("version"))
-    model = ActionScorer(payload["actions"], hash_dim=payload["hash_dim"],
-                         hash_seed=payload["hash_seed"],
-                         predicate_lemmas=payload["predicate_lemmas"],
-                         lemma_fallback=payload["lemma_fallback"])
+    space = (payload.get("hash_dim"), payload.get("hash_seed"))
+    if space != (HASH_DIM, HASH_SEED):
+        raise ModelFormatError(
+            "model hashes features with dimension %r and seed %r; "
+            "amrtk uses %d and %d" % (space + (HASH_DIM, HASH_SEED)))
+    model = ActionScorer(payload["actions"],
+                         predicate_lemmas=payload["predicate_lemmas"])
     model.bias = [float(b) for b in payload["bias"]]
     model.weights = [{int(k): float(v) for k, v in w.items()}
                      for w in payload["weights"]]

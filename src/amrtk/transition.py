@@ -195,13 +195,9 @@ def apply(state, action):
                        counter=counter, history=history)
 
     if action.tag in RELATION_ACTIONS:
-        s0 = state.s0
-        if action.tag == LEFT:
-            arc = (b0.node, action.label, s0.node)
-        else:
-            arc = (s0.node, action.label, b0.node)
-        if arc in state.arcs:
-            raise TransitionError("duplicate arc %r" % (arc,))
+        arc = new_arc(state, action)
+        if arc is None:
+            raise TransitionError("%s duplicates an arc of the state" % action)
         if arc[0] == arc[2]:
             raise TransitionError("self-loop arc on %r" % arc[0])
         return replace(state, arcs=state.arcs + (arc,), history=history)
@@ -219,6 +215,15 @@ def apply(state, action):
         return replace(state, sigma=state.sigma[:-1], history=history)
 
     raise TransitionError("unhandled action %s" % action)  # pragma: no cover
+
+
+def new_arc(state, action):
+    """The (head, role, dependent) arc a LEFT or RIGHT action adds, or None
+    when the state already has it: an arc is never built twice."""
+    s0, b0 = state.s0, state.b0
+    arc = (b0.node, action.label, s0.node) if action.tag == LEFT \
+        else (s0.node, action.label, b0.node)
+    return None if arc in state.arcs else arc
 
 
 def _apply_entity(state, action, history):

@@ -1,7 +1,9 @@
 import hashlib
+import json
 
 import pytest
 
+from amrtk import parser as parser_mod
 from amrtk.cli import main
 from helpers import fixture
 
@@ -77,8 +79,13 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("corpus", sorted(PINNED_DIGESTS))
-def test_align_tune_oracle_bytes_pinned(tmp_path, capsys, corpus):
+def sha256_of(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def align_tune_oracle(tmp_path, capsys, corpus):
+    """Paths of the align, tune and oracle outputs for a fixture corpus."""
     aligned, tuned, traces = (str(tmp_path / name)
                               for name in ("aligned", "tuned", "traces"))
     steps = [
@@ -91,11 +98,59 @@ def test_align_tune_oracle_bytes_pinned(tmp_path, capsys, corpus):
     ]
     for argv in steps:
         assert run_cli(capsys, *argv)[0] == 0
+    return aligned, tuned, traces
+
+
+@pytest.mark.parametrize("corpus", sorted(PINNED_DIGESTS))
+def test_align_tune_oracle_bytes_pinned(tmp_path, capsys, corpus):
+    paths = align_tune_oracle(tmp_path, capsys, corpus)
+    assert tuple(sha256_of(path) for path in paths) == PINNED_DIGESTS[corpus]
+
+
+# sha256 of two `train` model files and their stderr logs (seed 2 holds
+# out a dev split), then of `parse` with model 1 and with both as an
+# ensemble
+PARSER_DIGESTS = {
+    "train_corpus": (
+        "85a6ecca2aef2f723055a8ced39ac35ff6668aa94ef1b325dfe95e571a0a3ba2",
+        "664e4ef44724dd553fa3066e46a6ad5b7e59b31d7b5a18c4b636c040aafceaef",
+        "32d9516227929e4499c6293ae1ffe13e65d1931ac7b8da9f8b3b2626f33ca3bd",
+        "05604b7ed42ac1650d67f5df37f97bdb6d405114b565306957a5215ffce5b04f",
+        "487dc762bf30a47c683eab64178520531ee4c893be76bc28caa7f6f8965fe0b7",
+        "487dc762bf30a47c683eab64178520531ee4c893be76bc28caa7f6f8965fe0b7"),
+    "oracle_corpus": (
+        "4c758ded7252e15aced7006ae1050cd1f93b5cd2ef4009e7210011d7d13d508c",
+        "a788867b92de75cbb15d5fb45a7b1eb47b0f45386be5a30bf90b9235e1e40bee",
+        "84c52152adaaeb9c27269806fcf10cd1195250ea4f3050038411ca91a512e048",
+        "83c24cd52d77a38ac204340401287faa8df072c51d7f663865bd718c0613bce8",
+        "0133a08e5ea71d40988342c3d32046d0ef68d16135d6f870ed0d81c8ce6aa4ab",
+        "2bb6c19d0db8e8f0467c40de58b738bbd9db4645e9a6b897c94a739d676b4a57"),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(PARSER_DIGESTS))
+def test_train_parse_bytes_pinned(tmp_path, capsys, corpus):
+    _, tuned, traces = align_tune_oracle(tmp_path, capsys, corpus)
     digests = []
-    for path in (aligned, tuned, traces):
-        with open(path, "rb") as handle:
-            digests.append(hashlib.sha256(handle.read()).hexdigest())
-    assert tuple(digests) == PINNED_DIGESTS[corpus]
+    models = []
+    for seed, extra in (("1", ()), ("2", ("--dev-fraction", "0.3"))):
+        model = str(tmp_path / ("model-" + seed))
+        code, _, err = run_cli(capsys, "train", "--traces", traces,
+                               "--model", model, "--epochs", "12",
+                               "--seed", seed, "--lemmas", RES["lemmas"],
+                               *extra)
+        assert code == 0
+        digests += [sha256_of(model),
+                    hashlib.sha256(err.encode("utf-8")).hexdigest()]
+        models.append(model)
+    for count in (1, 2):
+        parsed = str(tmp_path / ("parsed-%d" % count))
+        argv = ["parse", "-i", tuned, "-o", parsed, "--lemmas", RES["lemmas"]]
+        for model in models[:count]:
+            argv += ["--model", model]
+        assert run_cli(capsys, *argv)[0] == 0
+        digests.append(sha256_of(parsed))
+    assert tuple(digests) == PARSER_DIGESTS[corpus]
 
 
 def test_tune_writes_metadata_and_report(tmp_path, capsys):
@@ -201,6 +256,25 @@ def test_bad_model_errors(tmp_path, capsys):
     corpus.write_text("# ::tok a\n(c / cat)\n")
     code, _, err = run_cli(capsys, "parse", "-i", str(corpus), "-o", "-",
                            "--model", str(bad))
+    assert code == 2
+    assert err.startswith("ERR:model:")
+
+
+@pytest.mark.parametrize("key", ["hash_dim", "hash_seed"])
+def test_foreign_feature_space_errors(tmp_path, capsys, key):
+    model = {"format": "amrtk-model", "version": 1, "actions": ["DROP"],
+             "bias": [0.0], "weights": [{}], "predicate_lemmas": [],
+             "lemma_fallback": True,
+             "hash_dim": parser_mod.HASH_DIM, "hash_seed": parser_mod.HASH_SEED}
+    corpus = tmp_path / "c.amr"
+    corpus.write_text("# ::tok a\n(c / cat)\n")
+    path = tmp_path / "model.json"
+    argv = ("parse", "-i", str(corpus), "-o", "-", "--model", str(path))
+    path.write_text(json.dumps(model))
+    assert run_cli(capsys, *argv)[0] == 0
+    model[key] += 1
+    path.write_text(json.dumps(model))
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("ERR:model:")
 

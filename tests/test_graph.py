@@ -126,6 +126,16 @@ def test_quoted_concept_label_round_trips(text, label, written):
     assert [c.label for c in parse_penman(out).concepts.values()] == labels
 
 
+@pytest.mark.parametrize("text", [
+    '(a / "abc)',
+    '(a / x :ARG1 "abc)',
+])
+def test_unterminated_quote_is_syntax_error(text):
+    with pytest.raises(PenmanSyntaxError) as err:
+        parse_penman(text)
+    assert err.value.position == text.index('"')
+
+
 def test_serialize_disconnected_fails():
     g = AmrGraph(
         {"a": Concept("a", "act-01", PREDICATE), "b": Concept("b", "boy", "entity-type")},

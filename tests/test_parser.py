@@ -8,12 +8,12 @@ from amrtk.graph import parse_penman, serialize_penman
 from amrtk.oracle import oracle_run
 from amrtk.parser import (
     ActionScorer, DecodeError, Ensemble, TrainingError, TrainingExample,
-    averaged_scores, decode, encode_state, lemma_label, legal_action_names,
-    load_model, parse, save_model, score_actions, train,
+    averaged_scores, decode, encode, encode_state, lemma_label,
+    legal_action_names, load_model, save_model, score_actions, train,
 )
 from amrtk.resources import LemmaTable
 from amrtk.smatch import smatch_score
-from amrtk.transition import Action, apply, initial_state
+from amrtk.transition import Action, TransitionError, apply, initial_state
 
 
 def make_example(text, tokens, spans, lemma_table=None):
@@ -81,7 +81,7 @@ def test_encodings_differ_by_history():
 
 def test_score_uniform_for_zero_weights():
     model = ActionScorer(["DROP", "SHIFT", "REDUCE", "CACHE"])
-    enc = model.encode(initial_state(["x"]))
+    enc = encode(initial_state(["x"]))
     probs = score_actions(model, enc, ["DROP", "SHIFT", "REDUCE", "CACHE"])
     for p in probs.values():
         assert p == pytest.approx(0.25)
@@ -90,7 +90,7 @@ def test_score_uniform_for_zero_weights():
 
 def test_score_single_action():
     model = ActionScorer(["DROP"])
-    enc = model.encode(initial_state(["x"]))
+    enc = encode(initial_state(["x"]))
     assert score_actions(model, enc, ["DROP"])["DROP"] == pytest.approx(1.0)
 
 
@@ -126,9 +126,31 @@ def test_train_empty_corpus():
         train([])
 
 
+def test_duplicate_arc_is_not_a_legal_name():
+    model = ActionScorer(["LEFT(:ARG0)", "LEFT(:ARG1)", "SHIFT"])
+    state = initial_state(["boy", "runs"])
+    for action in (Action("CONFIRM", "boy"), Action("SHIFT"),
+                   Action("CONFIRM", "run-01")):
+        state = apply(state, action)
+    assert legal_action_names(model, state) == [
+        "LEFT(:ARG0)", "LEFT(:ARG1)", "SHIFT"]
+    state = apply(state, Action("LEFT", ":ARG0"))
+    assert legal_action_names(model, state) == ["LEFT(:ARG1)", "SHIFT"]
+
+
+def test_train_rejects_an_illegal_trace():
+    _, examples = tiny_corpus()
+    left = Action("LEFT", ":ARG0")
+    bad = TrainingExample(("boy", "runs"), (
+        Action("CONFIRM", "boy"), Action("SHIFT"), Action("CONFIRM", "run-01"),
+        left, left))
+    with pytest.raises(TransitionError):
+        train(examples + [bad], epochs=1)
+
+
 def test_closed_vocabulary():
     _, examples = tiny_corpus()
-    model = train(examples, epochs=5, seed=1, lemma_fallback=False)
+    model = train(examples, epochs=5, seed=1)
     labels = {a for a in model.actions if a.startswith("CONFIRM(")}
     assert "CONFIRM(sleep-01)" in labels
     assert "CONFIRM(fly-01)" not in labels
@@ -287,3 +309,36 @@ def test_model_version_check(tmp_path):
     from amrtk.parser import ModelFormatError
     with pytest.raises(ModelFormatError):
         load_model(str(path))
+
+
+def test_train_replays_each_trace_once(monkeypatch):
+    _, examples = tiny_corpus()
+    calls = []
+    original = amrtk.parser.apply
+
+    def counted(state, action):
+        calls.append(action)
+        return original(state, action)
+
+    monkeypatch.setattr(amrtk.parser, "apply", counted)
+    train(examples, epochs=2, seed=1, dev_fraction=0.2)
+    assert calls == [a for example in examples for a in example.actions]
+
+
+def test_ensemble_encodes_each_state_once(monkeypatch):
+    _, examples = tiny_corpus()
+    model_a = train(examples, epochs=10, seed=1, lemma_table=LEMMAS)
+    model_b = train(examples, epochs=10, seed=2, lemma_table=LEMMAS)
+    calls = []
+    original = amrtk.parser.encode_state
+
+    def counted(state, pos_tags=None):
+        calls.append(state)
+        return original(state, pos_tags)
+
+    monkeypatch.setattr(amrtk.parser, "encode_state", counted)
+    result = decode(Ensemble([model_a, model_b]), examples[0].tokens,
+                    lemma_table=LEMMAS)
+    # one encoding per state an action was chosen in, not one per member
+    assert result.warning is None
+    assert len(calls) == len(result.actions)

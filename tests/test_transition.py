@@ -4,7 +4,7 @@ from amrtk.smatch import smatch_score
 from amrtk.transition import (
     CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE, NEW, REDUCE, RIGHT, SHIFT,
     Action, StateError, TransitionError, apply, extract_graph,
-    initial_state, is_terminal, legal_actions, parse_action,
+    initial_state, is_terminal, legal_actions, new_arc, parse_action,
 )
 
 FIGURE_TOKENS = ("North Korea froze its nuclear actions in exchange for "
@@ -128,8 +128,10 @@ def test_duplicate_arc_rejected():
             Action(LEFT, ":ARG0"))
     with pytest.raises(TransitionError):
         apply(s, Action(LEFT, ":ARG0"))
-    # a different label is still fine
+    assert new_arc(s, Action(LEFT, ":ARG0")) is None
+    # a different label or direction is still fine
     apply(s, Action(LEFT, ":ARG1"))
+    assert new_arc(s, Action(RIGHT, ":ARG0")) == (s.s0.node, ":ARG0", s.b0.node)
 
 
 def test_cache_then_shift_restores_stack_order():

@@ -135,8 +135,9 @@ def cmd_tune(args):
     _write(args.output, corpus_mod.write_corpus, documents)
     mean_f1 = sum(r.smatch_f1 for r in runs) / len(runs) if runs else 0.0
     mean_actions, _ = oracle_mod.action_stats(runs) if runs else (0.0, {})
-    report = "mean-oracle-smatch\t%.4f\nmean-actions\t%.2f\n" % (
-        mean_f1, mean_actions)
+    forests = sum(1 for r in runs if r.trees > 1)
+    report = ("mean-oracle-smatch\t%.4f\nmean-actions\t%.2f\n"
+              "forest-sentences\t%d\n" % (mean_f1, mean_actions, forests))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report)

@@ -94,7 +94,8 @@ class AmrGraph:
         self.concepts = dict(concepts)  # id -> Concept, insertion-ordered
         self.relations = tuple(relations)
         self.root = root
-        if root not in self.concepts:
+        # only the empty graph has no root
+        if root not in self.concepts and (root is not None or self.concepts):
             raise PenmanStructureError("root %r is not a concept" % root)
         seen = set()
         for rel in self.relations:
@@ -381,11 +382,12 @@ def name_op_values(graph, name_id):
 
 
 def depth_to_root(graph, cid):
-    """Longest acyclic directed path length from the root to `cid`.
+    """Longest directed path length to `cid` from a source concept (one
+    with no incoming edge, such as the root of each tree of a forest).
 
     Cyclic graphs (re-entrancy misuse) fall back to shortest-path depth
-    with a warning; nodes reachable only against edge direction get their
-    undirected BFS distance.
+    from the root, with a warning; nodes reachable only against edge
+    direction get their undirected BFS distance.
     """
     if cid not in graph.concepts:
         raise GraphLookupError(cid)
@@ -396,19 +398,18 @@ def depth_to_root(graph, cid):
 
 def _compute_depths(graph):
     order = _topological_order(graph)
-    depths = {}
     if order is not None:
-        depths[graph.root] = 0
+        depths = {}
         for cid in order:
-            if cid not in depths:
-                continue
+            # every edge into `cid` has been relaxed: unseen, it is a source
+            depths.setdefault(cid, 0)
             for rel in graph.outgoing(cid):
                 cand = depths[cid] + 1
                 if depths.get(rel.target, -1) < cand:
                     depths[rel.target] = cand
-    else:
-        logger.warning("cycle detected; graph distance falls back to shortest path")
-        depths = bfs_depths(graph, directed=True)
+        return depths
+    logger.warning("cycle detected; graph distance falls back to shortest path")
+    depths = bfs_depths(graph, directed=True)
     missing = [cid for cid in graph.concepts if cid not in depths]
     if missing:
         undirected = bfs_depths(graph)

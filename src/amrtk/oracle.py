@@ -2,9 +2,10 @@
 
 Given a gold graph and one candidate alignment, the oracle emits the
 action sequence that rebuilds the best achievable graph: unaligned
-concepts are pruned first, then conditions are checked in a fixed order
-to pick each action.  The tuner runs the oracle over every candidate and
-keeps the highest-scoring one, breaking ties by the smaller action count.
+concepts are pruned first, which may leave a forest, then conditions are
+checked in a fixed order to pick each action until every tree is built.
+The tuner runs the oracle over every candidate and keeps the
+highest-scoring one, breaking ties by the smaller action count.
 """
 
 import logging
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from . import transition
 from .graph import (
-    AmrGraph, Relation, bfs_depths, depth_to_root, extract_fragments,
+    AmrGraph, Relation, depth_to_root, extract_fragments,
 )
 from .smatch import smatch_score
 from .transition import Action, apply, initial_state, is_terminal
@@ -28,10 +29,6 @@ class OracleError(RuntimeError):
     pass
 
 
-class PruneError(ValueError):
-    pass
-
-
 class StatsError(ValueError):
     pass
 
@@ -43,15 +40,17 @@ class OracleRun:
     smatch_f1: float
     action_count: int
     n_tokens: int
+    trees: int  # source concepts of the pruned graph: the trees rebuilt
 
 
 def prune_unaligned(graph, alignment):
     """Remove concepts whose fragment has no aligned span.
 
     A removed concept with exactly one kept parent and one kept child is
-    contracted (the parent edge's label survives); other removed concepts
-    take their unreachable subtrees with them.  An unaligned root is
-    replaced by its single kept child, or the candidate is unusable.
+    contracted (the parent edge's label survives); every other edge of a
+    removed concept is dropped.  What is left may be a forest, named by
+    the gold root if it is kept and else by its first source concept; a
+    candidate that aligns nothing leaves the empty graph (root None).
     """
     fragments = extract_fragments(graph)
     frag_of = {f.head: f for f in fragments}
@@ -63,38 +62,29 @@ def prune_unaligned(graph, alignment):
         return graph
 
     relations = list(graph.relations)
-    root = graph.root
     for removed in [cid for cid in graph.concepts if cid not in kept]:
         in_edges = [r for r in relations
                     if r.target == removed and r.source in kept]
         out_edges = [r for r in relations
                      if r.source == removed and r.target in kept]
-        if removed == root:
-            if len(out_edges) == 1:
-                root = out_edges[0].target
-            else:
-                raise PruneError(
-                    "root fragment is unaligned and not contractible")
-        elif len(in_edges) == 1 and len(out_edges) == 1:
+        if len(in_edges) == 1 and len(out_edges) == 1:
             parent_edge = in_edges[0]
             child = out_edges[0].target
             contracted = Relation(parent_edge.source, child, parent_edge.label)
-            duplicate = any(
-                r.source == contracted.source and r.target == contracted.target
-                and r.label == contracted.label for r in relations)
-            if contracted.source != contracted.target and not duplicate:
+            if contracted.source != contracted.target \
+                    and contracted not in relations:
                 relations = [contracted if r is parent_edge else r
                              for r in relations]
         relations = [r for r in relations
                      if r.source != removed and r.target != removed]
 
-    # keep only the component still connected to the root
-    kept_graph = AmrGraph({cid: c for cid, c in graph.concepts.items()
-                           if cid in kept}, relations, root)
-    reachable = bfs_depths(kept_graph)
-    concepts = {cid: c for cid, c in kept_graph.concepts.items()
-                if cid in reachable}
-    relations = [r for r in relations if r.source in reachable]
+    concepts = {cid: c for cid, c in graph.concepts.items() if cid in kept}
+    root = graph.root
+    if root not in concepts:
+        targets = {r.target for r in relations}
+        # a forest of directed cycles has no source: name its first concept
+        root = next((cid for cid in concepts if cid not in targets),
+                    next(iter(concepts), None))
     return AmrGraph(concepts, relations, root)
 
 
@@ -326,10 +316,7 @@ def _finalize(ledger, state):
 def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
     """Run the oracle to termination and score the rebuilt graph against
     the original gold graph."""
-    try:
-        pruned = prune_unaligned(graph, alignment)
-    except PruneError:
-        return OracleRun((), None, 0.0, 0, len(tokens))
+    pruned = prune_unaligned(graph, alignment)
     ledger = EdgeLedger(pruned, alignment)
     state = initial_state(tokens)
     limit = STEP_LIMIT_FACTOR * len(tokens) + 100
@@ -344,8 +331,9 @@ def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
     parsed = transition.extract_graph(state)
     score = smatch_score(parsed, graph, restarts=smatch_restarts,
                          seed=smatch_seed)
+    trees = sum(1 for cid in pruned.concepts if not pruned.incoming(cid))
     return OracleRun(tuple(state.history), parsed, score.f1,
-                     len(state.history), len(tokens))
+                     len(state.history), len(tokens), trees)
 
 
 def tune(tokens, graph, alignment_set, smatch_restarts=4, smatch_seed=1):

@@ -229,6 +229,9 @@ def _replay(example, lemma_table, predicate_lemmas):
             name = LEMMA_ACTION
         steps.append((encode(state, example.pos), state, name))
         state = successor
+    if not is_terminal(state):  # an empty trace, say
+        raise TrainingError("trace of %r stops before a terminal state"
+                            % " ".join(example.tokens))
     return steps
 
 
@@ -430,9 +433,15 @@ def load_model(path):
         raise ModelFormatError(
             "model hashes features with dimension %r and seed %r; "
             "amrtk uses %d and %d" % (space + (HASH_DIM, HASH_SEED)))
-    model = ActionScorer(payload["actions"],
-                         predicate_lemmas=payload["predicate_lemmas"])
-    model.bias = [float(b) for b in payload["bias"]]
-    model.weights = [{int(k): float(v) for k, v in w.items()}
-                     for w in payload["weights"]]
+    try:
+        actions, bias, weights, lemmas = (payload[key] for key in (
+            "actions", "bias", "weights", "predicate_lemmas"))
+    except KeyError as err:
+        raise ModelFormatError("%s lacks the key %s" % (path, err))
+    if min(len(bias), len(weights)) < len(actions):
+        raise ModelFormatError(
+            "%s has fewer bias or weight entries than actions" % path)
+    model = ActionScorer(actions, predicate_lemmas=lemmas)
+    model.bias = [float(b) for b in bias]
+    model.weights = [{int(k): float(v) for k, v in w.items()} for w in weights]
     return model

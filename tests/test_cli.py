@@ -5,7 +5,7 @@ import pytest
 
 from amrtk import parser as parser_mod
 from amrtk.cli import main
-from helpers import fixture
+from helpers import bench_module, fixture
 
 RES = dict(
     embeddings=fixture("resources", "embeddings.txt"),
@@ -66,8 +66,17 @@ def test_align_base_only_reproducible(tmp_path, capsys):
 
 
 # sha256 of the align, tune and oracle outputs; a change to any of them
-# changes what every later stage reads
+# changes what every later stage reads.  The compose corpora are the
+# benchmark's workloads at seed 1.
 PINNED_DIGESTS = {
+    "compose-long": (
+        "dd5f15c8cd4ed852efcedc16836370daafd585223800ec129768da00618ddd7b",
+        "6f9fd45b19468c13bf046fd6ec25c5d64f795176aa6ef90789fa088e4b923bdf",
+        "e4e2aa2bf4be730730f80ab866813cdf9f6da7fe7651f8ff63211a7d8a96f75e"),
+    "compose-short": (
+        "cd8f4df6bc3020e5da2fd0e68df7e68763935d25f60c1d3cb6ea75002fa674cf",
+        "4a709f249ef64d1ff918b8407e95d085a955a723af9eabcb23c35f44cb1963b6",
+        "f61c842d037fee649a3004df7d95338ba832beedb6dfc69728b4b2acd8be444c"),
     "train_corpus": (
         "fcafb7024be47758f851a6b935cb113a2fd2831596ba2a5d9b5d9aab642e0996",
         "e60f8a5c44ae34ce4c6b80dcb3cbf2b28fb3677286b7ef46e45b6377d3365d6c",
@@ -84,12 +93,22 @@ def sha256_of(path):
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+def corpus_path(tmp_path, corpus):
+    """A fixture corpus, or a benchmark corpus generated at seed 1."""
+    if corpus.startswith("compose-"):
+        path = tmp_path / (corpus + ".amr")
+        path.write_text(bench_module("corpus_gen").generate(corpus, 1),
+                        encoding="utf-8")
+        return str(path)
+    return fixture(corpus + ".amr")
+
+
 def align_tune_oracle(tmp_path, capsys, corpus):
-    """Paths of the align, tune and oracle outputs for a fixture corpus."""
+    """Paths of the align, tune and oracle outputs for a corpus."""
     aligned, tuned, traces = (str(tmp_path / name)
                               for name in ("aligned", "tuned", "traces"))
     steps = [
-        ("align", "-i", fixture(corpus + ".amr"), "-o", aligned,
+        ("align", "-i", corpus_path(tmp_path, corpus), "-o", aligned,
          "--embeddings", RES["embeddings"], "--morph", RES["morph"],
          "--lemmas", RES["lemmas"]),
         ("tune", "-i", aligned, "-o", tuned, "--seed", "1",
@@ -170,6 +189,33 @@ def test_tune_writes_metadata_and_report(tmp_path, capsys):
     lines = read_text(report).splitlines()
     assert lines[0] == "mean-oracle-smatch\t1.0000"
     assert lines[1].startswith("mean-actions\t")
+    assert lines[2] == "forest-sentences\t0"
+
+
+AND_CORPUS = """# ::id and-1
+# ::tok the boy sleeps , the girl rests .
+(a / and
+    :op1 (s / sleep-01 :ARG0 (b / boy))
+    :op2 (r / rest-01 :ARG0 (g / girl)))
+"""
+
+
+def test_unaligned_root_rebuilds_forest(tmp_path, capsys):
+    # `and` has no token: tune and oracle rebuild both conjuncts
+    source = tmp_path / "and.amr"
+    source.write_text(AND_CORPUS, encoding="utf-8")
+    aligned, tuned, traces, report = (
+        str(tmp_path / name) for name in ("aligned", "tuned", "traces", "report"))
+    assert run_cli(capsys, "align", "-i", str(source), "-o", aligned,
+                   "--base-only")[0] == 0
+    assert run_cli(capsys, "tune", "-i", aligned, "-o", tuned,
+                   "--report", report)[0] == 0
+    assert "::oracle-smatch 0.6000" in read_text(tuned)
+    assert read_text(report).splitlines()[2] == "forest-sentences\t1"
+    assert run_cli(capsys, "oracle", "-i", tuned, "-o", traces)[0] == 0
+    text = read_text(traces)
+    assert "::oracle-smatch 0.6000" in text
+    assert text.count("LEFT(:ARG0)") == 2
 
 
 def test_full_pipeline(tmp_path, capsys):
@@ -260,8 +306,21 @@ def test_bad_model_errors(tmp_path, capsys):
     assert err.startswith("ERR:model:")
 
 
-@pytest.mark.parametrize("key", ["hash_dim", "hash_seed"])
-def test_foreign_feature_space_errors(tmp_path, capsys, key):
+# (key, value) breaking a valid model file; a value of None deletes the key
+BROKEN_MODELS = {
+    "hash_dim": ("hash_dim", parser_mod.HASH_DIM + 1),
+    "hash_seed": ("hash_seed", parser_mod.HASH_SEED + 1),
+    "no-actions": ("actions", None),
+    "no-bias": ("bias", None),
+    "no-weights": ("weights", None),
+    "no-predicate_lemmas": ("predicate_lemmas", None),
+    "short-bias": ("bias", []),
+    "short-weights": ("weights", []),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_MODELS))
+def test_foreign_feature_space_errors(tmp_path, capsys, case):
     model = {"format": "amrtk-model", "version": 1, "actions": ["DROP"],
              "bias": [0.0], "weights": [{}], "predicate_lemmas": [],
              "lemma_fallback": True,
@@ -272,11 +331,28 @@ def test_foreign_feature_space_errors(tmp_path, capsys, key):
     argv = ("parse", "-i", str(corpus), "-o", "-", "--model", str(path))
     path.write_text(json.dumps(model))
     assert run_cli(capsys, *argv)[0] == 0
-    model[key] += 1
+    key, value = BROKEN_MODELS[case]
+    if value is None:
+        del model[key]
+    else:
+        model[key] = value
     path.write_text(json.dumps(model))
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("ERR:model:")
+
+
+@pytest.mark.parametrize("actions", [[], ["CONFIRM(cat)", "SHIFT"]],
+                         ids=["empty", "short"])
+def test_train_rejects_an_incomplete_trace(tmp_path, capsys, actions):
+    traces = tmp_path / "traces.txt"
+    traces.write_text("# ::tok the cat\nDROP\nCONFIRM(cat)\nSHIFT\nREDUCE\n"
+                      "\n# ::tok a cat\n" + "".join(a + "\n" for a in actions),
+                      encoding="utf-8")
+    code, _, err = run_cli(capsys, "train", "--traces", str(traces),
+                           "--model", str(tmp_path / "model.json"))
+    assert code == 2
+    assert err.startswith("ERR:train:")
 
 
 def test_oracle_requires_single_alignment(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from amrtk.graph import (
     ATTRIBUTE, CONSTANT, PREDICATE,
-    AmrGraph, Concept, GraphLookupError, PenmanStructureError,
+    AmrGraph, Concept, GraphLookupError, PenmanStructureError, Relation,
     PenmanSyntaxError, SerializationError,
     depth_to_root, extract_fragments, name_op_values, parse_penman,
     serialize_penman, strip_sense,
@@ -184,6 +184,22 @@ def test_depth_takes_longest_path():
     # diamond: root -> x -> y and root -> y directly
     g = parse_penman("(r / root-01 :ARG0 (x / x-01 :ARG0 (y / y-01)) :ARG1 y)")
     assert depth_to_root(g, "y") == 2
+
+
+def test_depth_forest_sources_are_zero():
+    # two trees sharing b: a -> b <- c -> d, named by its first source a
+    concepts = {cid: Concept(cid, cid, PREDICATE) for cid in "abcd"}
+    relations = [Relation("a", "b", ":ARG0"), Relation("c", "b", ":ARG1"),
+                 Relation("c", "d", ":ARG2")]
+    g = AmrGraph(concepts, relations, "a")
+    assert {cid: depth_to_root(g, cid) for cid in "abcd"} == \
+        {"a": 0, "b": 1, "c": 0, "d": 1}
+
+
+def test_only_the_empty_graph_has_no_root():
+    assert AmrGraph({}, [], None).root is None
+    with pytest.raises(PenmanStructureError):
+        AmrGraph({"a": Concept("a", "a", PREDICATE)}, [], None)
 
 
 def test_depth_missing_concept():

@@ -4,9 +4,9 @@ from amrtk.align import (
     AlignmentRecord, AlignmentSet, CandidateAlignment, Span,
     base_rule_set, enumerate_alignments, full_rule_set,
 )
-from amrtk.graph import parse_penman
+from amrtk.graph import parse_penman, serialize_penman
 from amrtk.oracle import (
-    PruneError, StatsError, action_stats, oracle_run, prune_unaligned, tune,
+    StatsError, action_stats, oracle_run, prune_unaligned, tune,
 )
 from amrtk.resources import LemmaTable, MorphLinkTable, Resources
 from amrtk.smatch import smatch_score
@@ -76,8 +76,11 @@ def test_prune_detaches_branchy_removed_node():
     cand = candidate(g, ["x", "y", "z"],
                      {"a": (0, 1), "b": None, "c": (1, 2), "d": (2, 3)})
     pruned = prune_unaligned(g, cand)
-    # b has two kept children: no contraction, subtree detaches
-    assert set(pruned.concepts) == {"a"}
+    # b has two kept children: no contraction, its edges are dropped and
+    # c and d become trees of a forest
+    assert set(pruned.concepts) == {"a", "c", "d"}
+    assert pruned.relations == ()
+    assert pruned.root == "a"
 
 
 def test_prune_unaligned_root_contracts_to_single_child():
@@ -88,11 +91,24 @@ def test_prune_unaligned_root_contracts_to_single_child():
     assert set(pruned.concepts) == {"b"}
 
 
-def test_prune_unaligned_root_error_on_two_children():
-    g = parse_penman("(a / aa :ARG0 (b / bb) :ARG1 (c / cc))")
-    cand = candidate(g, ["x", "y"], {"a": None, "b": (0, 1), "c": (1, 2)})
-    with pytest.raises(PruneError):
-        prune_unaligned(g, cand)
+def test_prune_unaligned_root_leaves_forest():
+    g = parse_penman("(a / aa :ARG0 (b / bb :mod (d / dd)) :ARG1 (c / cc))")
+    cand = candidate(g, ["x", "y", "z"],
+                     {"a": None, "b": (0, 1), "c": (1, 2), "d": (2, 3)})
+    pruned = prune_unaligned(g, cand)
+    assert set(pruned.concepts) == {"b", "c", "d"}
+    assert [(r.source, r.target) for r in pruned.relations] == [("b", "d")]
+    # the forest is named by its first source
+    assert pruned.root == "b"
+
+
+def test_prune_forest_of_cycles_names_first_concept():
+    # removing the root leaves a directed cycle, which has no source
+    g = parse_penman("(r / rr :ARG0 (a / aa :ARG1 (b / bb :ARG2 a)))")
+    cand = candidate(g, ["x", "y"], {"r": None, "a": (0, 1), "b": (1, 2)})
+    pruned = prune_unaligned(g, cand)
+    assert set(pruned.concepts) == {"a", "b"}
+    assert pruned.root == "a"
 
 
 def test_oracle_single_token():
@@ -183,7 +199,6 @@ def test_oracle_trace_replay_reproduces_graph():
         state = apply(state, action)
     assert is_terminal(state)
     replayed = extract_graph(state)
-    from amrtk.graph import serialize_penman
     assert serialize_penman(replayed) == serialize_penman(run.parsed)
 
 
@@ -268,15 +283,51 @@ def test_tuner_singleton():
     assert best is cand
 
 
-def test_tuner_prune_error_scores_zero():
+def test_tuner_prefers_forest_to_single_tree():
     g = parse_penman("(a / aa :ARG0 (b / bb) :ARG1 (c / cc))")
     tokens = ["bb", "cc"]
-    bad = candidate(g, tokens, {"a": None, "b": (0, 1), "c": (1, 2)})
-    good = candidate(g, tokens, {"a": None, "b": (0, 1), "c": None})
-    aset = AlignmentSet(g, tokens, [bad, good])
+    forest = candidate(g, tokens, {"a": None, "b": (0, 1), "c": (1, 2)})
+    tree = candidate(g, tokens, {"a": None, "b": (0, 1), "c": None})
+    aset = AlignmentSet(g, tokens, [tree, forest])
     best, run = tune(tokens, g, aset)
-    assert best is good
+    assert best is forest
+    assert run.trees == 2
+    assert run.smatch_f1 > oracle_run(tokens, g, tree).smatch_f1 > 0.0
+
+
+AND_TEXT = ("(a / and :op1 (s / sleep-01 :ARG0 (b / boy))"
+            " :op2 (r / rest-01 :ARG0 (g / girl)))")
+AND_TOKENS = "the boy sleeps , the girl rests .".split()
+
+
+def test_oracle_rebuilds_forest_under_unaligned_root():
+    # `and` has no token: the oracle rebuilds both conjuncts as a forest
+    g = parse_penman(AND_TEXT)
+    aset = enumerate_alignments(g, AND_TOKENS, base_rule_set())
+    best, run = tune(AND_TOKENS, g, aset)
+    assert best.span_of("a") is None
+    assert run.trees == 2
     assert run.smatch_f1 > 0.0
+    assert run.actions
+    state = initial_state(AND_TOKENS)
+    for action in run.actions:
+        state = apply(state, action)
+    assert is_terminal(state)
+    assert serialize_penman(extract_graph(state)) == \
+        serialize_penman(run.parsed)
+
+
+def test_oracle_nothing_aligned_drops_every_word():
+    g = parse_penman("(s / sleep-01 :ARG0 (b / boy))")
+    tokens = ["the", "cat", "."]
+    cand = candidate(g, tokens, {"s": None, "b": None})
+    pruned = prune_unaligned(g, cand)
+    assert pruned.concepts == {}
+    assert pruned.root is None
+    run = oracle_run(tokens, g, cand)
+    assert [a.tag for a in run.actions] == ["DROP"] * len(tokens)
+    assert run.trees == 0
+    assert run.smatch_f1 == 0.0
 
 
 def test_action_stats():

@@ -2,7 +2,8 @@
 
 States are featurized into sparse vectors hashed into one fixed feature
 space and scored by a linear multiclass model (softmax over the legal
-actions); the model is trained on oracle action traces.  An ensemble
+actions) whose weights are one dense table over the features the model
+has seen; the model is trained on oracle action traces.  An ensemble
 decodes with the per-step average of its members' action distributions,
 all scoring the same encoding of each state.
 """
@@ -10,15 +11,19 @@ all scoring the same encoding of each state.
 import json
 import math
 import random
+import re
 import zlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import strip_sense
 from .resources import LemmaTable
 from . import transition
 from .transition import (
-    CONFIRM, RELATION_ACTIONS, Action, apply, extract_graph,
-    initial_state, is_terminal, legal_actions, new_arc, parse_action,
+    CONFIRM, RELATION_ACTIONS, Action, TransitionError, apply,
+    extract_graph, initial_state, is_terminal, legal_actions, new_arc,
+    parse_action,
 )
 
 MODEL_FORMAT = "amrtk-model"
@@ -131,23 +136,64 @@ def encode(state, pos_tags=None):
 
 
 class ActionScorer:
-    """Sparse linear multiclass model over an action vocabulary."""
+    """Linear multiclass model over an action vocabulary, held as one dense
+    table with a column per action.  Row 0 holds the biases; each hashed
+    feature id the model knows has its own row (`rows`).  A feature id
+    without a row weighs zero for every action.  `touched` marks the cells
+    a training update or a model file wrote: they are the sparse weights a
+    model file holds."""
 
-    def __init__(self, actions, predicate_lemmas=()):
+    def __init__(self, actions, predicate_lemmas=(), features=()):
         self.actions = list(actions)
         self.action_index = {a: i for i, a in enumerate(self.actions)}
         self.vocabulary = parse_vocabulary(self.actions)
-        self.weights = [dict() for _ in self.actions]
-        self.bias = [0.0 for _ in self.actions]
         self.predicate_lemmas = set(predicate_lemmas)
         self.train_log = []
+        self.rows = {}
+        for feat in features:
+            self.rows.setdefault(feat, len(self.rows) + 1)
+        self.table = np.zeros((len(self.rows) + 1, len(self.actions)))
+        self.touched = np.zeros(self.table.shape, dtype=bool)
 
-    def logit(self, action_idx, encoding):
-        weights = self.weights[action_idx]
-        total = self.bias[action_idx]
-        for feat in encoding:
-            total += weights.get(feat, 0.0)
-        return total
+    @property
+    def bias(self):
+        return self.table[0].tolist()
+
+    @property
+    def weights(self):
+        """{feature id: weight} of the touched cells, one dict per action
+        (a copy: writing to it changes nothing)."""
+        ids = np.array([0] + list(self.rows))
+        views = []
+        for col in range(len(self.actions)):
+            rows = np.flatnonzero(self.touched[1:, col]) + 1
+            views.append(dict(zip(ids[rows].tolist(),
+                                  self.table[rows, col].tolist())))
+        return views
+
+    def logits(self, encoding, columns):
+        """The bias plus the encoded features' weights of each action
+        column, added one row at a time in encoding order.  `accumulate`
+        keeps that order where `sum` may add pairwise, which would move
+        the last bits of a logit and with them every trained model."""
+        rows = self.rows
+        block = self.table.take([0] + [rows[f] for f in encoding if f in rows],
+                                axis=0).take(columns, axis=1)
+        return np.add.accumulate(block, axis=0)[-1].tolist()
+
+    def update(self, encoding, columns, coefs):
+        """Add coefs[j] to the bias of action column columns[j] and to its
+        weight of each encoded feature, once per time the feature is
+        encoded.  Every encoded feature needs a row."""
+        rows = np.array([0] + [self.rows[f] for f in encoding])
+        # flat cell numbers, column by column, with one coefficient per
+        # cell: numpy 2.4's `ufunc.at` adds garbage when it broadcasts the
+        # values over a 2-D index
+        cells = (np.array(columns)[:, None]
+                 + rows * len(self.actions)).ravel()
+        np.add.at(self.table.reshape(-1), cells,
+                  np.array(coefs).repeat(len(rows)))
+        self.touched.reshape(-1)[cells] = True
 
 
 def _softmax(logits):
@@ -163,8 +209,8 @@ def score_actions(model, encoding, legal):
     legal = list(legal)
     if not legal:
         raise DecodeError("no legal actions to score")
-    logits = [model.logit(model.action_index[a], encoding) for a in legal]
-    probs = _softmax(logits)
+    probs = _softmax(model.logits(
+        encoding, [model.action_index[a] for a in legal]))
     return dict(zip(legal, probs))
 
 
@@ -303,14 +349,16 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
                         and strip_sense(action.label) != action.label}
     replays = [_replay(example, lemma_table, predicate_lemmas)
                for example in corpus]
-    model = ActionScorer(sorted({name for steps in replays
-                                 for _, _, name in steps}),
-                         predicate_lemmas=predicate_lemmas)
-
     indices = list(range(len(corpus)))
     rng.shuffle(indices)
     n_dev = int(len(corpus) * dev_fraction)
     dev_idx = set(indices[:n_dev])
+    # one table row for each feature the training instances encode
+    model = ActionScorer(
+        sorted({name for steps in replays for _, _, name in steps}),
+        predicate_lemmas=predicate_lemmas,
+        features=(feat for i, steps in enumerate(replays) if i not in dev_idx
+                  for encoding, _, _ in steps for feat in encoding))
 
     train_instances = []
     dev_instances = []
@@ -342,15 +390,14 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
             encoding, legal, gold = train_instances[i]
             probs = score_actions(model, encoding, legal)
             total_loss -= math.log(max(probs[gold], 1e-300))
+            columns, coefs = [], []
             for action in legal:
-                idx = model.action_index[action]
                 coef = learning_rate * ((action == gold) - probs[action])
-                if coef == 0.0:
-                    continue
-                model.bias[idx] += coef
-                weights = model.weights[idx]
-                for feat in encoding:
-                    weights[feat] = weights.get(feat, 0.0) + coef
+                if coef != 0.0:
+                    columns.append(model.action_index[action])
+                    coefs.append(coef)
+            if columns:
+                model.update(encoding, columns, coefs)
         entry = {
             "epoch": epoch + 1,
             "loss": total_loss / len(train_instances),
@@ -422,8 +469,11 @@ def save_model(model, path):
 
 def load_model(path):
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != MODEL_FORMAT:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise ModelFormatError("%s is not JSON: %s" % (path, err))
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelFormatError("%s is not an amrtk model file" % path)
     if payload.get("version") != MODEL_VERSION:
         raise ModelFormatError(
@@ -438,10 +488,51 @@ def load_model(path):
             "actions", "bias", "weights", "predicate_lemmas"))
     except KeyError as err:
         raise ModelFormatError("%s lacks the key %s" % (path, err))
-    if min(len(bias), len(weights)) < len(actions):
+    if not (isinstance(actions, list) and isinstance(lemmas, list)
+            and all(isinstance(name, str) for name in actions + lemmas)):
         raise ModelFormatError(
-            "%s has fewer bias or weight entries than actions" % path)
-    model = ActionScorer(actions, predicate_lemmas=lemmas)
-    model.bias = [float(b) for b in bias]
-    model.weights = [{int(k): float(v) for k, v in w.items()} for w in weights]
+            "%s: actions and predicate_lemmas must be lists of strings" % path)
+    if not (isinstance(bias, list) and isinstance(weights, list)) \
+            or len(actions) != len(bias) or len(actions) != len(weights):
+        raise ModelFormatError(
+            "%s needs one bias and one weight row per action" % path)
+    if not all(_is_weight(b) for b in bias):
+        raise ModelFormatError("%s has a bias that is not a number" % path)
+    rows = [_weight_row(row, path) for row in weights]
+    try:
+        model = ActionScorer(actions, predicate_lemmas=lemmas,
+                             features=(feat for row in rows for feat in row))
+    except TransitionError as err:  # an action name that does not parse
+        raise ModelFormatError("%s: %s" % (path, err))
+    model.table[0] = bias
+    for col, row in enumerate(rows):
+        cells = [model.rows[feat] for feat in row], col
+        model.table[cells] = list(row.values())
+        model.touched[cells] = True
     return model
+
+
+_FEATURE_KEY = re.compile(r"0|[1-9][0-9]*")
+
+
+def _is_weight(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _weight_row(row, path):
+    """{feature id: weight} of one weight row of a model file"""
+    if not isinstance(row, dict):
+        raise ModelFormatError(
+            "%s has a weight row that is not an object: %.40r" % (path, row))
+    parsed = {}
+    for key, value in row.items():
+        if not _FEATURE_KEY.fullmatch(key) or int(key) >= HASH_DIM:
+            raise ModelFormatError(
+                "%s has a weight key that is not a feature id: %.40r"
+                % (path, key))
+        if not _is_weight(value):
+            raise ModelFormatError(
+                "%s has a weight that is not a number: %.40r" % (path, value))
+        parsed[int(key)] = value
+    return parsed

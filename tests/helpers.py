@@ -1,5 +1,6 @@
 """Shared test utilities: random graph pairs, fixture paths, the
-reference Smatch hill-climbing and the reference matching-rule pass."""
+reference Smatch hill-climbing, the reference matching-rule pass and the
+reference action scorer."""
 
 import importlib.util
 import itertools
@@ -269,3 +270,31 @@ def reference_matching_records(graph, tokens, resources=None, extended=False):
                 if match(fragment, span, ctx):
                     records[fragment.head].add(AlignmentRecord(span))
     return records
+
+
+# ---------------------------------------------------------------------------
+# The dict-per-action scorer that the dense table of
+# `amrtk.parser.ActionScorer` replaced: a logit adds the bias and then each
+# encoded feature's weight in encoding order, and an update adds its
+# coefficient to the bias and to the weight of each encoded feature, creating
+# the weight if it is missing.  Kept verbatim as the test oracle for the
+# table's logits, updates and sparse weights.
+
+class ReferenceScorer:
+    def __init__(self, n_actions):
+        self.weights = [dict() for _ in range(n_actions)]
+        self.bias = [0.0 for _ in range(n_actions)]
+
+    def logit(self, action_idx, encoding):
+        weights = self.weights[action_idx]
+        total = self.bias[action_idx]
+        for feat in encoding:
+            total += weights.get(feat, 0.0)
+        return total
+
+    def update(self, encoding, columns, coefs):
+        for idx, coef in zip(columns, coefs):
+            self.bias[idx] += coef
+            weights = self.weights[idx]
+            for feat in encoding:
+                weights[feat] = weights.get(feat, 0.0) + coef

@@ -128,7 +128,7 @@ def test_align_tune_oracle_bytes_pinned(tmp_path, capsys, corpus):
 
 # sha256 of two `train` model files and their stderr logs (seed 2 holds
 # out a dev split), then of `parse` with model 1 and with both as an
-# ensemble
+# ensemble; the compose corpora are the benchmark's workloads at seed 1
 PARSER_DIGESTS = {
     "train_corpus": (
         "85a6ecca2aef2f723055a8ced39ac35ff6668aa94ef1b325dfe95e571a0a3ba2",
@@ -144,6 +144,20 @@ PARSER_DIGESTS = {
         "83c24cd52d77a38ac204340401287faa8df072c51d7f663865bd718c0613bce8",
         "0133a08e5ea71d40988342c3d32046d0ef68d16135d6f870ed0d81c8ce6aa4ab",
         "2bb6c19d0db8e8f0467c40de58b738bbd9db4645e9a6b897c94a739d676b4a57"),
+    "compose-long": (
+        "f86b527ea67b55e3a0090c79039d08f3e9063c051737120b4573f39124f7858b",
+        "53d76aa12bfffc33d28ea4bfaa1c1a7caefe3887454000e9ccefea0d30d6b853",
+        "dc35bdfcd52c3f5a5c42b172e24bdedabc7ab500cc5ab573efaa3a5471bdda22",
+        "15e195227c4ab9dc321d3066205615ef8afdd73e7fc05c0baff56d4c20e71432",
+        "52f82ed42161f3156b11e5203d217fe78d15ade1925606baf643070eb90fa538",
+        "70e8b519bccadf96e2583e90061ee9b0d87c0b84adf07ec2a4bd765965546300"),
+    "compose-short": (
+        "afc8d35c80b9c7231b275acadcaa81f90a0bee6f4bf0974fa148bbbd87e7732d",
+        "84c6df605f3d938bcc8158b4b1a83cf162103c2247128c976af7f0d8d8a082fe",
+        "6a3a44876810f6920e31bc38c4c2104ed98c3f2031818ae1eb5bacff833384e2",
+        "1e88ad6bbe6bb6b735b8c1fffe4382cae4471e8f013fa9ebb83248f72263e144",
+        "c3dff323b72b9fe91df9877ed9381a3552d0a5a0416ad162f148609dde8c2afc",
+        "c3dff323b72b9fe91df9877ed9381a3552d0a5a0416ad162f148609dde8c2afc"),
 }
 
 
@@ -306,6 +320,19 @@ def test_bad_model_errors(tmp_path, capsys):
     assert err.startswith("ERR:model:")
 
 
+@pytest.mark.parametrize("text", ["[1]", '{"format": '],
+                         ids=["list", "truncated"])
+def test_model_file_not_an_object(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    corpus = tmp_path / "c.amr"
+    corpus.write_text("# ::tok a\n(c / cat)\n")
+    code, _, err = run_cli(capsys, "parse", "-i", str(corpus), "-o", "-",
+                           "--model", str(bad))
+    assert code == 2
+    assert err.startswith("ERR:model:")
+
+
 # (key, value) breaking a valid model file; a value of None deletes the key
 BROKEN_MODELS = {
     "hash_dim": ("hash_dim", parser_mod.HASH_DIM + 1),
@@ -315,7 +342,18 @@ BROKEN_MODELS = {
     "no-weights": ("weights", None),
     "no-predicate_lemmas": ("predicate_lemmas", None),
     "short-bias": ("bias", []),
+    "number-action": ("actions", [1]),
+    "unparsed-action": ("actions", ["HOP"]),
+    "number-predicate_lemmas": ("predicate_lemmas", 5),
     "short-weights": ("weights", []),
+    "long-bias": ("bias", [0.0, 0.0]),
+    "text-bias": ("bias", ["x"]),
+    "list-weight-row": ("weights", [[1, 2]]),
+    "text-weight-key": ("weights", [{"x": 1.0}]),
+    "padded-weight-key": ("weights", [{"07": 1.0}]),
+    "outside-weight-key": ("weights", [{str(parser_mod.HASH_DIM): 1.0}]),
+    "text-weight": ("weights", [{"7": "x"}]),
+    "bool-weight": ("weights", [{"7": True}]),
 }
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import random
 
 import pytest
 
@@ -14,6 +16,7 @@ from amrtk.parser import (
 from amrtk.resources import LemmaTable
 from amrtk.smatch import smatch_score
 from amrtk.transition import Action, TransitionError, apply, initial_state
+from helpers import ReferenceScorer
 
 
 def make_example(text, tokens, spans, lemma_table=None):
@@ -96,7 +99,7 @@ def test_score_single_action():
 
 def test_score_hand_set_logits():
     model = ActionScorer(["DROP", "SHIFT"])
-    model.bias = [1.0, 0.0]
+    model.table[0] = [1.0, 0.0]
     enc = []
     probs = score_actions(model, enc, ["DROP", "SHIFT"])
     expected = math.e / (math.e + 1.0)
@@ -213,9 +216,9 @@ def test_ensemble_requires_shared_vocabulary():
 
 def test_ensemble_averaging_hand_computed():
     model_a = ActionScorer(["DROP", "SHIFT"])
-    model_a.bias = [1.0, 0.0]
+    model_a.table[0] = [1.0, 0.0]
     model_b = ActionScorer(["DROP", "SHIFT"])
-    model_b.bias = [0.0, 1.0]
+    model_b.table[0] = [0.0, 1.0]
     state = initial_state(["x"])
     merged = averaged_scores(Ensemble([model_a, model_b]), state,
                              ["DROP", "SHIFT"])
@@ -261,9 +264,9 @@ def test_training_determinism():
 
 def test_argmax_invariant_to_constant_logit_shift():
     model = ActionScorer(["DROP", "SHIFT"])
-    model.bias = [0.4, 0.1]
+    model.table[0] = [0.4, 0.1]
     shifted = ActionScorer(["DROP", "SHIFT"])
-    shifted.bias = [10.4, 10.1]
+    shifted.table[0] = [10.4, 10.1]
     state = initial_state(["x"])
     a = averaged_scores(model, state, ["DROP", "SHIFT"])
     b = averaged_scores(shifted, state, ["DROP", "SHIFT"])
@@ -342,3 +345,81 @@ def test_ensemble_encodes_each_state_once(monkeypatch):
     # one encoding per state an action was chosen in, not one per member
     assert result.warning is None
     assert len(calls) == len(result.actions)
+
+
+def test_table_matches_reference_scorer_bit_for_bit():
+    rng = random.Random(5)
+    n_actions = 12
+    seen = rng.sample(range(amrtk.parser.HASH_DIM), 60)
+    unseen = [f for f in rng.sample(range(amrtk.parser.HASH_DIM), 80)
+              if f not in seen][:20]
+    model = ActionScorer(["CONFIRM(c%d)" % i for i in range(n_actions)],
+                         features=seen)
+    reference = ReferenceScorer(n_actions)
+    for _ in range(300):
+        encoding = [rng.choice(seen) for _ in range(rng.randint(0, 40))]
+        columns = rng.sample(range(n_actions), rng.randint(1, n_actions))
+        coefs = [rng.gauss(0.0, 1.0) for _ in columns]
+        model.update(encoding, columns, coefs)
+        reference.update(encoding, columns, coefs)
+    assert model.bias == reference.bias
+    assert model.weights == reference.weights
+    pairwise_differs = 0
+    for case in range(300):
+        encoding = [rng.choice(seen + unseen) for _ in range(rng.randint(0, 40))]
+        # every tenth case scores one action, a contiguous column that
+        # numpy's `sum` adds pairwise
+        columns = rng.sample(range(n_actions),
+                             1 if case % 10 == 0 else rng.randint(1, n_actions))
+        want = [reference.logit(col, encoding) for col in columns]
+        assert model.logits(encoding, columns) == want
+        rows = [0] + [model.rows[f] for f in encoding if f in model.rows]
+        block = model.table[rows][:, columns]
+        pairwise_differs += block.sum(axis=0).tolist() != want
+    # the inputs include sums that an unordered `sum` gets wrong
+    assert pairwise_differs > 0
+
+
+def test_repeated_feature_counts_twice():
+    model = ActionScorer(["DROP", "SHIFT"], features=[7, 9])
+    reference = ReferenceScorer(2)
+    encoding = [7, 9, 7]
+    for scorer in (model, reference):
+        scorer.update(encoding, [1], [0.5])
+    assert model.weights == reference.weights == [{}, {7: 1.0, 9: 0.5}]
+    assert model.bias == reference.bias == [0.0, 0.5]
+    assert model.logits(encoding, [0, 1]) == [0.0, 3.0] == [
+        reference.logit(col, encoding) for col in (0, 1)]
+
+
+def test_unseen_feature_scores_zero(tmp_path, monkeypatch):
+    _, examples = tiny_corpus()
+    # the dev split holds out a sentence whose words training never sees
+    checked = []
+    original = amrtk.parser.score_actions
+
+    def against_reference(model, encoding, legal):
+        probs = original(model, encoding, legal)
+        if any(f not in model.rows for f in encoding):
+            reference = ReferenceScorer(len(model.actions))
+            reference.bias, reference.weights = model.bias, model.weights
+            logits = [reference.logit(model.action_index[a], encoding)
+                      for a in legal]
+            assert probs == dict(zip(legal, amrtk.parser._softmax(logits)))
+            checked.append(encoding)
+        return probs
+
+    monkeypatch.setattr(amrtk.parser, "score_actions", against_reference)
+    model = train(examples, epochs=3, seed=1, dev_fraction=0.2,
+                  lemma_table=LEMMAS)
+    in_dev_pass = len(checked)
+    assert in_dev_pass > 0
+    decode(model, ["a", "zebra", "sings"], lemma_table=LEMMAS)
+    assert len(checked) > in_dev_pass
+    unseen = {f for encoding in checked for f in encoding} - set(model.rows)
+    assert unseen
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    keys = {int(k) for row in json.loads(path.read_text())["weights"]
+            for k in row}
+    assert keys and not keys & unseen

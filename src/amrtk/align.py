@@ -1,13 +1,13 @@
 """Rule-based aligner producing multiple candidate alignments per
 sentence/graph pair.
 
-Matching rules compare a fragment directly with a token span; all but
-the date rule are one token test on one fragment shape, asked only about
-spans of the shape's width.  Updating rules align a fragment based on an
-already-aligned related fragment and record that dependency.  All rule
-hits are kept per fragment, and the candidates are the best-ranked legal
-combinations of the per-fragment choices, found by a depth-first search
-over span assignments.
+Matching rules compare a fragment directly with a token span and are
+asked only about spans of the widths they declare for the fragment.
+Updating rules align a fragment based on an already-aligned related
+fragment, which they read off the fragment's own graph edges, and record
+that dependency.  All rule hits are kept per fragment, and the candidates
+are the best-ranked legal combinations of the per-fragment choices, found
+by a depth-first search over span assignments.
 """
 
 import itertools
@@ -134,19 +134,20 @@ class AlignmentContext:
 class Rule:
     """An alignment rule.
 
-    Matching rules implement `match(fragment, span, ctx)`.  One with
-    `width(fragment, ctx)` is asked only about spans of the length it
-    returns (None: no span can match); one without, about every span.
-    Updating rules implement `pair_applies(fragment, trigger_fragment, ctx)`
-    and, when the pair applies, `derive(fragment, trigger_fragment, record,
-    ctx)` yields the spans the fragment may take.
+    Matching rules implement `widths(fragment, ctx)`, the span lengths
+    the rule can match on the fragment (empty: none), and `match(fragment,
+    span, ctx)`, which is asked only about spans of those lengths.
+    Updating rules implement `triggers(fragment, ctx)`, the heads of the
+    other fragments the fragment's alignment may follow, and `derive(fragment,
+    record, ctx)`, the spans the fragment may take given a trigger's
+    record.
     """
     name: str
     kind: str
+    widths: callable = None
     match: callable = None
-    pair_applies: callable = None
+    triggers: callable = None
     derive: callable = None
-    width: callable = None
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +156,13 @@ class Rule:
 def _concept_rule(name, same):
     """The matching rule that tests `same(label, token, ctx)` on the label
     of a single-concept fragment and the token of a one-token span."""
-    def width(fragment, ctx):
-        return 1 if len(fragment) == 1 else None
+    def widths(fragment, ctx):
+        return (1,) if len(fragment) == 1 else ()
 
     def match(fragment, span, ctx):
         return same(ctx.graph.concept(fragment.head).label,
                     ctx.tokens[span.start], ctx)
-    return Rule(name, MATCHING, match=match, width=width)
+    return Rule(name, MATCHING, widths=widths, match=match)
 
 
 def _name_rule(name, same):
@@ -173,13 +174,14 @@ def _name_rule(name, same):
             return []
         return name_op_values(ctx.graph, fragment.head)
 
-    def width(fragment, ctx):
-        return len(values(fragment, ctx)) or None
+    def widths(fragment, ctx):
+        width = len(values(fragment, ctx))
+        return (width,) if width else ()
 
     def match(fragment, span, ctx):
         return all(same(value, token, ctx) for value, token
                    in zip(values(fragment, ctx), ctx.span_tokens(span)))
-    return Rule(name, MATCHING, match=match, width=width)
+    return Rule(name, MATCHING, widths=widths, match=match)
 
 
 def _exact_concept(label, token, ctx):
@@ -198,9 +200,16 @@ def _same_nocase(value, token, ctx):
     return value.lower() == token.lower()
 
 
-def _date_entity(fragment, span, ctx):
+def _date_widths(fragment, ctx):
+    """A token yields one date attribute, or three if it is a full date,
+    so k attributes take between ceil(k / 3) and k tokens."""
     if ctx.graph.concept(fragment.head).label != "date-entity" or len(fragment) < 2:
-        return False
+        return ()
+    k = len(fragment.relations)
+    return range(-(-k // 3), k + 1)
+
+
+def _date_entity(fragment, span, ctx):
     gold = sorted((rel.label, ctx.graph.concept(rel.target).label)
                   for rel in fragment.relations)
     derived = sorted((role, value)
@@ -219,47 +228,44 @@ def _fuzzy_prefix(label, token, ctx):
 
 
 # ---------------------------------------------------------------------------
-# updating rules
+# updating rules: each follows one graph edge of a single-concept fragment
 
-def _entity_type_pair(fragment, trigger, ctx):
+def _entity_type_triggers(fragment, ctx):
     """Entity-type concept aligned to the span of its name child fragment."""
     if len(fragment) != 1:
-        return False
-    if ctx.graph.concept(trigger.head).label != "name":
-        return False
-    return any(rel.label == ":name" and rel.target == trigger.head
-               for rel in ctx.graph.outgoing(fragment.head))
+        return []
+    return [rel.target for rel in ctx.graph.outgoing(fragment.head)
+            if rel.label == ":name"
+            and ctx.graph.concept(rel.target).label == "name"]
 
 
-def _same_span(fragment, trigger, record, ctx):
+def _same_span(fragment, record, ctx):
     return [record.span]
 
 
-def _minus_polarity_pair(fragment, trigger, ctx):
-    if len(fragment) != 1:
-        return False
-    if ctx.graph.concept(fragment.head).label != "-":
-        return False
-    return any(rel.label == ":polarity" and rel.source == trigger.head
-               for rel in ctx.graph.incoming(fragment.head))
+def _minus_polarity_triggers(fragment, ctx):
+    if len(fragment) != 1 or ctx.graph.concept(fragment.head).label != "-":
+        return []
+    return [rel.source for rel in ctx.graph.incoming(fragment.head)
+            if rel.label == ":polarity"]
 
 
-def _negation_spans(fragment, trigger, record, ctx):
+def _negation_spans(fragment, record, ctx):
     return [Span(i, i + 1) for i, token in enumerate(ctx.tokens)
             if token.lower() in NEGATION_WORDS]
 
 
-def _quantity_pair(fragment, trigger, ctx):
-    if len(fragment) != 1 or len(trigger) != 1:
-        return False
+def _quantity_triggers(fragment, ctx):
+    """A quantity concept aligned to the span of its numeric `:quant`
+    child; a numeric fragment head is always a single concept."""
+    if len(fragment) != 1:
+        return []
     label = ctx.graph.concept(fragment.head).label
     if label != "quantity" and not label.endswith(QUANTITY_SUFFIX):
-        return False
-    child = ctx.graph.concept(trigger.head)
-    if numeric_form(child.label) is None:
-        return False
-    return any(rel.label == ":quant" and rel.target == trigger.head
-               for rel in ctx.graph.outgoing(fragment.head))
+        return []
+    return [rel.target for rel in ctx.graph.outgoing(fragment.head)
+            if rel.label == ":quant"
+            and numeric_form(ctx.graph.concept(rel.target).label) is not None]
 
 
 def base_rule_set():
@@ -268,15 +274,15 @@ def base_rule_set():
     return [
         _concept_rule("exact-concept", _exact_concept),
         _name_rule("named-entity", _same_text),
-        Rule("date-entity", MATCHING, match=_date_entity),
+        Rule("date-entity", MATCHING, widths=_date_widths, match=_date_entity),
         _concept_rule("fuzzy-prefix", _fuzzy_prefix),
         _name_rule("named-entity-nocase", _same_nocase),
         Rule("entity-type", UPDATING,
-             pair_applies=_entity_type_pair, derive=_same_span),
+             triggers=_entity_type_triggers, derive=_same_span),
         Rule("minus-polarity", UPDATING,
-             pair_applies=_minus_polarity_pair, derive=_negation_spans),
+             triggers=_minus_polarity_triggers, derive=_negation_spans),
         Rule("quantity", UPDATING,
-             pair_applies=_quantity_pair, derive=_same_span),
+             triggers=_quantity_triggers, derive=_same_span),
     ]
 
 
@@ -315,37 +321,29 @@ def collect_records(graph, tokens, rules, resources=None):
     updating = [r for r in rules if r.kind == UPDATING]
 
     records = {f.head: set() for f in fragments}
-    every_span = [Span(start, end) for start in range(len(tokens))
-                  for end in range(start + 1, len(tokens) + 1)]
     for rule in matching:
         for fragment in fragments:
-            if rule.width is None:
-                spans = every_span
-            else:
-                width = rule.width(fragment, ctx)
-                spans = () if width is None else (
-                    Span(start, start + width)
-                    for start in range(len(tokens) - width + 1))
-            for span in spans:
-                if rule.match(fragment, span, ctx):
-                    records[fragment.head].add(AlignmentRecord(span))
+            for width in rule.widths(fragment, ctx):
+                for start in range(len(tokens) - width + 1):
+                    span = Span(start, start + width)
+                    if rule.match(fragment, span, ctx):
+                        records[fragment.head].add(AlignmentRecord(span))
 
+    # (rule, fragment, trigger head) for every edge an updating rule
+    # follows to a fragment head (a literal another fragment claims is none)
+    edges = [(rule, fragment, trigger) for rule in updating
+             for fragment in fragments
+             for trigger in rule.triggers(fragment, ctx) if trigger in records]
     changed = True
     while changed:
         changed = False
-        for rule in updating:
-            for fragment in fragments:
-                for trigger in fragments:
-                    if trigger.head == fragment.head:
-                        continue
-                    if not rule.pair_applies(fragment, trigger, ctx):
-                        continue
-                    for record in list(records[trigger.head]):
-                        for span in rule.derive(fragment, trigger, record, ctx):
-                            new = AlignmentRecord(span, trigger.head, record.span)
-                            if new not in records[fragment.head]:
-                                records[fragment.head].add(new)
-                                changed = True
+        for rule, fragment, trigger in edges:
+            for record in list(records[trigger]):
+                for span in rule.derive(fragment, record, ctx):
+                    new = AlignmentRecord(span, trigger, record.span)
+                    if new not in records[fragment.head]:
+                        records[fragment.head].add(new)
+                        changed = True
     return fragments, records
 
 

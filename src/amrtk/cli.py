@@ -104,6 +104,7 @@ def cmd_align(args):
     else:
         rules = align_mod.full_rule_set(resources)
     documents = _read(args.input, corpus_mod.read_corpus)
+    truncated = 0
     for doc in documents:
         if doc.graph is None:
             raise corpus_mod.CorpusFormatError(
@@ -112,7 +113,9 @@ def cmd_align(args):
             doc.graph, _require_tokens(doc), rules,
             limit=args.max_candidates, resources=resources)
         doc.set_candidates(aset.candidates)
+        truncated += aset.truncated
     _write(args.output, corpus_mod.write_corpus, documents)
+    sys.stderr.write("truncated-sentences\t%d\n" % truncated)
     return 0
 
 

@@ -90,17 +90,16 @@ def prune_unaligned(graph, alignment):
 
 class EdgeLedger:
     """Bookkeeping for one oracle run: which gold edges are processed,
-    which gold concepts are realized as state concepts, and which gold
-    concepts were forfeited because their span was spent."""
+    which state concept stands for which gold concept, and which gold
+    concepts are settled: realized as a state concept, or forfeited
+    because their span was spent."""
 
     def __init__(self, pruned, alignment):
         self.graph = pruned
         self.edge_keys = [(r.source, r.target, r.label) for r in pruned.relations]
         self.processed = {key: False for key in self.edge_keys}
-        self.gold_to_state = {}
         self.state_to_gold = {}
-        self.realized = set()
-        self.forfeited = set()
+        self.settled = set()
         self.pending = None
         self.frag_of = {f.head: f for f in extract_fragments(pruned)}
         self.span_of = {}
@@ -121,9 +120,8 @@ class EdgeLedger:
     def heads_at(self, span):
         return [h for h in self.heads_order if self.span_of[h] == span]
 
-    def unrealized_heads_at(self, span):
-        return [h for h in self.heads_at(span)
-                if h not in self.realized and h not in self.forfeited]
+    def unsettled_heads_at(self, span):
+        return [h for h in self.heads_at(span) if h not in self.settled]
 
     def is_entity_fragment(self, head):
         return len(self.frag_of[head]) > 1
@@ -164,22 +162,20 @@ class EdgeLedger:
     # --- realization --------------------------------------------------------
 
     def same_span_parent(self, gold_id):
-        """Deepest unrealized gold parent aligned to the same span."""
+        """Deepest unsettled gold parent aligned to the same span."""
         span = self.span_of.get(gold_id)
         if span is None:
             return None
         parents = [rel.source for rel in self.graph.incoming(gold_id)
                    if self.span_of.get(rel.source) == span
-                   and rel.source not in self.realized
-                   and rel.source not in self.forfeited]
+                   and rel.source not in self.settled]
         if not parents:
             return None
         return max(parents, key=lambda h: (depth_to_root(self.graph, h),))
 
     def realize(self, gold_id, state_node):
-        self.gold_to_state[gold_id] = state_node
         self.state_to_gold[state_node] = gold_id
-        self.realized.add(gold_id)
+        self.settled.add(gold_id)
 
     def chain_closure(self, start, span):
         """Gold concepts reachable from `start` by climbing parents that
@@ -192,7 +188,7 @@ class EdgeLedger:
                 parent = rel.source
                 if parent in closure or self.span_of.get(parent) != span:
                     continue
-                if parent in self.realized or parent in self.forfeited:
+                if parent in self.settled:
                     continue
                 closure.add(parent)
                 frontier.append(parent)
@@ -203,10 +199,10 @@ class EdgeLedger:
         not reachable through the New chain can never be built, so their
         edges are marked processed to keep the run deadlock-free."""
         reachable = self.chain_closure(built, span)
-        for head in self.unrealized_heads_at(span):
+        for head in self.unsettled_heads_at(span):
             if head in reachable or head == built:
                 continue
-            self.forfeited.add(head)
+            self.settled.add(head)
             self.close_edges(head)
             logger.debug("forfeited unreachable same-span concept %s", head)
 
@@ -224,7 +220,7 @@ def oracle_action(state, ledger):
         b1 = state.b1
         if b1 is not None and b1.is_word() and span.covers(b1.span[0]):
             return Action(transition.MERGE)
-        pending = ledger.unrealized_heads_at(span)
+        pending = ledger.unsettled_heads_at(span)
         if not pending:
             raise OracleError(
                 "aligned span %s has no pending concept (state: %r)"
@@ -299,12 +295,10 @@ def _finalize(ledger, state):
             if name_node is not None:
                 ledger.realize(entity, name_node)
             else:
-                ledger.realized.add(entity)
+                ledger.settled.add(entity)
             # the name node lives inside the entity fragment and never
             # reaches the stack or buffer; edges into it are unbuildable
             ledger.close_edges(entity)
-        else:
-            ledger.realized.add(entity)
         for rel in ledger.frag_of[entity].relations:
             key = (rel.source, rel.target, rel.label)
             if key in ledger.processed:

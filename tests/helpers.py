@@ -1,13 +1,14 @@
 """Shared test utilities: random graph pairs, fixture paths, the
-reference Smatch hill-climbing, the reference matching-rule pass and the
-reference action scorer."""
+reference Smatch hill-climbing, the reference matching-rule pass, the
+reference updating fixpoint and the reference action scorer."""
 
 import importlib.util
 import itertools
 import os
 
 from amrtk.align import (
-    FUZZY_PREFIX_LEN, AlignmentContext, AlignmentRecord, Span,
+    FUZZY_PREFIX_LEN, QUANTITY_SUFFIX, UPDATING, AlignmentContext,
+    AlignmentRecord, Span,
 )
 from amrtk.graph import (
     ATTRIBUTE, ENTITY_TYPE, AmrGraph, Concept, Relation, extract_fragments,
@@ -269,6 +270,82 @@ def reference_matching_records(graph, tokens, resources=None, extended=False):
             for fragment in fragments:
                 if match(fragment, span, ctx):
                     records[fragment.head].add(AlignmentRecord(span))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# The pair predicates and the all-pairs fixpoint that the edge triggers of
+# `amrtk.align`'s updating rules replaced: each round asks every updating
+# rule about every ordered pair of distinct fragments.  Kept verbatim, but
+# for the trigger argument `derive` never read, as the test oracle for the
+# rules' triggers.
+
+def _entity_type_pair(fragment, trigger, ctx):
+    """Entity-type concept aligned to the span of its name child fragment."""
+    if len(fragment) != 1:
+        return False
+    if ctx.graph.concept(trigger.head).label != "name":
+        return False
+    return any(rel.label == ":name" and rel.target == trigger.head
+               for rel in ctx.graph.outgoing(fragment.head))
+
+
+def _minus_polarity_pair(fragment, trigger, ctx):
+    if len(fragment) != 1:
+        return False
+    if ctx.graph.concept(fragment.head).label != "-":
+        return False
+    return any(rel.label == ":polarity" and rel.source == trigger.head
+               for rel in ctx.graph.incoming(fragment.head))
+
+
+def _quantity_pair(fragment, trigger, ctx):
+    if len(fragment) != 1 or len(trigger) != 1:
+        return False
+    label = ctx.graph.concept(fragment.head).label
+    if label != "quantity" and not label.endswith(QUANTITY_SUFFIX):
+        return False
+    child = ctx.graph.concept(trigger.head)
+    if numeric_form(child.label) is None:
+        return False
+    return any(rel.label == ":quant" and rel.target == trigger.head
+               for rel in ctx.graph.outgoing(fragment.head))
+
+
+PAIR_PREDICATES = {
+    "entity-type": _entity_type_pair,
+    "minus-polarity": _minus_polarity_pair,
+    "quantity": _quantity_pair,
+}
+
+
+def reference_updating_records(graph, tokens, records, rules, resources=None):
+    """The matching `records` ({head id -> set of AlignmentRecord}) closed
+    under the updating `rules` by the all-pairs fixpoint.  A built-in rule
+    is asked through the pair predicate its triggers replaced; any other
+    rule through whether its triggers name the pair's trigger."""
+    fragments = extract_fragments(graph)
+    ctx = AlignmentContext(graph, tokens, resources)
+    records = {head: set(recs) for head, recs in records.items()}
+    updating = [(PAIR_PREDICATES.get(rule.name) or (
+        lambda f, t, ctx, _rule=rule: t.head in _rule.triggers(f, ctx)), rule)
+        for rule in rules if rule.kind == UPDATING]
+    changed = True
+    while changed:
+        changed = False
+        for pair_applies, rule in updating:
+            for fragment in fragments:
+                for trigger in fragments:
+                    if trigger.head == fragment.head:
+                        continue
+                    if not pair_applies(fragment, trigger, ctx):
+                        continue
+                    for record in list(records[trigger.head]):
+                        for span in rule.derive(fragment, record, ctx):
+                            new = AlignmentRecord(span, trigger.head, record.span)
+                            if new not in records[fragment.head]:
+                                records[fragment.head].add(new)
+                                changed = True
     return records
 
 

@@ -129,13 +129,13 @@ def test_criterion_4_algorithm_brute_force_equivalence():
     g = parse_penman("(a / aaaa :ARG0 (b / bbbb :ARG1 (c / cccc)))")
     tokens = ["aaaa", "bbbb", "cccc"]
     rules = [
-        Rule("ma", MATCHING,
+        Rule("ma", MATCHING, widths=lambda f, ctx: (1,),
              match=lambda f, s, ctx: f.head == "a" and s in (Span(0, 1), Span(1, 2))),
-        Rule("mb", MATCHING,
+        Rule("mb", MATCHING, widths=lambda f, ctx: (1,),
              match=lambda f, s, ctx: f.head == "b" and s in (Span(1, 2), Span(2, 3))),
         Rule("u", UPDATING,
-             pair_applies=lambda f, t, ctx: f.head == "c" and t.head == "b",
-             derive=lambda f, t, rec, ctx: [rec.span]),
+             triggers=lambda f, ctx: ["b"] if f.head == "c" else [],
+             derive=lambda f, rec, ctx: [rec.span]),
     ]
     cases.append((g, tokens, rules, None))
     # real rule sets over small fixture pairs (at most 4 fragments)

@@ -6,18 +6,24 @@ import pytest
 
 import amrtk.align
 from amrtk.align import (
-    MATCHING, UPDATING, AlignmentInputError, AlignmentRecord,
-    CandidateAlignment, Rule, Span, alignment_f1, base_rule_set,
-    collect_records, enumerate_alignments, extended_rule_set, full_rule_set,
-    is_legal,
+    MATCHING, UPDATING, AlignmentContext, AlignmentInputError,
+    AlignmentRecord, CandidateAlignment, Rule, Span, alignment_f1,
+    base_rule_set, collect_records, enumerate_alignments, extended_rule_set,
+    full_rule_set, is_legal,
 )
 from amrtk.corpus import read_corpus
-from amrtk.graph import parse_penman, strip_sense
+from amrtk.graph import (
+    ATTRIBUTE, ENTITY_TYPE, AmrGraph, Concept, Relation, extract_fragments,
+    parse_penman, strip_sense,
+)
 from amrtk.resources import (
     EmbeddingTable, LemmaTable, MorphLinkTable, Resources, load_embeddings,
     load_lemmas, load_morphosemantic,
 )
-from helpers import bench_module, fixture, reference_matching_records
+from helpers import (
+    bench_module, fixture, reference_matching_records,
+    reference_updating_records,
+)
 
 FIGURE_TEXT = """
 (f / freeze-01
@@ -28,6 +34,13 @@ FIGURE_TEXT = """
 """
 FIGURE_TOKENS = ("North Korea froze its nuclear actions in exchange for "
                  "two nuclear reactors .").split()
+
+
+def fixture_resources():
+    return Resources(
+        embeddings=load_embeddings(fixture("resources", "embeddings.txt")),
+        morph=load_morphosemantic(fixture("resources", "morph.tsv")),
+        lemmas=load_lemmas(fixture("resources", "lemmas.tsv")))
 
 
 def figure_resources():
@@ -255,14 +268,14 @@ def chain_trigger_case():
     def match_b(f, s, ctx):
         return f.head == "b" and s in (Span(1, 2), Span(2, 3))
 
-    def pair_cb(f, t, ctx):
-        return f.head == "c" and t.head == "b"
+    def triggers_c(f, ctx):
+        return ["b"] if f.head == "c" else []
 
     rules = [
-        Rule("ma", MATCHING, match=match_a),
-        Rule("mb", MATCHING, match=match_b),
-        Rule("u", UPDATING, pair_applies=pair_cb,
-             derive=lambda f, t, rec, ctx: [rec.span]),
+        Rule("ma", MATCHING, widths=lambda f, ctx: (1,), match=match_a),
+        Rule("mb", MATCHING, widths=lambda f, ctx: (1,), match=match_b),
+        Rule("u", UPDATING, triggers=triggers_c,
+             derive=lambda f, rec, ctx: [rec.span]),
     ]
     return g, tokens, rules
 
@@ -281,26 +294,31 @@ def test_enumeration_matches_brute_force_with_triggers():
             assert cand.span_of("c") == cand.span_of("b")
 
 
-def ordered_equivalence_cases():
-    resources = Resources(
-        morph=load_morphosemantic(fixture("resources", "morph.tsv")),
-        lemmas=load_lemmas(fixture("resources", "lemmas.tsv")))
+def overlap_trigger_case():
     # a may overlap b; c follows b onto its span, d follows a or b onto any
     # later token, so tied candidates share d's span but not its trigger
     g = parse_penman("(a / aaaa :ARG0 (b / bbbb :ARG1 (c / cccc) :ARG2 (d / dddd)))")
     tokens = ["aaaa", "bbbb", "cccc", "dddd"]
     rules = [
-        Rule("ma", MATCHING, match=lambda f, s, ctx: f.head == "a" and s in (
-            Span(0, 1), Span(1, 2), Span(0, 2))),
-        Rule("mb", MATCHING, match=lambda f, s, ctx: f.head == "b" and s in (
-            Span(1, 2), Span(2, 3))),
+        Rule("ma", MATCHING, widths=lambda f, ctx: (1, 2),
+             match=lambda f, s, ctx: f.head == "a" and s in (
+                 Span(0, 1), Span(1, 2), Span(0, 2))),
+        Rule("mb", MATCHING, widths=lambda f, ctx: (1,),
+             match=lambda f, s, ctx: f.head == "b" and s in (
+                 Span(1, 2), Span(2, 3))),
         Rule("u", UPDATING,
-             pair_applies=lambda f, t, ctx: (f.head, t.head) in (
-                 ("c", "b"), ("d", "a"), ("d", "b")),
-             derive=lambda f, t, rec, ctx: [rec.span] if f.head == "c" else [
+             triggers=lambda f, ctx: {"c": ["b"], "d": ["a", "b"]}.get(f.head, []),
+             derive=lambda f, rec, ctx: [rec.span] if f.head == "c" else [
                  Span(i, i + 1) for i in range(rec.span.start, len(ctx.tokens))]),
     ]
-    cases = [chain_trigger_case() + (None,), (g, tokens, rules, None)]
+    return g, tokens, rules
+
+
+def ordered_equivalence_cases():
+    resources = Resources(
+        morph=load_morphosemantic(fixture("resources", "morph.tsv")),
+        lemmas=load_lemmas(fixture("resources", "lemmas.tsv")))
+    cases = [chain_trigger_case() + (None,), overlap_trigger_case() + (None,)]
     for text, toks in [
         ("(s / sleep-01 :ARG0 (b / boy))", ["the", "boy", "sleeps", "."]),
         ("(s / sleep-01 :polarity - :ARG0 (sh / she))",
@@ -363,17 +381,22 @@ def test_no_legal_candidate_found_fast(boys_first, caplog):
     assert not caplog.records
 
 
-def test_trigger_dead_end_cut_before_later_fragments():
-    # x follows t only from t's second span, so t's first span is a dead
-    # end that must be dropped when t is placed, not after every placement
-    # of the eight boys between them
+def dead_end_case():
+    # x follows t only from t's second span
     boys = ["(b%d / boy)" % i for i in range(1, 9)]
     graph = and_of(["(t / tttt)"] + boys + ["(x / xylophone)"])
     tokens = ["tttt", "tttt", "xxxx"] + "the boy and".split() * 8
     rules = base_rule_set() + [Rule(
         "x-after-t", UPDATING,
-        pair_applies=lambda f, t, ctx: (f.head, t.head) == ("x", "t"),
-        derive=lambda f, t, rec, ctx: [Span(2, 3)] if rec.span == Span(1, 2) else [])]
+        triggers=lambda f, ctx: ["t"] if f.head == "x" else [],
+        derive=lambda f, rec, ctx: [Span(2, 3)] if rec.span == Span(1, 2) else [])]
+    return graph, tokens, rules
+
+
+def test_trigger_dead_end_cut_before_later_fragments():
+    # t's first span is a dead end that must be dropped when t is placed,
+    # not after every placement of the eight boys between them
+    graph, tokens, rules = dead_end_case()
     started = time.perf_counter()
     aset = enumerate_alignments(graph, tokens, rules)
     assert time.perf_counter() - started < 0.5
@@ -402,7 +425,8 @@ def rule_shape_cases():
     """(graph, tokens) pairs: every sentence of the fixture corpora and of
     the benchmark's composed corpora at seed 1 (the sentence-free graph
     fixtures take their sense-stripped labels as tokens), then names wider
-    than the sentence and one-token sentences."""
+    than the sentence, one-token sentences, dates at the bounds of their
+    widths and graphs with edges the updating rules must not follow."""
     docs = read_corpus(fixture("train_corpus.amr")) + \
         read_corpus(fixture("oracle_corpus.amr"))
     corpus_gen = bench_module("corpus_gen")
@@ -418,21 +442,84 @@ def rule_shape_cases():
                          ("(y / york-01 :quant 2)", ["York"]),
                          ("(y / york-01 :quant 2)", ["two"])]:
         cases.append((parse_penman(text), tokens))
+    full = "(d / date-entity :year 2002 :month 1 :day 5)"
+    mixed = "(d / date-entity :year 2002 :month 1 :day 5 :month 2)"
+    for text, tokens in [
+            # one full-date token for three attributes
+            (full, ["on", "2002-01-05", "."]),
+            # a month name and a year, one attribute each
+            ("(d / date-entity :month 1 :year 2002)", ["in", "January", "2002"]),
+            # a full date and a month name in one span
+            (mixed, ["from", "2002-01-05", "February", "on"]),
+            # two full dates: six attributes on the narrowest width
+            ("(d / date-entity :year 2002 :month 1 :day 5 :year 2003 "
+             ":month 2 :day 6)", ["2002-01-05", "2003-02-06"]),
+            # more attributes than the sentence has tokens
+            (full, ["2002"]),
+            (mixed, ["2002-01-05"])]:
+        cases.append((parse_penman(text), tokens))
+    for text, tokens in [
+            # a name reached by another role, or from a date
+            ('(s / see-01 :ARG1 (n / name :op1 "Mary"))', ["see", "Mary"]),
+            ('(d / date-entity :year 2002 :name (n / name :op1 "X"))',
+             ["2002", "X"]),
+            # a minus reached by another role, a quantity of no number
+            ("(s / say-01 :ARG1 -)", ["not", "say"]),
+            ("(m / monetary-quantity :quant (m2 / many))", ["many"])]:
+        cases.append((parse_penman(text), tokens))
+    # a number that is also a name's value belongs to the name fragment
+    shared = AmrGraph({"q": Concept("q", "quantity", ENTITY_TYPE),
+                       "n": Concept("n", "name", ENTITY_TYPE),
+                       "l": Concept("l", "5", ATTRIBUTE)},
+                      [Relation("q", "l", ":quant"), Relation("n", "l", ":op1"),
+                       Relation("q", "n", ":mod")], "q")
+    cases.append((shared, ["5"]))
     return cases
 
 
 @pytest.mark.parametrize("extended", [False, True])
 def test_rule_widths_give_the_guarded_reference_records(extended):
-    res = Resources(
-        embeddings=load_embeddings(fixture("resources", "embeddings.txt")),
-        morph=load_morphosemantic(fixture("resources", "morph.tsv")),
-        lemmas=load_lemmas(fixture("resources", "lemmas.tsv")))
+    res = fixture_resources()
     rules = full_rule_set(res) if extended else base_rule_set()
     matching = [r for r in rules if r.kind == MATCHING]
     for graph, tokens in rule_shape_cases():
         _, records = collect_records(graph, tokens, matching, res)
         assert records == reference_matching_records(
             graph, tokens, res, extended), tokens
+
+
+def every_span_records(graph, tokens, rules):
+    """Records of guarded matching rules, each asked about every span."""
+    ctx = AlignmentContext(graph, tokens, None)
+    spans = [Span(start, end) for start in range(len(tokens))
+             for end in range(start + 1, len(tokens) + 1)]
+    return {f.head: {AlignmentRecord(span) for rule in rules
+                     if rule.kind == MATCHING for span in spans
+                     if rule.match(f, span, ctx)}
+            for f in extract_fragments(graph)}
+
+
+def updating_reference_cases():
+    """(graph, tokens, rules, resources, every-span matching records): the
+    rule shape cases under base and full rules, then the ad-hoc trigger
+    cases."""
+    res = fixture_resources()
+    for graph, tokens in rule_shape_cases():
+        for extended in (False, True):
+            rules = full_rule_set(res) if extended else base_rule_set()
+            yield graph, tokens, rules, res, reference_matching_records(
+                graph, tokens, res, extended)
+    for graph, tokens, rules in (chain_trigger_case(), overlap_trigger_case()):
+        yield graph, tokens, rules, None, every_span_records(graph, tokens, rules)
+    graph, tokens, rules = dead_end_case()
+    yield graph, tokens, rules, None, reference_matching_records(graph, tokens)
+
+
+def test_rule_triggers_give_the_all_pairs_reference_records():
+    for graph, tokens, rules, res, matching in updating_reference_cases():
+        _, records = collect_records(graph, tokens, rules, res)
+        assert records == reference_updating_records(
+            graph, tokens, matching, rules, res), tokens
 
 
 def test_benchmark_hook_targets_exist():

@@ -126,6 +126,20 @@ def test_align_tune_oracle_bytes_pinned(tmp_path, capsys, corpus):
     assert tuple(sha256_of(path) for path in paths) == PINNED_DIGESTS[corpus]
 
 
+@pytest.mark.parametrize("limit, truncated", [("1", 1), (None, 0)])
+def test_align_reports_truncated_sentences(tmp_path, capsys, limit, truncated):
+    aligned = str(tmp_path / "aligned")
+    argv = ["align", "-i", fixture("oracle_corpus.amr"), "-o", aligned,
+            "--embeddings", RES["embeddings"], "--morph", RES["morph"],
+            "--lemmas", RES["lemmas"]]
+    if limit:
+        argv += ["--max-candidates", limit]
+    assert run_cli(capsys, *argv) == (
+        0, "", "truncated-sentences\t%d\n" % truncated)
+    if limit is None:
+        assert sha256_of(aligned) == PINNED_DIGESTS["oracle_corpus"][0]
+
+
 # sha256 of two `train` model files and their stderr logs (seed 2 holds
 # out a dev split), then of `parse` with model 1 and with both as an
 # ensemble; the compose corpora are the benchmark's workloads at seed 1

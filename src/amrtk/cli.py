@@ -72,18 +72,17 @@ def _write(path, writer, items):
 
 
 def _load_resources(args):
+    """The resources named on the `align` command line."""
     embeddings = morph = lemmas = None
-    if getattr(args, "embeddings", None):
+    if args.embeddings:
         embeddings = resources_mod.load_embeddings(_resource_path(args.embeddings))
-    if getattr(args, "morph", None):
+    if args.morph:
         morph = resources_mod.load_morphosemantic(_resource_path(args.morph))
-    if getattr(args, "lemmas", None):
+    if args.lemmas:
         lemmas = resources_mod.load_lemmas(_resource_path(args.lemmas))
-    threshold = getattr(args, "cosine_threshold", None)
-    if threshold is None:
-        threshold = resources_mod.DEFAULT_COSINE_THRESHOLD
     return resources_mod.Resources(embeddings=embeddings, morph=morph,
-                                   lemmas=lemmas, cosine_threshold=threshold)
+                                   lemmas=lemmas,
+                                   cosine_threshold=args.cosine_threshold)
 
 
 def _require_tokens(doc):
@@ -137,7 +136,8 @@ def cmd_tune(args):
         runs.append(run)
     _write(args.output, corpus_mod.write_corpus, documents)
     mean_f1 = sum(r.smatch_f1 for r in runs) / len(runs) if runs else 0.0
-    mean_actions, _ = oracle_mod.action_stats(runs) if runs else (0.0, {})
+    mean_actions = (sum(r.action_count for r in runs) / len(runs)
+                    if runs else 0.0)
     forests = sum(1 for r in runs if r.trees > 1)
     report = ("mean-oracle-smatch\t%.4f\nmean-actions\t%.2f\n"
               "forest-sentences\t%d\n" % (mean_f1, mean_actions, forests))

@@ -176,7 +176,7 @@ class _PenmanReader:
         self.tokens = tokenize_penman(text)
         self.i = 0
         self.defined = {}     # var -> label
-        self.edges = []       # (source var, role, ('var'|'atom'|'quoted', value, pos))
+        self.edges = []       # (source var, role, ('var'|'atom'|'quoted', value))
 
     def peek(self):
         if self.i >= len(self.tokens):
@@ -222,22 +222,21 @@ class _PenmanReader:
             if not tok.startswith(":"):
                 raise PenmanSyntaxError("expected a role or ')', found %r" % tok, pos)
             role = self.take()[0]
-            tok, tpos = self.peek()
-            if tok == "(":
+            if self.peek()[0] == "(":
                 # reserve the slot first so edges stay in textual order even
                 # though the child subtree is parsed before the append
                 slot = len(self.edges)
                 self.edges.append(None)
                 child = self.parse_node()
-                self.edges[slot] = (var, role, ("var", child, tpos))
+                self.edges[slot] = (var, role, ("var", child))
             else:
                 value, vpos2 = self.take()
                 if value in ")/":
                     raise PenmanSyntaxError("missing value for role %s" % role, vpos2)
                 if value.startswith('"'):
-                    self.edges.append((var, role, ("quoted", _unquote(value), vpos2)))
+                    self.edges.append((var, role, ("quoted", _unquote(value))))
                 else:
-                    self.edges.append((var, role, ("atom", value, vpos2)))
+                    self.edges.append((var, role, ("atom", value)))
 
 
 def parse_penman(text):
@@ -256,7 +255,7 @@ def parse_penman(text):
     relations = []
     # interleave definitions and literals back into appearance order
     resolved_edges = []
-    for source, role, (kind, value, pos) in reader.edges:
+    for source, role, (kind, value) in reader.edges:
         if kind == "var" or (kind == "atom" and value in reader.defined):
             resolved_edges.append((source, role, value, None))
         elif kind == "atom" and _VAR_LIKE_RE.match(value):
@@ -436,11 +435,13 @@ def _topological_order(graph):
     return order
 
 
-def bfs_depths(graph, directed=False):
-    """Breadth-first distance from the root to every concept it reaches,
-    following edges in both directions unless `directed`."""
-    depths = {graph.root: 0}
-    queue = [graph.root]
+def bfs_depths(graph, directed=False, start=None):
+    """Breadth-first distance from `start` (default: the root) to every
+    concept it reaches, following edges in both directions unless
+    `directed`."""
+    start = graph.root if start is None else start
+    depths = {start: 0}
+    queue = [start]
     for cid in queue:
         neighbors = [rel.target for rel in graph.outgoing(cid)]
         if not directed:

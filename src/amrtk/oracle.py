@@ -22,8 +22,6 @@ logger = logging.getLogger(__name__)
 
 STEP_LIMIT_FACTOR = 50
 
-HISTOGRAM_BUCKET = 10
-
 
 class OracleError(RuntimeError):
     pass
@@ -38,9 +36,11 @@ class OracleRun:
     actions: tuple
     parsed: AmrGraph
     smatch_f1: float
-    action_count: int
-    n_tokens: int
     trees: int  # source concepts of the pruned graph: the trees rebuilt
+
+    @property
+    def action_count(self):
+        return len(self.actions)
 
 
 def prune_unaligned(graph, alignment):
@@ -244,7 +244,7 @@ def oracle_action(state, ledger):
             if parent is not None:
                 ledger.pending = ("new", parent)
                 return Action(transition.NEW, pruned.concept(parent).label)
-        if s0 is not None and s0.is_concept() and gold_b0 is not None:
+        if s0 is not None and gold_b0 is not None:
             gold_s0 = ledger.state_to_gold.get(s0.node)
             if gold_s0 is not None:
                 key = ledger.unprocessed_between(gold_b0, gold_s0)
@@ -254,23 +254,15 @@ def oracle_action(state, ledger):
                         return Action(transition.LEFT, key[2])
                     return Action(transition.RIGHT, key[2])
 
-    if s0 is not None:
-        gold_s0 = ledger.state_to_gold.get(s0.node) if s0.is_concept() else None
-        pending_edges = (ledger.unprocessed_count(gold_s0)
-                         if gold_s0 is not None else 0)
-        if pending_edges > 0 and b0 is not None:
-            return Action(transition.CACHE)
-        # with the buffer empty, pending edges of s0 can no longer be built
-        if s0.is_concept() and (pending_edges == 0 or b0 is None):
-            return Action(transition.REDUCE)
-
-    if b0 is not None and b0.is_concept():
+    if s0 is None:  # b0 is a concept: the state is not terminal
         return Action(transition.SHIFT)
-
-    raise OracleError(
-        "no oracle condition matches (|sigma|=%d, |delta|=%d, |beta|=%d, "
-        "history=%s)" % (len(state.sigma), len(state.delta), len(state.beta),
-                         [str(a) for a in state.history[-5:]]))
+    gold_s0 = ledger.state_to_gold.get(s0.node)
+    pending_edges = (ledger.unprocessed_count(gold_s0)
+                     if gold_s0 is not None else 0)
+    if pending_edges > 0 and b0 is not None:
+        return Action(transition.CACHE)
+    # with the buffer empty, pending edges of s0 can no longer be built
+    return Action(transition.REDUCE)
 
 
 def _finalize(ledger, state):
@@ -326,8 +318,7 @@ def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
     score = smatch_score(parsed, graph, restarts=smatch_restarts,
                          seed=smatch_seed)
     trees = sum(1 for cid in pruned.concepts if not pruned.incoming(cid))
-    return OracleRun(tuple(state.history), parsed, score.f1,
-                     len(state.history), len(tokens), trees)
+    return OracleRun(state.history, parsed, score.f1, trees)
 
 
 def tune(tokens, graph, alignment_set, smatch_restarts=4, smatch_seed=1):
@@ -348,17 +339,3 @@ def tune(tokens, graph, alignment_set, smatch_restarts=4, smatch_seed=1):
             best_run = run
     return best, best_run
 
-
-def action_stats(runs):
-    """Mean action count plus a sentence-length-bucketed histogram."""
-    runs = list(runs)
-    if not runs:
-        raise StatsError("no oracle runs to summarize")
-    mean = sum(run.action_count for run in runs) / len(runs)
-    histogram = {}
-    for run in runs:
-        bucket = (run.n_tokens // HISTOGRAM_BUCKET) * HISTOGRAM_BUCKET
-        histogram.setdefault(bucket, []).append(run.action_count)
-    summary = {bucket: (len(counts), sum(counts) / len(counts))
-               for bucket, counts in sorted(histogram.items())}
-    return mean, summary

@@ -75,10 +75,9 @@ def encode_state(state, pos_tags=None):
         if item is None:
             return None, None, None
         word = item.surface.lower()
-        label = state.concept_label(item.node) if item.is_concept() else word
+        label = state.labels[item.node] if item.is_concept() else word
         tag = None
-        if pos_tags is not None and item.span is not None \
-                and item.span[0] < len(pos_tags):
+        if pos_tags is not None and item.span[0] < len(pos_tags):
             tag = pos_tags[item.span[0]]
         return label, word, tag
 
@@ -430,21 +429,20 @@ def decode(model, tokens, pos=None, lemma_table=None):
                              lemma_table)
         state = apply(state, action)
         steps += 1
-    return DecodeResult(extract_graph(state, force=True), state.history,
-                        warning)
+    return DecodeResult(extract_graph(state), state.history, warning)
 
 
 def _drain(state):
+    """Drop the buffer's words, shift its concepts, then empty the stack:
+    a terminal state from any state."""
     while not is_terminal(state):
-        tags = legal_actions(state)
-        if state.b0 is not None and state.b0.is_word():
-            state = apply(state, Action(transition.DROP))
-        elif transition.SHIFT in tags:
-            state = apply(state, Action(transition.SHIFT))
-        elif transition.REDUCE in tags:
-            state = apply(state, Action(transition.REDUCE))
+        if state.b0 is None:
+            tag = transition.REDUCE
+        elif state.b0.is_word():
+            tag = transition.DROP
         else:
-            break
+            tag = transition.SHIFT
+        state = apply(state, Action(tag))
     return state
 
 

@@ -5,18 +5,23 @@ A state is (sigma, delta, beta, arcs): a stack of processed items, a
 deque of stack items set aside to be pushed back, a buffer of unprocessed
 items and the growing arc set.  The first five actions derive concepts
 from words; Left/Right build arcs; Cache/Shift/Reduce move items.
+
+Each concept is its creation index: `labels[i]` is the label of concept
+i, an item holds the index of its concept in `node` (None for a word),
+and an arc is a (head, role, dependent) triple of indices.  SHIFT alone
+pushes onto sigma (the deque, then b0, which must be a concept), and
+CACHE alone fills the deque (from sigma's top), so sigma and delta hold
+concepts alone; each concept lives in exactly one item.
 """
 
 import re
 from dataclasses import dataclass, replace
 
 from .graph import (
-    ATTRIBUTE, CONSTANT, AmrGraph, Concept, Relation, classify_label,
+    ATTRIBUTE, CONSTANT, AmrGraph, Concept, Relation, bfs_depths,
+    classify_label,
 )
 from .surface import date_attributes, entity_name_pieces
-
-WORD = "word"
-CONCEPT = "concept"
 
 DROP = "DROP"
 MERGE = "MERGE"
@@ -76,16 +81,15 @@ def parse_action(text):
 
 @dataclass(frozen=True)
 class StackItem:
-    kind: str            # WORD or CONCEPT
-    span: tuple          # (start, end) token span of origin, or None
-    node: str = None     # concept id for CONCEPT items
-    surface: str = ""    # joined surface form
+    span: tuple          # (start, end) token span of origin
+    surface: str         # joined surface form
+    node: int = None     # index of the item's concept; None for a word
 
     def is_word(self):
-        return self.kind == WORD
+        return self.node is None
 
     def is_concept(self):
-        return self.kind == CONCEPT
+        return self.node is not None
 
 
 @dataclass(frozen=True)
@@ -93,10 +97,9 @@ class ParserState:
     sigma: tuple
     delta: tuple
     beta: tuple
-    arcs: tuple                  # (head id, role, dependent id), creation order
-    concepts: tuple              # (id, label) pairs, creation order
+    arcs: tuple                  # (head, role, dependent) nodes, creation order
+    labels: tuple                # concept labels; a concept's node is its index
     tokens: tuple
-    counter: int = 0
     history: tuple = ()
 
     @property
@@ -111,19 +114,12 @@ class ParserState:
     def b1(self):
         return self.beta[1] if len(self.beta) > 1 else None
 
-    def concept_label(self, node):
-        for nid, label in self.concepts:
-            if nid == node:
-                return label
-        raise StateError("unknown node %r" % node)
-
 
 def initial_state(tokens):
     if not tokens:
         raise TransitionError("token list may not be empty")
-    beta = tuple(StackItem(WORD, (i, i + 1), surface=token)
-                 for i, token in enumerate(tokens))
-    return ParserState(sigma=(), delta=(), beta=beta, arcs=(), concepts=(),
+    beta = tuple(StackItem((i, i + 1), token) for i, token in enumerate(tokens))
+    return ParserState(sigma=(), delta=(), beta=beta, arcs=(), labels=(),
                        tokens=tuple(tokens))
 
 
@@ -146,19 +142,14 @@ def legal_actions(state):
     if b0 is not None and b0.is_concept():
         legal.add(NEW)
         legal.add(SHIFT)
-        if s0 is not None and s0.is_concept():
+        if s0 is not None:
             legal.add(LEFT)
             legal.add(RIGHT)
-    if s0 is not None and b0 is not None:
-        legal.add(CACHE)
-    if s0 is not None and s0.is_concept():
+    if s0 is not None:
         legal.add(REDUCE)
+        if b0 is not None:
+            legal.add(CACHE)
     return legal
-
-
-def _new_node(state, label):
-    node = "n%d" % state.counter
-    return node, state.counter + 1, state.concepts + ((node, label),)
 
 
 def apply(state, action):
@@ -175,31 +166,24 @@ def apply(state, action):
 
     if action.tag == MERGE:
         b1 = state.b1
-        merged = StackItem(WORD, (b0.span[0], b1.span[1]),
-                           surface=b0.surface + "_" + b1.surface)
+        merged = StackItem((b0.span[0], b1.span[1]),
+                           b0.surface + "_" + b1.surface)
         return replace(state, beta=(merged,) + state.beta[2:], history=history)
 
-    if action.tag == CONFIRM:
-        node, counter, concepts = _new_node(state, action.label)
-        item = StackItem(CONCEPT, b0.span, node=node, surface=b0.surface)
-        return replace(state, beta=(item,) + state.beta[1:], concepts=concepts,
-                       counter=counter, history=history)
+    if action.tag in (CONFIRM, NEW):
+        # CONFIRM derives the word at b0; NEW pushes a concept before b0
+        item = StackItem(b0.span, b0.surface, len(state.labels))
+        rest = state.beta[1:] if action.tag == CONFIRM else state.beta
+        return replace(state, beta=(item,) + rest,
+                       labels=state.labels + (action.label,), history=history)
 
     if action.tag == ENTITY:
         return _apply_entity(state, action, history)
-
-    if action.tag == NEW:
-        node, counter, concepts = _new_node(state, action.label)
-        item = StackItem(CONCEPT, b0.span, node=node, surface=b0.surface)
-        return replace(state, beta=(item,) + state.beta, concepts=concepts,
-                       counter=counter, history=history)
 
     if action.tag in RELATION_ACTIONS:
         arc = new_arc(state, action)
         if arc is None:
             raise TransitionError("%s duplicates an arc of the state" % action)
-        if arc[0] == arc[2]:
-            raise TransitionError("self-loop arc on %r" % arc[0])
         return replace(state, arcs=state.arcs + (arc,), history=history)
 
     if action.tag == CACHE:
@@ -231,36 +215,27 @@ def _apply_entity(state, action, history):
     internal fragment built from the span's surface tokens."""
     b0 = state.b0
     head_label = action.label
-    counter = state.counter
-    concepts = state.concepts
-    arcs = state.arcs
-    span_tokens = list(state.tokens[b0.span[0]:b0.span[1]])
+    head = len(state.labels)
+    labels = list(state.labels) + [head_label]
+    arcs = list(state.arcs)
+    span_tokens = state.tokens[b0.span[0]:b0.span[1]]
 
-    def make(label):
-        nonlocal counter, concepts
-        node = "n%d" % counter
-        counter += 1
-        concepts = concepts + ((node, label),)
-        return node
+    def attach(parent, role, label):
+        """A new concept under `parent`: its node."""
+        arcs.append((parent, role, len(labels)))
+        labels.append(label)
+        return len(labels) - 1
 
-    head = make(head_label)
     if head_label == "date-entity":
-        for role, value, quoted in date_attributes(span_tokens):
-            child = make(value)
-            arcs = arcs + ((head, role, child),)
-    elif head_label == "name":
-        for i, piece in enumerate(entity_name_pieces(span_tokens), start=1):
-            child = make(piece)
-            arcs = arcs + ((head, ":op%d" % i, child),)
+        for role, value, _ in date_attributes(span_tokens):
+            attach(head, role, value)
     else:
-        name_node = make("name")
-        arcs = arcs + ((head, ":name", name_node),)
+        name = head if head_label == "name" else attach(head, ":name", "name")
         for i, piece in enumerate(entity_name_pieces(span_tokens), start=1):
-            child = make(piece)
-            arcs = arcs + ((name_node, ":op%d" % i, child),)
-    item = StackItem(CONCEPT, b0.span, node=head, surface=b0.surface)
-    return replace(state, beta=(item,) + state.beta[1:], arcs=arcs,
-                   concepts=concepts, counter=counter, history=history)
+            attach(name, ":op%d" % i, piece)
+    item = StackItem(b0.span, b0.surface, head)
+    return replace(state, beta=(item,) + state.beta[1:], arcs=tuple(arcs),
+                   labels=tuple(labels), history=history)
 
 
 _NUMERIC_RE = re.compile(r"^-?\d+(\.\d+)?$")
@@ -274,45 +249,52 @@ def _built_kind(label, under_name, under_date):
     return classify_label(label)
 
 
-def extract_graph(state, force=False):
+def extract_graph(state):
     """Read the derived graph out of a terminal state.
 
-    The root is the unique concept without incoming arcs; several such
-    concepts hang off a synthetic multi-sentence root instead.
+    Concept i is named n<i>.  The roots are the source concepts (those
+    without incoming arcs) in creation order, then, in creation order,
+    each concept that no earlier root reaches, such as one on a cycle
+    without a source.  A single root is the graph's root; several hang
+    off a synthetic multi-sentence root.
     """
-    if not is_terminal(state) and not force:
+    if not is_terminal(state):
         raise StateError("cannot extract a graph from a non-terminal state")
-    if not state.concepts:
+    labels = state.labels
+    if not labels:
         empty = Concept("n0", EMPTY_GRAPH_LABEL, classify_label(EMPTY_GRAPH_LABEL))
         return AmrGraph({"n0": empty}, [], "n0")
 
     name_children = set()
     date_children = set()
-    heads_of = {}
     for head, role, dep in state.arcs:
-        heads_of.setdefault(dep, []).append(head)
-    label_of = dict(state.concepts)
-    for head, role, dep in state.arcs:
-        if label_of.get(head) == "name" and role.startswith(":op"):
+        if labels[head] == "name" and role.startswith(":op"):
             name_children.add(dep)
-        if label_of.get(head) == "date-entity":
+        if labels[head] == "date-entity":
             date_children.add(dep)
 
+    ids = ["n%d" % node for node in range(len(labels))]
     concepts = {}
-    for node, label in state.concepts:
+    for node, label in enumerate(labels):
         kind = _built_kind(label, node in name_children, node in date_children)
-        concepts[node] = Concept(node, label, kind)
-    relations = [Relation(head, dep, role) for head, role, dep in state.arcs]
+        concepts[ids[node]] = Concept(ids[node], label, kind)
+    relations = [Relation(ids[head], ids[dep], role)
+                 for head, role, dep in state.arcs]
 
-    roots = [node for node, _ in state.concepts if node not in heads_of]
-    if not roots:
-        roots = [state.concepts[0][0]]
+    dependents = {dep for _, _, dep in state.arcs}
+    sources = [ids[node] for node in range(len(labels)) if node not in dependents]
+    graph = AmrGraph(concepts, relations, (sources or ids)[0])
+    roots = []
+    reached = set()
+    for node in sources + ids:
+        if node not in reached:
+            roots.append(node)
+            reached.update(bfs_depths(graph, directed=True, start=node))
     if len(roots) == 1:
-        root = roots[0]
-    else:
-        root = "nroot"
-        concepts = {root: Concept(root, MULTI_ROOT_LABEL,
-                                  classify_label(MULTI_ROOT_LABEL)), **concepts}
-        for i, node in enumerate(roots, start=1):
-            relations.append(Relation(root, node, ":snt%d" % i))
+        return graph
+    root = "nroot"
+    concepts = {root: Concept(root, MULTI_ROOT_LABEL,
+                              classify_label(MULTI_ROOT_LABEL)), **concepts}
+    for i, node in enumerate(roots, start=1):
+        relations.append(Relation(root, node, ":snt%d" % i))
     return AmrGraph(concepts, relations, root)

@@ -220,6 +220,37 @@ def test_tune_writes_metadata_and_report(tmp_path, capsys):
     assert lines[2] == "forest-sentences\t0"
 
 
+HAND_COUNTED_CORPUS = """# ::id hand-1
+# ::tok boy sleep
+(s / sleep-01 :ARG0 (b / boy))
+
+# ::id hand-2
+# ::tok sleep
+(s / sleep-01)
+
+# ::id hand-3
+# ::tok boy
+(b / boy)
+"""
+
+
+def test_tune_report_mean_actions_hand_summed(tmp_path, capsys):
+    # CONFIRM SHIFT CONFIRM LEFT REDUCE SHIFT REDUCE, then CONFIRM SHIFT
+    # REDUCE twice: (7 + 3 + 3) / 3 actions
+    source = tmp_path / "hand.amr"
+    source.write_text(HAND_COUNTED_CORPUS, encoding="utf-8")
+    aligned, tuned, report = (
+        str(tmp_path / name) for name in ("aligned", "tuned", "report"))
+    assert run_cli(capsys, "align", "-i", str(source), "-o", aligned,
+                   "--base-only")[0] == 0
+    assert run_cli(capsys, "tune", "-i", aligned, "-o", tuned,
+                   "--report", report)[0] == 0
+    counts = [int(line.split()[-1]) for line in read_text(tuned).splitlines()
+              if line.startswith("# ::oracle-actions ")]
+    assert counts == [7, 3, 3]
+    assert read_text(report).splitlines()[1] == "mean-actions\t%.2f" % (13 / 3)
+
+
 AND_CORPUS = """# ::id and-1
 # ::tok the boy sleeps , the girl rests .
 (a / and

@@ -5,9 +5,7 @@ from amrtk.align import (
     base_rule_set, enumerate_alignments, full_rule_set,
 )
 from amrtk.graph import parse_penman, serialize_penman
-from amrtk.oracle import (
-    StatsError, action_stats, oracle_run, prune_unaligned, tune,
-)
+from amrtk.oracle import oracle_run, prune_unaligned, tune
 from amrtk.resources import LemmaTable, MorphLinkTable, Resources
 from amrtk.smatch import smatch_score
 from amrtk.transition import apply, extract_graph, initial_state, is_terminal
@@ -328,28 +326,3 @@ def test_oracle_nothing_aligned_drops_every_word():
     assert [a.tag for a in run.actions] == ["DROP"] * len(tokens)
     assert run.trees == 0
     assert run.smatch_f1 == 0.0
-
-
-def test_action_stats():
-    g = parse_penman("(s / sleep-01)")
-    cand = candidate(g, ["sleep"], {"s": (0, 1)})
-    run3 = oracle_run(["sleep"], g, cand)
-    mean, histogram = action_stats([run3, run3])
-    assert mean == 3.0
-    assert histogram[0] == (2, 3.0)
-    mean_single, _ = action_stats([run3])
-    assert mean_single == run3.action_count
-    with pytest.raises(StatsError):
-        action_stats([])
-
-
-def test_stats_mean_hand_summed():
-    g = parse_penman("(s / sleep-01 :ARG0 (b / boy))")
-    tokens = ["boy", "sleeps"]
-    cand = candidate(g, tokens, {"s": (1, 2), "b": (0, 1)})
-    run_a = oracle_run(tokens, g, cand)
-    g2 = parse_penman("(s / sleep-01)")
-    cand2 = candidate(g2, ["sleep"], {"s": (0, 1)})
-    run_b = oracle_run(["sleep"], g2, cand2)
-    mean, _ = action_stats([run_a, run_b])
-    assert mean == pytest.approx((run_a.action_count + run_b.action_count) / 2)

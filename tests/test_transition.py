@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
+from amrtk.graph import parse_penman, serialize_penman
+from amrtk.parser import _drain
 from amrtk.smatch import smatch_score
 from amrtk.transition import (
-    CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE, NEW, REDUCE, RIGHT, SHIFT,
-    Action, StateError, TransitionError, apply, extract_graph,
-    initial_state, is_terminal, legal_actions, new_arc, parse_action,
+    BARE_ACTIONS, CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE, NEW, REDUCE,
+    RELATION_ACTIONS, RIGHT, SHIFT, Action, StateError, TransitionError,
+    apply, extract_graph, initial_state, is_terminal, legal_actions, new_arc,
+    parse_action,
 )
 
 FIGURE_TOKENS = ("North Korea froze its nuclear actions in exchange for "
@@ -79,7 +84,7 @@ def test_confirm_derives_concept():
     s = initial_state(["sleep"])
     s = apply(s, Action(CONFIRM, "sleep-01"))
     assert s.b0.is_concept()
-    assert s.concept_label(s.b0.node) == "sleep-01"
+    assert s.labels[s.b0.node] == "sleep-01"
     assert s.b0.span == (0, 1)
 
 
@@ -87,8 +92,8 @@ def test_entity_builds_internal_fragment():
     s = initial_state(["North", "Korea"])
     s = run(s, Action(MERGE), Action(ENTITY, "country"))
     assert s.b0.is_concept()
-    assert s.concept_label(s.b0.node) == "country"
-    labels = dict(s.concepts)
+    assert s.labels[s.b0.node] == "country"
+    labels = s.labels
     roles = [(labels[h], role, labels[d]) for h, role, d in s.arcs]
     assert ("country", ":name", "name") in roles
     assert ("name", ":op1", "North") in roles
@@ -98,7 +103,7 @@ def test_entity_builds_internal_fragment():
 def test_entity_date():
     s = initial_state(["2002-01-05"])
     s = apply(s, Action(ENTITY, "date-entity"))
-    labels = dict(s.concepts)
+    labels = s.labels
     roles = sorted((role, labels[d]) for _, role, d in s.arcs)
     assert roles == [(":day", "5"), (":month", "1"), (":year", "2002")]
 
@@ -107,8 +112,8 @@ def test_new_pushes_to_front():
     s = initial_state(["Koreans"])
     s = run(s, Action(CONFIRM, "country"), Action(NEW, "person"))
     assert len(s.beta) == 2
-    assert s.concept_label(s.beta[0].node) == "person"
-    assert s.concept_label(s.beta[1].node) == "country"
+    assert s.labels[s.beta[0].node] == "person"
+    assert s.labels[s.beta[1].node] == "country"
     # the new concept inherits the span of its trigger
     assert s.beta[0].span == s.beta[1].span
 
@@ -180,6 +185,25 @@ def test_extract_multi_root_repair():
     assert len(g.outgoing(g.root)) == 2
 
 
+def test_extract_roots_a_sourceless_cycle_beside_a_tree():
+    # p and q point at each other, so only r is a source; the cycle is
+    # rooted at its first concept, p
+    actions = "CONFIRM(p) SHIFT CONFIRM(q) RIGHT(:ARG0) LEFT(:ARG1) SHIFT " \
+              "CONFIRM(r) SHIFT REDUCE REDUCE REDUCE"
+    s = run(initial_state(["a", "b", "c"]),
+            *(parse_action(text) for text in actions.split()))
+    assert is_terminal(s)
+    g = extract_graph(s)
+    assert [(r.source, r.label, r.target) for r in g.outgoing(g.root)] == [
+        ("nroot", ":snt1", "n2"), ("nroot", ":snt2", "n0")]
+    assert serialize_penman(g) == (
+        "(c0 / multi-sentence\n"
+        "    :snt1 (c1 / r)\n"
+        "    :snt2 (c2 / p\n"
+        "        :ARG0 (c3 / q\n"
+        "            :ARG1 c2)))")
+
+
 def test_extract_all_dropped():
     s = initial_state(["uh"])
     s = apply(s, Action(DROP))
@@ -194,7 +218,6 @@ def test_small_derivation_smatch():
     s = run(initial_state(["boy", "runs"]), *gold_actions)
     assert is_terminal(s)
     g = extract_graph(s)
-    from amrtk.graph import parse_penman
     gold = parse_penman("(r / run-01 :ARG0 (b / boy))")
     assert smatch_score(g, gold).f1 == pytest.approx(1.0)
 
@@ -219,3 +242,57 @@ def test_states_are_values():
     assert s2.b0.is_concept()
     assert s.history == ()
     assert s2.history == (Action(CONFIRM, "boy"),)
+
+
+WALK_WORDS = ("x", "y", "Korea", "North-Korea", "2002-01-05", "7")
+WALK_LABELS = ("a", "b", "name", "date-entity", "person", "1", "-")
+WALK_ROLES = (":ARG0", ":ARG1", ":mod")
+
+
+def random_walk(rng, max_steps=30):
+    """States of one seeded walk of legal actions, each with the action
+    that led to it (None for the initial state)."""
+    tokens = [rng.choice(WALK_WORDS) for _ in range(rng.randint(1, 6))]
+    state = initial_state(tokens)
+    walk = [(None, state)]
+    while not is_terminal(state) and len(walk) <= max_steps:
+        tag = rng.choice(sorted(legal_actions(state)))
+        if tag in RELATION_ACTIONS:
+            roles = [role for role in WALK_ROLES
+                     if new_arc(state, Action(tag, role)) is not None]
+            if not roles:
+                continue
+            action = Action(tag, rng.choice(roles))
+        elif tag in BARE_ACTIONS:
+            action = Action(tag)
+        else:
+            action = Action(tag, rng.choice(WALK_LABELS))
+        state = apply(state, action)
+        walk.append((action, state))
+    return walk
+
+
+def test_random_walks_keep_the_state_invariants():
+    rng = random.Random(11)
+    steps = 0
+    for _ in range(300):
+        before = None
+        for action, s in random_walk(rng):
+            # sigma and delta hold only concepts
+            assert all(item.is_concept() for item in s.sigma + s.delta)
+            # each concept lives in one item, under its index in labels
+            nodes = [item.node for item in s.sigma + s.delta + s.beta
+                     if item.is_concept()]
+            assert len(nodes) == len(set(nodes))
+            assert all(0 <= node < len(s.labels) for node in nodes)
+            if action is not None and action.tag in (CONFIRM, NEW, ENTITY):
+                assert s.b0.node == len(before.labels)
+                assert s.labels[s.b0.node] == action.label
+                assert s.labels[:len(before.labels)] == before.labels
+            # no arc joins a node to itself
+            assert all(head != dep and 0 <= head < len(s.labels)
+                       and 0 <= dep < len(s.labels) for head, _, dep in s.arcs)
+            assert is_terminal(_drain(s))
+            before = s
+            steps += 1
+    assert steps > 3000

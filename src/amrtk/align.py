@@ -69,9 +69,6 @@ class CandidateAlignment:
         self.tokens = tuple(tokens)
         self.choices = dict(choices)  # head id -> AlignmentRecord
 
-    def record(self, head):
-        return self.choices.get(head)
-
     def span_of(self, head):
         rec = self.choices.get(head)
         return rec.span if rec else None

@@ -35,10 +35,6 @@ class CorpusDocument:
         return self.metadata.get("id")
 
     @property
-    def snt(self):
-        return self.metadata.get("snt")
-
-    @property
     def tokens(self):
         if "tok" in self.metadata:
             return self.metadata["tok"].split()
@@ -127,9 +123,10 @@ def parse_alignment(text, graph, tokens):
 
 def read_blocks(source):
     """(metadata, body lines) for each blank-line-separated block of a
-    path, stream or string.  `# ::key value` lines are metadata; other
-    `#` lines are comments and are skipped."""
-    if isinstance(source, str) and "\n" not in source:
+    path, stream or string.  A string is text when it is empty or holds a
+    newline, else a path.  `# ::key value` lines are metadata; other `#`
+    lines are comments and are skipped."""
+    if isinstance(source, str) and source and "\n" not in source:
         with open(source, encoding="utf-8") as handle:
             return read_blocks(handle)
     if isinstance(source, str):

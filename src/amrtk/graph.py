@@ -321,7 +321,9 @@ def serialize_penman(graph, indent=4):
         for rel in graph.outgoing(cid):
             target = graph.concept(rel.target)
             if target.kind in LITERAL_KINDS:
-                value = _render_atom(target.label, target.kind == CONSTANT)
+                # a variable-shaped bare value would read back as a reference
+                value = _render_atom(target.label, target.kind == CONSTANT
+                                     or bool(_VAR_LIKE_RE.match(target.label)))
             elif rel.target in defined:
                 value = name_of(rel.target)
             else:

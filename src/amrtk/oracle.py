@@ -4,8 +4,11 @@ Given a gold graph and one candidate alignment, the oracle emits the
 action sequence that rebuilds the best achievable graph: unaligned
 concepts are pruned first, which may leave a forest, then conditions are
 checked in a fixed order to pick each action until every tree is built.
-The tuner runs the oracle over every candidate and keeps the
-highest-scoring one, breaking ties by the smaller action count.
+An `EdgeLedger` holds the gold edges still open and the gold concept each
+built node stands for.  A concept is its creation index, so the oracle
+records the node an action creates, and the edge it builds, when it
+picks the action.  The tuner runs the oracle over every candidate and
+keeps the highest-scoring one, breaking ties by the smaller action count.
 """
 
 import logging
@@ -89,18 +92,22 @@ def prune_unaligned(graph, alignment):
 
 
 class EdgeLedger:
-    """Bookkeeping for one oracle run: which gold edges are processed,
-    which state concept stands for which gold concept, and which gold
-    concepts are settled: realized as a state concept, or forfeited
-    because their span was spent."""
+    """Bookkeeping for one oracle run.
+
+    `open_edges` holds the gold edges still to be built, keyed (source,
+    target, role) in the pruned graph's relation order; an edge leaves it
+    when it is built or can no longer be.  `state_to_gold` maps each
+    built node to the gold concept it stands for, and `settled` holds the
+    gold concepts realized as a node or forfeited because their span was
+    spent.  Both are recorded when the oracle picks the action that
+    builds the concept."""
 
     def __init__(self, pruned, alignment):
         self.graph = pruned
-        self.edge_keys = [(r.source, r.target, r.label) for r in pruned.relations]
-        self.processed = {key: False for key in self.edge_keys}
+        self.open_edges = dict.fromkeys(
+            (r.source, r.target, r.label) for r in pruned.relations)
         self.state_to_gold = {}
         self.settled = set()
-        self.pending = None
         self.frag_of = {f.head: f for f in extract_fragments(pruned)}
         self.span_of = {}
         self.order = pruned.addresses()
@@ -117,14 +124,9 @@ class EdgeLedger:
                 return self.span_of[head]
         return None
 
-    def heads_at(self, span):
-        return [h for h in self.heads_order if self.span_of[h] == span]
-
     def unsettled_heads_at(self, span):
-        return [h for h in self.heads_at(span) if h not in self.settled]
-
-    def is_entity_fragment(self, head):
-        return len(self.frag_of[head]) > 1
+        return [h for h in self.heads_order
+                if self.span_of[h] == span and h not in self.settled]
 
     def entity_wrapper(self, entity_head, candidates):
         """The entity-type concept holding a :name edge to this fragment,
@@ -134,30 +136,25 @@ class EdgeLedger:
                 return rel.source
         return None
 
-    # --- edge bookkeeping ---------------------------------------------------
+    # --- open edges ---------------------------------------------------------
 
-    def unprocessed_count(self, gold_id):
-        return sum(1 for key in self.edge_keys
-                   if not self.processed[key] and gold_id in (key[0], key[1]))
+    def has_open_edge(self, gold_id):
+        return any(gold_id in key[:2] for key in self.open_edges)
 
-    def unprocessed_between(self, gold_b0, gold_s0):
-        """First unprocessed edge between the two concepts; b0-headed
-        edges (Left) are preferred when both directions exist."""
+    def open_edge_between(self, gold_b0, gold_s0):
+        """First open edge between the two concepts; b0-headed edges
+        (Left) are preferred when both directions exist."""
         for source, target in ((gold_b0, gold_s0), (gold_s0, gold_b0)):
-            for key in self.edge_keys:
-                if key[0] == source and key[1] == target and not self.processed[key]:
+            for key in self.open_edges:
+                if key[0] == source and key[1] == target:
                     return key
         return None
 
-    def mark_processed(self, key):
-        self.processed[key] = True
-
     def close_edges(self, gold_id):
-        """Mark every edge of a concept processed: edges that can no
-        longer be built."""
-        for key in self.edge_keys:
-            if gold_id in (key[0], key[1]):
-                self.processed[key] = True
+        """Close every open edge of a concept: edges that can no longer
+        be built."""
+        for key in [key for key in self.open_edges if gold_id in key[:2]]:
+            del self.open_edges[key]
 
     # --- realization --------------------------------------------------------
 
@@ -171,7 +168,7 @@ class EdgeLedger:
                    and rel.source not in self.settled]
         if not parents:
             return None
-        return max(parents, key=lambda h: (depth_to_root(self.graph, h),))
+        return max(parents, key=lambda h: depth_to_root(self.graph, h))
 
     def realize(self, gold_id, state_node):
         self.state_to_gold[state_node] = gold_id
@@ -197,7 +194,7 @@ class EdgeLedger:
     def forfeit_outside_chain(self, built, span):
         """A span is spent once its words are consumed; same-span heads
         not reachable through the New chain can never be built, so their
-        edges are marked processed to keep the run deadlock-free."""
+        edges are closed to keep the run deadlock-free."""
         reachable = self.chain_closure(built, span)
         for head in self.unsettled_heads_at(span):
             if head in reachable or head == built:
@@ -208,10 +205,12 @@ class EdgeLedger:
 
 
 def oracle_action(state, ledger):
-    """Pick the next action by checking the oracle conditions in order."""
+    """Pick the next action by checking the oracle conditions in order,
+    and record in the ledger the concepts and edges it builds."""
     pruned = ledger.graph
     b0 = state.b0
     s0 = state.s0
+    node = len(state.labels)  # the node CONFIRM, NEW or ENTITY creates
 
     if b0 is not None and b0.is_word():
         span = ledger.covering_span(b0.span[0])
@@ -225,78 +224,53 @@ def oracle_action(state, ledger):
             raise OracleError(
                 "aligned span %s has no pending concept (state: %r)"
                 % (span, state.history[-3:]))
-        entity_heads = [h for h in pending if ledger.is_entity_fragment(h)]
+        entity_heads = [h for h in pending if len(ledger.frag_of[h]) > 1]
         if len(entity_heads) == 1:
             entity = entity_heads[0]
             wrapper = ledger.entity_wrapper(entity, set(pending))
             top = wrapper if wrapper is not None else entity
-            ledger.pending = ("entity", top, entity, span)
-            return Action(transition.ENTITY, pruned.concept(top).label)
+            label = pruned.concept(top).label
+            ledger.realize(top, node)
+            if top != entity:
+                if label in ("name", "date-entity"):
+                    ledger.settled.add(entity)
+                else:  # _apply_entity builds the name right after its head
+                    ledger.realize(entity, node + 1)
+                # the name node lives inside the entity fragment and never
+                # reaches the stack or buffer; edges into it are unbuildable
+                ledger.close_edges(entity)
+            for rel in ledger.frag_of[entity].relations:
+                ledger.open_edges.pop((rel.source, rel.target, rel.label), None)
+            ledger.forfeit_outside_chain(top, span)
+            return Action(transition.ENTITY, label)
         chosen = max(pending,
                      key=lambda h: (depth_to_root(pruned, h), -ledger.order[h]))
-        ledger.pending = ("confirm", chosen, span)
+        ledger.realize(chosen, node)
+        ledger.forfeit_outside_chain(chosen, span)
         return Action(transition.CONFIRM, pruned.concept(chosen).label)
 
+    # every concept on the stack or buffer was realized when it was built
     if b0 is not None and b0.is_concept():
-        gold_b0 = ledger.state_to_gold.get(b0.node)
-        if gold_b0 is not None:
-            parent = ledger.same_span_parent(gold_b0)
-            if parent is not None:
-                ledger.pending = ("new", parent)
-                return Action(transition.NEW, pruned.concept(parent).label)
-        if s0 is not None and gold_b0 is not None:
-            gold_s0 = ledger.state_to_gold.get(s0.node)
-            if gold_s0 is not None:
-                key = ledger.unprocessed_between(gold_b0, gold_s0)
-                if key is not None:
-                    ledger.mark_processed(key)
-                    if key[0] == gold_b0:
-                        return Action(transition.LEFT, key[2])
-                    return Action(transition.RIGHT, key[2])
+        gold_b0 = ledger.state_to_gold[b0.node]
+        parent = ledger.same_span_parent(gold_b0)
+        if parent is not None:
+            ledger.realize(parent, node)
+            return Action(transition.NEW, pruned.concept(parent).label)
+        if s0 is not None:
+            key = ledger.open_edge_between(gold_b0,
+                                           ledger.state_to_gold[s0.node])
+            if key is not None:
+                del ledger.open_edges[key]
+                if key[0] == gold_b0:
+                    return Action(transition.LEFT, key[2])
+                return Action(transition.RIGHT, key[2])
 
     if s0 is None:  # b0 is a concept: the state is not terminal
         return Action(transition.SHIFT)
-    gold_s0 = ledger.state_to_gold.get(s0.node)
-    pending_edges = (ledger.unprocessed_count(gold_s0)
-                     if gold_s0 is not None else 0)
-    if pending_edges > 0 and b0 is not None:
+    if b0 is not None and ledger.has_open_edge(ledger.state_to_gold[s0.node]):
         return Action(transition.CACHE)
-    # with the buffer empty, pending edges of s0 can no longer be built
+    # with the buffer empty, open edges of s0 can no longer be built
     return Action(transition.REDUCE)
-
-
-def _finalize(ledger, state):
-    """Register the concepts created by the action just applied."""
-    if ledger.pending is None:
-        return
-    kind = ledger.pending[0]
-    if kind == "confirm":
-        _, gold, span = ledger.pending
-        ledger.realize(gold, state.b0.node)
-        ledger.forfeit_outside_chain(gold, span)
-    elif kind == "new":
-        _, gold = ledger.pending
-        ledger.realize(gold, state.b0.node)
-    elif kind == "entity":
-        _, top, entity, span = ledger.pending
-        head_node = state.b0.node
-        ledger.realize(top, head_node)
-        if top != entity:
-            name_node = next((dep for head, role, dep in state.arcs
-                              if head == head_node and role == ":name"), None)
-            if name_node is not None:
-                ledger.realize(entity, name_node)
-            else:
-                ledger.settled.add(entity)
-            # the name node lives inside the entity fragment and never
-            # reaches the stack or buffer; edges into it are unbuildable
-            ledger.close_edges(entity)
-        for rel in ledger.frag_of[entity].relations:
-            key = (rel.source, rel.target, rel.label)
-            if key in ledger.processed:
-                ledger.mark_processed(key)
-        ledger.forfeit_outside_chain(top, span)
-    ledger.pending = None
 
 
 def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
@@ -310,7 +284,6 @@ def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
     while not is_terminal(state):
         action = oracle_action(state, ledger)
         state = apply(state, action)
-        _finalize(ledger, state)
         steps += 1
         if steps > limit:
             raise OracleError("oracle exceeded %d steps" % limit)

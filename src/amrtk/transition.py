@@ -212,7 +212,12 @@ def new_arc(state, action):
 
 def _apply_entity(state, action, history):
     """Derive the buffer front into an entity: the head concept plus an
-    internal fragment built from the span's surface tokens."""
+    internal fragment built from the span's surface tokens.
+
+    The oracle relies on this layout: the head is node len(labels).  A
+    `date-entity` head takes its date attributes, a `name` head its :opN
+    pieces; any other head takes a :name concept at the next node, head
+    + 1, and the pieces hang off that."""
     b0 = state.b0
     head_label = action.label
     head = len(state.labels)
@@ -265,9 +270,11 @@ def extract_graph(state):
         empty = Concept("n0", EMPTY_GRAPH_LABEL, classify_label(EMPTY_GRAPH_LABEL))
         return AmrGraph({"n0": empty}, [], "n0")
 
+    heads = set()
     name_children = set()
     date_children = set()
     for head, role, dep in state.arcs:
+        heads.add(head)
         if labels[head] == "name" and role.startswith(":op"):
             name_children.add(dep)
         if labels[head] == "date-entity":
@@ -276,7 +283,9 @@ def extract_graph(state):
     ids = ["n%d" % node for node in range(len(labels))]
     concepts = {}
     for node, label in enumerate(labels):
-        kind = _built_kind(label, node in name_children, node in date_children)
+        # a concept that heads an arc is a variable, whatever its label
+        kind = classify_label(label) if node in heads else \
+            _built_kind(label, node in name_children, node in date_children)
         concepts[ids[node]] = Concept(ids[node], label, kind)
     relations = [Relation(ids[head], ids[dep], role)
                  for head, role, dep in state.arcs]

@@ -548,7 +548,8 @@ def test_candidate_ordering_is_deterministic():
     first = enumerate_alignments(g, FIGURE_TOKENS, full_rule_set(res), resources=res)
     second = enumerate_alignments(g, FIGURE_TOKENS, full_rule_set(res), resources=res)
     assert [c.choices for c in first] == [c.choices for c in second]
-    counts = [sum(1 for h in c.choices if c.record(h) is None) for c in first]
+    counts = [sum(1 for rec in c.choices.values() if rec is None)
+              for c in first]
     assert counts == sorted(counts)
 
 

@@ -125,3 +125,10 @@ def test_traces_round_trip():
     write_traces(blocks, out)
     reread = read_traces(out.getvalue())
     assert reread == blocks
+
+
+def test_empty_text_is_an_empty_corpus():
+    # an empty string is text, not the path ""
+    assert read_corpus("") == []
+    assert read_traces("") == []
+    assert read_corpus("\n") == []

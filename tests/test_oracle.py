@@ -1,14 +1,24 @@
+import functools
+import hashlib
+
 import pytest
 
 from amrtk.align import (
     AlignmentRecord, AlignmentSet, CandidateAlignment, Span,
     base_rule_set, enumerate_alignments, full_rule_set,
 )
-from amrtk.graph import parse_penman, serialize_penman
-from amrtk.oracle import oracle_run, prune_unaligned, tune
-from amrtk.resources import LemmaTable, MorphLinkTable, Resources
+from amrtk.corpus import read_corpus
+from amrtk.graph import LITERAL_KINDS, parse_penman, serialize_penman
+from amrtk.oracle import (
+    EdgeLedger, oracle_action, oracle_run, prune_unaligned, tune,
+)
+from amrtk.resources import (
+    LemmaTable, MorphLinkTable, Resources, load_embeddings, load_lemmas,
+    load_morphosemantic,
+)
 from amrtk.smatch import smatch_score
 from amrtk.transition import apply, extract_graph, initial_state, is_terminal
+from helpers import bench_module, fixture
 
 FIGURE_TEXT = """
 (f / freeze-01
@@ -326,3 +336,61 @@ def test_oracle_nothing_aligned_drops_every_word():
     assert [a.tag for a in run.actions] == ["DROP"] * len(tokens)
     assert run.trees == 0
     assert run.smatch_f1 == 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_candidates(rule_set):
+    """(tokens, graph, candidate) for every candidate the `align` stage
+    makes on both fixture corpora and the compose corpora at seed 1."""
+    resources = Resources(
+        embeddings=load_embeddings(fixture("resources", "embeddings.txt")),
+        morph=load_morphosemantic(fixture("resources", "morph.tsv")),
+        lemmas=load_lemmas(fixture("resources", "lemmas.tsv")))
+    rules = base_rule_set() if rule_set == "base" else full_rule_set(resources)
+    corpus_gen = bench_module("corpus_gen")
+    documents = (read_corpus(fixture("train_corpus.amr"))
+                 + read_corpus(fixture("oracle_corpus.amr"))
+                 + read_corpus(corpus_gen.generate("compose-long", 1))
+                 + read_corpus(corpus_gen.generate("compose-short", 1)))
+    return tuple((doc.tokens, doc.graph, cand) for doc in documents
+                 for cand in enumerate_alignments(doc.graph, doc.tokens, rules,
+                                                  resources=resources))
+
+
+# sha256 over the actions, F1 and tree count of every candidate's oracle
+# run; the CLI pins cover only each sentence's winning run
+CANDIDATE_RUN_DIGESTS = {
+    "base":
+        "22eb1f04e3f2ca9af3222fab1359982711406b4226058da24063b218810092f6",
+    "full":
+        "d7a2d18413d4a5f344140f3661dec46edd9c320c6d2a9029ec760a3fc1cd15c0",
+}
+
+
+@pytest.mark.parametrize("rule_set", sorted(CANDIDATE_RUN_DIGESTS))
+def test_every_candidate_run_pinned(rule_set):
+    digest = hashlib.sha256()
+    candidates = pinned_candidates(rule_set)
+    for tokens, graph, cand in candidates:
+        run = oracle_run(tokens, graph, cand)
+        digest.update(("%s\t%.4f\t%d\n" % (
+            " ".join(map(str, run.actions)), run.smatch_f1, run.trees)
+        ).encode("utf-8"))
+    assert len(candidates) == 137
+    assert digest.hexdigest() == CANDIDATE_RUN_DIGESTS[rule_set]
+
+
+@pytest.mark.parametrize("rule_set", ["base", "full"])
+def test_ledger_maps_every_built_variable_to_its_gold_concept(rule_set):
+    for tokens, graph, cand in pinned_candidates(rule_set):
+        pruned = prune_unaligned(graph, cand)
+        ledger = EdgeLedger(pruned, cand)
+        state = initial_state(tokens)
+        while not is_terminal(state):
+            state = apply(state, oracle_action(state, ledger))
+        for node, gold in ledger.state_to_gold.items():
+            assert state.labels[node] == pruned.concept(gold).label
+        parsed = extract_graph(state)
+        for node in range(len(state.labels)):
+            if parsed.concept("n%d" % node).kind not in LITERAL_KINDS:
+                assert node in ledger.state_to_gold

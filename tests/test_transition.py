@@ -204,6 +204,37 @@ def test_extract_roots_a_sourceless_cycle_beside_a_tree():
         "            :ARG1 c2)))")
 
 
+def test_extract_writes_a_literal_label_heading_arcs_as_a_variable():
+    # `1` and `-` are literal labels, but here each heads an arc; no node
+    # is a source, so the roots are n0, then n4, which n0 does not reach
+    actions = "ENTITY(1) NEW(-) NEW(person) SHIFT RIGHT(:ARG1) LEFT(:ARG1) " \
+              "REDUCE SHIFT RIGHT(:ARG0) REDUCE SHIFT REDUCE"
+    s = run(initial_state(["North-Korea"]),
+            *(parse_action(text) for text in actions.split()))
+    assert is_terminal(s)
+    g = extract_graph(s)
+    text = serialize_penman(g)
+    assert text == (
+        "(c0 / multi-sentence\n"
+        "    :snt1 (c1 / 1\n"
+        "        :name (c2 / name\n"
+        "            :op1 \"North\"\n"
+        "            :op2 \"Korea\"))\n"
+        "    :snt2 (c3 / -\n"
+        "        :ARG1 (c4 / person\n"
+        "            :ARG1 c3)\n"
+        "        :ARG0 c1))")
+    assert len(parse_penman(text).relations) == len(g.relations)
+
+
+def test_serialize_quotes_a_variable_shaped_literal():
+    s = run(initial_state(["y"]), Action(ENTITY, "date-entity"),
+            Action(SHIFT), Action(REDUCE))
+    text = serialize_penman(extract_graph(s))
+    assert text == '(c0 / date-entity\n    :op1 "y")'
+    assert parse_penman(text).concept("_lit0").label == "y"
+
+
 def test_extract_all_dropped():
     s = initial_state(["uh"])
     s = apply(s, Action(DROP))
@@ -295,4 +326,8 @@ def test_random_walks_keep_the_state_invariants():
             assert is_terminal(_drain(s))
             before = s
             steps += 1
+        # the drained graph of the walk is written and read back whole
+        graph = extract_graph(_drain(s))
+        assert len(parse_penman(serialize_penman(graph)).relations) == \
+            len(graph.relations)
     assert steps > 3000

@@ -139,8 +139,10 @@ def cmd_tune(args):
     mean_actions = (sum(r.action_count for r in runs) / len(runs)
                     if runs else 0.0)
     forests = sum(1 for r in runs if r.trees > 1)
+    certified = sum(1 for r in runs if r.certified)
     report = ("mean-oracle-smatch\t%.4f\nmean-actions\t%.2f\n"
-              "forest-sentences\t%d\n" % (mean_f1, mean_actions, forests))
+              "forest-sentences\t%d\ncertified-sentences\t%d\n"
+              % (mean_f1, mean_actions, forests, certified))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report)
@@ -233,17 +235,20 @@ def cmd_smatch(args):
     if len(gold_docs) != len(pred_docs):
         raise corpus_mod.CorpusFormatError(
             "gold has %d graphs, pred has %d" % (len(gold_docs), len(pred_docs)))
-    matched = total_pred = total_gold = 0
+    matched = total_pred = total_gold = certified = 0
     for gold_doc, pred_doc in zip(gold_docs, pred_docs):
-        if gold_doc.graph is None or pred_doc.graph is None:
+        pred, gold = pred_doc.graph, gold_doc.graph
+        if gold is None or pred is None:
             raise corpus_mod.CorpusFormatError("block without a graph")
         if args.exhaustive:
-            m, n_pred, n_gold = smatch_mod.exhaustive_counts(
-                pred_doc.graph, gold_doc.graph)
+            m, n_pred, n_gold = smatch_mod.exhaustive_counts(pred, gold)
+            bound = smatch_mod.upper_bound(smatch_mod.to_triples(pred),
+                                           smatch_mod.to_triples(gold))
+            certified += m == bound
         else:
-            m, n_pred, n_gold = smatch_mod.smatch_counts(
-                pred_doc.graph, gold_doc.graph,
-                restarts=args.restarts, seed=args.seed)
+            m, n_pred, n_gold, reached = smatch_mod.search_counts(
+                pred, gold, restarts=args.restarts, seed=args.seed)
+            certified += reached
         matched += m
         total_pred += n_pred
         total_gold += n_gold
@@ -252,6 +257,7 @@ def cmd_smatch(args):
     f1 = (2 * precision * recall / (precision + recall)
           if precision + recall else 0.0)
     sys.stdout.write("%.4f\t%.4f\t%.4f\n" % (precision, recall, f1))
+    sys.stderr.write("certified-pairs\t%d\n" % certified)
     return 0
 
 

@@ -40,6 +40,7 @@ class OracleRun:
     parsed: AmrGraph
     smatch_f1: float
     trees: int  # source concepts of the pruned graph: the trees rebuilt
+    certified: bool  # the Smatch count reached its upper bound
 
     @property
     def action_count(self):
@@ -291,7 +292,7 @@ def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
     score = smatch_score(parsed, graph, restarts=smatch_restarts,
                          seed=smatch_seed)
     trees = sum(1 for cid in pruned.concepts if not pruned.incoming(cid))
-    return OracleRun(state.history, parsed, score.f1, trees)
+    return OracleRun(state.history, parsed, score.f1, trees, score.certified)
 
 
 def tune(tokens, graph, alignment_set, smatch_restarts=4, smatch_seed=1):

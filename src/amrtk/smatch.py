@@ -5,15 +5,28 @@ restarted hill-climbing.  The climb scores its moves from a weight table
 of candidate variable pairs (Cai & Knight 2013), built once per graph
 pair, instead of recounting every triple; `exhaustive_smatch` searches
 every mapping and serves as the exact reference for small graphs.
+
+No mapping can match more triples than `upper_bound`: per triple kind,
+the multiset overlap of the keys a mapping cannot change (instance
+label, attribute role and value, relation role).  The search stops as
+soon as a mapping reaches that bound, before building the weight table
+when the label-matching start already does.  The best count only moves
+on a strictly higher count, so no later start could change the result:
+a certified search returns the same counts as the full one.
 """
 
 import itertools
 import random
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 
 from .graph import LITERAL_KINDS
 
-SmatchScore = namedtuple("SmatchScore", ["precision", "recall", "f1"])
+# certified: the matched count reached `upper_bound`, so it is optimal
+SmatchScore = namedtuple("SmatchScore",
+                         ["precision", "recall", "f1", "certified"])
+
+SearchCounts = namedtuple("SearchCounts",
+                          ["matched", "total_a", "total_b", "certified"])
 
 TripleSet = namedtuple("TripleSet", ["instances", "attributes", "relations"])
 
@@ -66,15 +79,37 @@ def _match_count(ta, tb, mapping):
     return count
 
 
-def _score(matched, n_a, n_b):
+def _overlap(keys_a, keys_b):
+    return sum((Counter(keys_a) & Counter(keys_b)).values())
+
+
+def upper_bound(ta, tb):
+    """Most triples of `ta` that any injective mapping can match in `tb`.
+
+    A mapping renames variables only, so it matches an instance triple
+    only to one of the same label, an attribute only to one of the same
+    role and value and a relation only to one of the same role, and never
+    two triples of `ta` to one of `tb`: per kind, at most the multiset
+    overlap of those keys.
+    """
+    return (_overlap([label for _, _, label in ta.instances],
+                     [label for _, _, label in tb.instances])
+            + _overlap([(role, value) for _, role, value in ta.attributes],
+                       [(role, value) for _, role, value in tb.attributes])
+            + _overlap([role for _, role, _ in ta.relations],
+                       [role for _, role, _ in tb.relations]))
+
+
+def _score(matched, n_a, n_b, certified):
     if n_a == 0 and n_b == 0:
-        return SmatchScore(1.0, 1.0, 1.0)
+        return SmatchScore(1.0, 1.0, 1.0, certified)
     precision = matched / n_a if n_a else 0.0
     recall = matched / n_b if n_b else 0.0
     if precision + recall == 0.0:
-        return SmatchScore(precision, recall, 0.0)
+        return SmatchScore(precision, recall, 0.0, certified)
     return SmatchScore(precision, recall,
-                       2.0 * precision * recall / (precision + recall))
+                       2.0 * precision * recall / (precision + recall),
+                       certified)
 
 
 def _label_init(vars_a, vars_b, labels_a, labels_b):
@@ -184,8 +219,9 @@ def _swap_gain(table, mapping, held, va1, va2):
             + _linked(table, va1, vb1, va2, vb2))
 
 
-def _hill_climb(ta, tb, vars_a, mapping, table):
-    """Steepest-ascent over single reassignments and pair swaps.
+def _hill_climb(vars_a, mapping, table, current):
+    """Steepest-ascent over single reassignments and pair swaps from
+    `mapping`, which matches `current` triples.
 
     Each step tries the moves in `vars_a` x `vars_b` order (the rows of
     `table` keep `vars_b` order), then the swaps of every two mapped
@@ -197,7 +233,6 @@ def _hill_climb(ta, tb, vars_a, mapping, table):
     never beat the strict test; such moves, including every move to
     unmapped, are skipped without changing the result.
     """
-    current = _match_count(ta, tb, mapping)
     while True:
         best_gain = 0
         best_move = None
@@ -231,10 +266,12 @@ def _hill_climb(ta, tb, vars_a, mapping, table):
         current += best_gain
 
 
-def smatch_counts(a, b, restarts=4, seed=1):
-    """(matched, total_a, total_b) triple counts from hill-climbing search
-    with one concept-label-matching initialization plus `restarts` random
-    ones; deterministic for a fixed seed."""
+def search_counts(a, b, restarts=4, seed=1):
+    """(matched, total_a, total_b, certified) from hill-climbing search
+    with one concept-label-matching start plus `restarts` random ones
+    drawn from `random.Random(seed)`; the search stops at the first start
+    that reaches `upper_bound` (certified).  Deterministic for a fixed
+    seed, and equal in its counts to climbing every start."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     ta = to_triples(a)
@@ -243,22 +280,31 @@ def smatch_counts(a, b, restarts=4, seed=1):
     vars_b = b.var_ids()
     labels_a = {v: a.concept(v).label for v in vars_a}
     labels_b = {v: b.concept(v).label for v in vars_b}
-    rng = random.Random(seed)
-    table = _weight_table(ta, tb, vars_a, vars_b)
-    best = 0
-    starts = [_label_init(vars_a, vars_b, labels_a, labels_b)]
-    starts += [_random_init(vars_a, vars_b, rng) for _ in range(restarts)]
-    for start in starts:
-        count, _ = _hill_climb(ta, tb, vars_a, dict(start), table)
-        if count > best:
-            best = count
-    return best, triple_count(ta), triple_count(tb)
+    bound = upper_bound(ta, tb)
+    start = _label_init(vars_a, vars_b, labels_a, labels_b)
+    best = _match_count(ta, tb, start)
+    if best < bound:
+        table = _weight_table(ta, tb, vars_a, vars_b)
+        rng = random.Random(seed)
+        best, _ = _hill_climb(vars_a, start, table, best)
+        for _ in range(restarts):
+            if best == bound:
+                break
+            start = _random_init(vars_a, vars_b, rng)
+            count, _ = _hill_climb(vars_a, start, table,
+                                   _match_count(ta, tb, start))
+            best = max(best, count)
+    return SearchCounts(best, triple_count(ta), triple_count(tb), best == bound)
+
+
+def smatch_counts(a, b, restarts=4, seed=1):
+    """(matched, total_a, total_b) triple counts of `search_counts`."""
+    return search_counts(a, b, restarts=restarts, seed=seed)[:3]
 
 
 def smatch_score(a, b, restarts=4, seed=1):
     """Hill-climbing Smatch of graph `a` (candidate) against `b` (reference)."""
-    matched, n_a, n_b = smatch_counts(a, b, restarts=restarts, seed=seed)
-    return _score(matched, n_a, n_b)
+    return _score(*search_counts(a, b, restarts=restarts, seed=seed))
 
 
 def exhaustive_counts(a, b):
@@ -285,4 +331,6 @@ def exhaustive_counts(a, b):
 
 def exhaustive_smatch(a, b):
     """Exact Smatch over every injective variable mapping."""
-    return _score(*exhaustive_counts(a, b))
+    matched, n_a, n_b = exhaustive_counts(a, b)
+    return _score(matched, n_a, n_b,
+                  matched == upper_bound(to_triples(a), to_triples(b)))

@@ -283,9 +283,10 @@ def extract_graph(state):
     ids = ["n%d" % node for node in range(len(labels))]
     concepts = {}
     for node, label in enumerate(labels):
-        # a concept that heads an arc is a variable, whatever its label
-        kind = classify_label(label) if node in heads else \
-            _built_kind(label, node in name_children, node in date_children)
+        # a concept that heads an arc, or stands alone, is a variable,
+        # whatever its label
+        kind = classify_label(label) if node in heads or len(labels) == 1 \
+            else _built_kind(label, node in name_children, node in date_children)
         concepts[ids[node]] = Concept(ids[node], label, kind)
     relations = [Relation(ids[head], ids[dep], role)
                  for head, role, dep in state.arcs]

@@ -1,10 +1,11 @@
 """Shared test utilities: random graph pairs, fixture paths, the
-reference Smatch hill-climbing, the reference matching-rule pass, the
-reference updating fixpoint and the reference action scorer."""
+reference Smatch hill-climbing and search, the reference matching-rule
+pass, the reference updating fixpoint and the reference action scorer."""
 
 import importlib.util
 import itertools
 import os
+import random
 
 from amrtk.align import (
     FUZZY_PREFIX_LEN, QUANTITY_SUFFIX, UPDATING, AlignmentContext,
@@ -15,7 +16,10 @@ from amrtk.graph import (
     name_op_values, strip_sense,
 )
 from amrtk.resources import morph_match, semantic_match
-from amrtk.smatch import _match_count
+from amrtk.smatch import (
+    _held, _label_init, _match_count, _move_gain, _random_init, _swap_gain,
+    _weight_table, to_triples, triple_count,
+)
 from amrtk.surface import date_attributes, numeric_form
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -148,6 +152,82 @@ def reference_hill_climb(ta, tb, vars_a, vars_b, mapping):
         else:
             mapping[x], mapping[y] = mapping[y], mapping[x]
         current += best_gain
+
+
+# ---------------------------------------------------------------------------
+# The Smatch search that `amrtk.smatch.search_counts` replaced: it builds the
+# weight table and climbs every start, whatever the first one matches.  Kept
+# verbatim as the test oracle for the search that stops at the upper bound.
+
+def _table_hill_climb(ta, tb, vars_a, mapping, table):
+    """Steepest-ascent over single reassignments and pair swaps.
+
+    Each step tries the moves in `vars_a` x `vars_b` order (the rows of
+    `table` keep `vars_b` order), then the swaps of every two mapped
+    variables, taken in `vars_a` order, and applies the first strictly
+    best one.  Gains come from the weight `table` of
+    `_weight_table`, so a move costs O(degree) rather than a recount of
+    every triple.  A move or swap whose new pairs have no table entry
+    matches nothing through them, so its gain is at most 0 and it can
+    never beat the strict test; such moves, including every move to
+    unmapped, are skipped without changing the result.
+    """
+    current = _match_count(ta, tb, mapping)
+    while True:
+        best_gain = 0
+        best_move = None
+        held = _held(table, mapping)
+        used = set(mapping.values())
+        for va in vars_a:
+            for vb in table[va]:
+                if vb in used:
+                    continue
+                gain = _move_gain(table, mapping, held, va, vb)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_move = ("move", va, vb)
+        mapped = [va for va in vars_a if va in mapping]
+        for i, va1 in enumerate(mapped):
+            for va2 in mapped[i + 1:]:
+                if (mapping[va2] not in table[va1]
+                        and mapping[va1] not in table[va2]):
+                    continue
+                gain = _swap_gain(table, mapping, held, va1, va2)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_move = ("swap", va1, va2)
+        if best_move is None:
+            return current, mapping
+        kind, x, y = best_move
+        if kind == "move":
+            mapping[x] = y
+        else:
+            mapping[x], mapping[y] = mapping[y], mapping[x]
+        current += best_gain
+
+
+def reference_smatch_counts(a, b, restarts=4, seed=1):
+    """(matched, total_a, total_b) triple counts from hill-climbing search
+    with one concept-label-matching initialization plus `restarts` random
+    ones; deterministic for a fixed seed."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    ta = to_triples(a)
+    tb = to_triples(b)
+    vars_a = a.var_ids()
+    vars_b = b.var_ids()
+    labels_a = {v: a.concept(v).label for v in vars_a}
+    labels_b = {v: b.concept(v).label for v in vars_b}
+    rng = random.Random(seed)
+    table = _weight_table(ta, tb, vars_a, vars_b)
+    best = 0
+    starts = [_label_init(vars_a, vars_b, labels_a, labels_b)]
+    starts += [_random_init(vars_a, vars_b, rng) for _ in range(restarts)]
+    for start in starts:
+        count, _ = _table_hill_climb(ta, tb, vars_a, dict(start), table)
+        if count > best:
+            best = count
+    return best, triple_count(ta), triple_count(tb)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,14 @@ def test_align_tune_oracle_bytes_pinned(tmp_path, capsys, corpus):
     assert tuple(sha256_of(path) for path in paths) == PINNED_DIGESTS[corpus]
 
 
+@pytest.mark.parametrize("corpus, certified", [
+    ("train_corpus", 10), ("oracle_corpus", 16)])
+def test_tune_reports_certified_sentences(tmp_path, capsys, corpus, certified):
+    align_tune_oracle(tmp_path, capsys, corpus)
+    assert read_text(tmp_path / "report").splitlines()[3] == \
+        "certified-sentences\t%d" % certified
+
+
 @pytest.mark.parametrize("limit, truncated", [("1", 1), (None, 0)])
 def test_align_reports_truncated_sentences(tmp_path, capsys, limit, truncated):
     aligned = str(tmp_path / "aligned")
@@ -218,6 +226,7 @@ def test_tune_writes_metadata_and_report(tmp_path, capsys):
     assert lines[0] == "mean-oracle-smatch\t1.0000"
     assert lines[1].startswith("mean-actions\t")
     assert lines[2] == "forest-sentences\t0"
+    assert lines[3] == "certified-sentences\t10"
 
 
 HAND_COUNTED_CORPUS = """# ::id hand-1
@@ -321,17 +330,32 @@ def test_parse_ensemble_identity(tmp_path, capsys):
 
 
 def test_smatch_identical_files(capsys):
-    code, out, _ = run_cli(capsys, "smatch", "--gold", fixture("graphs.amr"),
-                           "--pred", fixture("graphs.amr"))
+    code, out, err = run_cli(capsys, "smatch", "--gold", fixture("graphs.amr"),
+                             "--pred", fixture("graphs.amr"))
     assert code == 0
     assert out.strip() == "1.0000\t1.0000\t1.0000"
+    assert err == "certified-pairs\t18\n"
 
 
 def test_smatch_exhaustive_flag(capsys):
-    code, out, _ = run_cli(capsys, "smatch", "--gold", fixture("train_corpus.amr"),
-                           "--pred", fixture("train_corpus.amr"), "--exhaustive")
+    code, out, err = run_cli(capsys, "smatch",
+                             "--gold", fixture("train_corpus.amr"),
+                             "--pred", fixture("train_corpus.amr"),
+                             "--exhaustive")
     assert code == 0
     assert out.strip() == "1.0000\t1.0000\t1.0000"
+    assert err == "certified-pairs\t10\n"
+
+
+@pytest.mark.parametrize("extra", [(), ("--exhaustive",)])
+def test_smatch_reports_an_uncertified_pair(tmp_path, capsys, extra):
+    # the bound counts the :r relation, which no mapping matches
+    gold, pred = tmp_path / "gold", tmp_path / "pred"
+    gold.write_text("(x / a :r (y / b))\n", encoding="utf-8")
+    pred.write_text("(y / b :r (x / a))\n", encoding="utf-8")
+    assert run_cli(capsys, "smatch", "--gold", str(gold), "--pred", str(pred),
+                   *extra) == (0, "0.5000\t0.5000\t0.5000\n",
+                               "certified-pairs\t0\n")
 
 
 def test_stats_tsv(tmp_path, capsys):

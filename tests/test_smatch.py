@@ -8,12 +8,13 @@ from amrtk.corpus import read_corpus
 from amrtk.graph import ATTRIBUTE, AmrGraph, Concept, parse_penman
 from amrtk.smatch import (
     SmatchSizeError, TripleSet, _held, _hill_climb, _label_init, _match_count,
-    _move_gain, _random_init, _swap_gain, _weight_table, exhaustive_smatch,
-    smatch_counts, smatch_score, to_triples, triple_count,
+    _move_gain, _random_init, _swap_gain, _weight_table, exhaustive_counts,
+    exhaustive_smatch, search_counts, smatch_counts, smatch_score, to_triples,
+    triple_count, upper_bound,
 )
 from helpers import (
     fixture, perturbed_pair, random_graph, random_graph_pair,
-    reference_hill_climb,
+    reference_hill_climb, reference_smatch_counts,
 )
 
 FIGURE_TEXT = """
@@ -129,20 +130,96 @@ def test_seeded_determinism():
     assert first == second
 
 
+# (x / a :r (y / b)) against its reverse: the bound counts the :r relation,
+# which no mapping that keeps the labels can match, so every start climbs
+REVERSED_PAIR = ("(x / a :r (y / b))", "(y / b :r (x / a))")
+
+
 def test_hill_climb_recounts_once_per_start(monkeypatch):
-    # gains come from the weight table; only each start is counted in full
+    # gains come from the weight table; only each start is counted in full.
+    # The FIGURE pair reaches its bound in the first climb; the reversed
+    # pair never does, so all 1 + restarts starts climb
     calls = []
+    climbed = []
 
     def counting(ta, tb, mapping):
         calls.append(1)
         return _match_count(ta, tb, mapping)
 
+    def climbing(*args):
+        climbed.append(1)
+        return _hill_climb(*args)
+
     monkeypatch.setattr(amrtk.smatch, "_match_count", counting)
-    a = parse_penman(FIGURE_TEXT)
-    b = parse_penman(FIGURE_PERTURBED)
-    matched, n_a, n_b = smatch_counts(a, b, restarts=4)
-    assert 0 < matched < min(n_a, n_b)
-    assert len(calls) <= 5
+    monkeypatch.setattr(amrtk.smatch, "_hill_climb", climbing)
+    for texts, counts, climbs in (
+            ((FIGURE_TEXT, FIGURE_PERTURBED), (17, 20, 20), 1),
+            (REVERSED_PAIR, (2, 4, 4), 5)):
+        calls.clear()
+        climbed.clear()
+        a, b = (parse_penman(text) for text in texts)
+        matched, n_a, n_b = smatch_counts(a, b, restarts=4)
+        assert (matched, n_a, n_b) == counts
+        assert 0 < matched < min(n_a, n_b)
+        assert len(calls) <= 5
+        assert len(climbed) == climbs
+
+
+def test_reversed_pair_stays_below_its_bound():
+    a, b = (parse_penman(text) for text in REVERSED_PAIR)
+    assert upper_bound(to_triples(a), to_triples(b)) == 3
+    assert exhaustive_counts(a, b)[0] == 2
+    assert not search_counts(a, b).certified
+
+
+def test_search_equals_reference_search():
+    # stopping at the bound returns the counts of climbing every start
+    rng = random.Random(29)
+    certified = 0
+    for max_vars in (3, 5, 7):
+        for restarts, seed in ((4, 1), (2, 7), (1, 3)):
+            for _ in range(250):
+                a, b = random_graph_pair(rng, max_vars=max_vars)
+                found = search_counts(a, b, restarts=restarts, seed=seed)
+                assert found[:3] == smatch_counts(a, b, restarts, seed) == \
+                    reference_smatch_counts(a, b, restarts=restarts, seed=seed)
+                certified += found.certified
+    # both outcomes are exercised
+    assert 0 < certified < 2250
+
+
+def test_upper_bound_bounds_exhaustive_and_certifies_it():
+    rng = random.Random(31)
+    pairs = [random_graph_pair(rng, max_vars=5) for _ in range(200)]
+    pairs += [perturbed_pair(rng, rng.randint(2, 6)) for _ in range(100)]
+    certified = 0
+    for a, b in pairs:
+        bound = upper_bound(to_triples(a), to_triples(b))
+        exact = exhaustive_counts(a, b)[0]
+        assert bound >= exact
+        found = search_counts(a, b, restarts=4, seed=1)
+        assert found.certified == (found.matched == bound)
+        if found.certified:
+            certified += 1
+            assert found.matched == exact
+    assert certified >= 50
+
+
+def test_certified_pair_builds_no_weight_table(monkeypatch):
+    tables = []
+
+    def counting(*args):
+        tables.append(1)
+        return _weight_table(*args)
+
+    monkeypatch.setattr(amrtk.smatch, "_weight_table", counting)
+    figure = parse_penman(FIGURE_TEXT)
+    score = smatch_score(figure, figure)
+    assert score.certified and score.f1 == 1.0
+    assert not tables
+    score = smatch_score(*(parse_penman(text) for text in REVERSED_PAIR))
+    assert not score.certified
+    assert len(tables) == 1
 
 
 def test_hill_climb_matches_recount_reference():
@@ -167,7 +244,8 @@ def test_hill_climb_matches_recount_reference():
             del partial[va]
         starts.append(partial)
         for start in starts:
-            assert _hill_climb(ta, tb, vars_a, dict(start), table) == \
+            assert _hill_climb(vars_a, dict(start), table,
+                               _match_count(ta, tb, start)) == \
                 reference_hill_climb(ta, tb, vars_a, vars_b, dict(start))
     # unequal variable counts leave some variables unmapped, which is
     # where the order of the swaps decides ties

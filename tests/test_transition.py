@@ -242,6 +242,17 @@ def test_extract_all_dropped():
     assert g.concept(g.root).label == "amr-empty"
 
 
+def test_extract_lone_literal_root_is_a_variable():
+    # a graph of one concept has no parent to hang a literal off: its
+    # concept is a variable, as its Penman text reads back
+    s = run(initial_state(["not"]),
+            Action(CONFIRM, "-"), Action(SHIFT), Action(REDUCE))
+    g = extract_graph(s)
+    assert g.var_ids() == [g.root]
+    assert smatch_score(g, g).f1 == 1.0
+    assert smatch_score(parse_penman(serialize_penman(g)), g).f1 == 1.0
+
+
 def test_small_derivation_smatch():
     gold_actions = [Action(CONFIRM, "boy"), Action(SHIFT),
                     Action(CONFIRM, "run-01"), Action(LEFT, ":ARG0"),

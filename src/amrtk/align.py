@@ -5,9 +5,9 @@ Matching rules compare a fragment directly with a token span and are
 asked only about spans of the widths they declare for the fragment.
 Updating rules align a fragment based on an already-aligned related
 fragment, which they read off the fragment's own graph edges, and record
-that dependency.  All rule hits are kept per fragment, and the candidates
-are the best-ranked legal combinations of the per-fragment choices, found
-by a depth-first search over span assignments.
+that dependency.  All rule hits are kept per fragment; a candidate gives
+each fragment one span (or none), and the candidates are the best-ranked
+legal span assignments, found by a depth-first search.
 """
 
 import itertools
@@ -62,23 +62,22 @@ class AlignmentRecord:
 
 
 class CandidateAlignment:
-    """One complete fragment-head -> record choice (possibly unaligned)."""
+    """One span per fragment head (None when the fragment is unaligned)."""
 
     def __init__(self, graph, tokens, choices):
         self.graph = graph
         self.tokens = tuple(tokens)
-        self.choices = dict(choices)  # head id -> AlignmentRecord
+        self.choices = dict(choices)  # head id -> Span or None
 
     def span_of(self, head):
-        rec = self.choices.get(head)
-        return rec.span if rec else None
+        return self.choices.get(head)
 
     def aligned_heads(self):
-        return [h for h, rec in self.choices.items() if rec is not None]
+        return [h for h, span in self.choices.items() if span is not None]
 
     def pairs(self):
         """(head, span) pairs for scoring."""
-        return {(h, rec.span) for h, rec in self.choices.items() if rec is not None}
+        return {(h, span) for h, span in self.choices.items() if span is not None}
 
     def __eq__(self, other):
         return (isinstance(other, CandidateAlignment)
@@ -88,8 +87,8 @@ class CandidateAlignment:
         return hash(frozenset(self.choices.items()))
 
     def __repr__(self):
-        items = ", ".join("%s->%d-%d" % (h, r.span.start, r.span.end)
-                          for h, r in self.choices.items() if r is not None)
+        items = ", ".join("%s->%d-%d" % (h, span.start, span.end)
+                          for h, span in self.choices.items() if span is not None)
         return "CandidateAlignment(%s)" % items
 
 
@@ -209,9 +208,7 @@ def _date_widths(fragment, ctx):
 def _date_entity(fragment, span, ctx):
     gold = sorted((rel.label, ctx.graph.concept(rel.target).label)
                   for rel in fragment.relations)
-    derived = sorted((role, value)
-                     for role, value, _ in date_attributes(ctx.span_tokens(span)))
-    return gold == derived
+    return gold == sorted(date_attributes(ctx.span_tokens(span)))
 
 
 def _fuzzy_prefix(label, token, ctx):
@@ -363,13 +360,15 @@ def is_legal(choices):
 
 def enumerate_alignments(graph, tokens, rules, limit=DEFAULT_CANDIDATE_LIMIT,
                          resources=None, per_fragment_cap=None):
-    """The first `limit` legal alignments, ranked by the spans of the
-    fragments that have records in fragment order, ties in the order of
-    the records' product.  A depth-first search places those fragments in
-    order, each on its spans in ascending order, and stops at `limit` + 1
-    candidates; `truncated` means more exist.  With no legal alignment the
-    one candidate leaves every fragment unaligned.  `per_fragment_cap` is
-    accepted for older callers and ignored.
+    """The first `limit` legal span assignments, ranked by the spans of
+    the fragments that have records, in fragment order.  A span is legal
+    for a fragment while one of its records is: a matching record, or an
+    updating record whose trigger fragment keeps the trigger span; distinct
+    chosen spans may not partially overlap.  A depth-first search places
+    those fragments in order, each on its spans in ascending order, and
+    stops at `limit` + 1 candidates; `truncated` means more exist.  With no
+    legal assignment the one candidate leaves every fragment unaligned.
+    `per_fragment_cap` is accepted for older callers and ignored.
     """
     if not tokens:
         raise AlignmentInputError("token list may not be empty")
@@ -382,8 +381,7 @@ def enumerate_alignments(graph, tokens, rules, limit=DEFAULT_CANDIDATE_LIMIT,
     dependents = {h: set() for h in heads}   # heads with a record triggered here
     covering = [set() for _ in tokens]       # heads with a span over the token
     for head in heads:
-        for rec in sorted(records[head], key=lambda r: (
-                r.span, r.trigger or "", r.trigger_span or r.span)):
+        for rec in sorted(records[head], key=lambda r: r.span):
             by_span[head].setdefault(rec.span, []).append(rec)
             for index in range(rec.span.start, rec.span.end):
                 covering[index].add(head)
@@ -413,13 +411,11 @@ def enumerate_alignments(graph, tokens, rules, limit=DEFAULT_CANDIDATE_LIMIT,
         return True
 
     def search(domains, depth):
-        """Legal record combinations, heads[:depth] placed, in rank order."""
+        """Legal span tuples, heads[:depth] placed, in rank order."""
         while depth < len(heads) and len(domains[heads[depth]]) == 1:
             depth += 1
         if depth == len(heads):
-            yield from itertools.product(*(
-                [r for r in by_span[h][domains[h][0]] if usable(r, domains)]
-                for h in heads))
+            yield tuple(domains[h][0] for h in heads)
             return
         for span in domains[heads[depth]]:
             narrowed = {**domains, heads[depth]: [span]}

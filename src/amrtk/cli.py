@@ -240,18 +240,19 @@ def cmd_smatch(args):
         pred, gold = pred_doc.graph, gold_doc.graph
         if gold is None or pred is None:
             raise corpus_mod.CorpusFormatError("block without a graph")
+        if None not in (gold_doc.id, pred_doc.id) and gold_doc.id != pred_doc.id:
+            raise corpus_mod.CorpusFormatError(
+                "gold block %s is paired with pred block %s"
+                % (gold_doc.id, pred_doc.id))
         if args.exhaustive:
-            m, n_pred, n_gold = smatch_mod.exhaustive_counts(pred, gold)
-            bound = smatch_mod.upper_bound(smatch_mod.to_triples(pred),
-                                           smatch_mod.to_triples(gold))
-            certified += m == bound
+            counts = smatch_mod.exhaustive_counts(pred, gold)
         else:
-            m, n_pred, n_gold, reached = smatch_mod.search_counts(
+            counts = smatch_mod.search_counts(
                 pred, gold, restarts=args.restarts, seed=args.seed)
-            certified += reached
-        matched += m
-        total_pred += n_pred
-        total_gold += n_gold
+        matched += counts.matched
+        total_pred += counts.total_a
+        total_gold += counts.total_b
+        certified += counts.certified
     precision = matched / total_pred if total_pred else 0.0
     recall = matched / total_gold if total_gold else 0.0
     f1 = (2 * precision * recall / (precision + recall)

@@ -10,7 +10,7 @@ carried as repeated `::alignments-k` lines.
 import io
 import re
 
-from .align import AlignmentRecord, CandidateAlignment, Span
+from .align import CandidateAlignment, Span
 from .graph import extract_fragments, parse_penman
 
 _META_RE = re.compile(r"^# ::(\S+) ?(.*)$")
@@ -86,10 +86,9 @@ class CorpusDocument:
 def format_alignment(candidate):
     addresses = candidate.graph.addresses()
     by_span = {}
-    for head, record in candidate.choices.items():
-        if record is None:
-            continue
-        by_span.setdefault(record.span, []).append(addresses[head])
+    for head, span in candidate.choices.items():
+        if span is not None:
+            by_span.setdefault(span, []).append(addresses[head])
     items = []
     for span in sorted(by_span, key=lambda s: (s.start, s.end)):
         heads = "+".join(str(a) for a in sorted(by_span[span]))
@@ -115,7 +114,7 @@ def parse_alignment(text, graph, tokens):
             head = order[index]
             if head not in fragment_heads:
                 raise CorpusFormatError("address %s is not a fragment head" % addr)
-            choices[head] = AlignmentRecord(Span(start, end))
+            choices[head] = Span(start, end)
     for head in fragment_heads:
         choices.setdefault(head, None)
     return CandidateAlignment(graph, tokens, choices)

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 logger = logging.getLogger(__name__)
 
 # concept kinds
-PREDICATE = "predicate"
-ENTITY_TYPE = "entity-type"
-NAME = "name"
+VARIABLE = "variable"          # the concept of a variable
 CONSTANT = "constant"          # quoted string literal
 ATTRIBUTE = "attribute-value"  # unquoted literal: numbers, '-', 'imperative', ...
 
@@ -70,17 +68,6 @@ class Relation:
     source: str
     target: str
     label: str  # role, e.g. ':ARG0'
-
-
-def classify_label(label, quoted=False):
-    """Kind of a node given its label text."""
-    if quoted:
-        return CONSTANT
-    if label == "name":
-        return NAME
-    if _SENSE_RE.search(label):
-        return PREDICATE
-    return ENTITY_TYPE
 
 
 class AmrGraph:
@@ -271,14 +258,12 @@ def parse_penman(text):
     # appearance order: the root, then edges in file order, defining each
     # variable at its first occurrence; every other variable is an edge
     # target, so this reaches them all
-    concepts[root] = Concept(root, reader.defined[root],
-                             classify_label(reader.defined[root]))
+    concepts[root] = Concept(root, reader.defined[root], VARIABLE)
     for source, role, target, literal in resolved_edges:
         if literal is not None:
             concepts[literal.id] = literal
         elif target not in concepts:
-            concepts[target] = Concept(target, reader.defined[target],
-                                       classify_label(reader.defined[target]))
+            concepts[target] = Concept(target, reader.defined[target], VARIABLE)
         relations.append(Relation(source, target, role))
     return AmrGraph(concepts, relations, root)
 

@@ -110,11 +110,9 @@ class EdgeLedger:
         self.state_to_gold = {}
         self.settled = set()
         self.frag_of = {f.head: f for f in extract_fragments(pruned)}
-        self.span_of = {}
+        self.span_of = {head: span for head, span in alignment.choices.items()
+                        if span is not None and head in self.frag_of}
         self.order = pruned.addresses()
-        for head, record in alignment.choices.items():
-            if record is not None and head in self.frag_of:
-                self.span_of[head] = record.span
         self.heads_order = sorted(self.span_of, key=self.order.__getitem__)
 
     # --- alignment geometry -------------------------------------------------

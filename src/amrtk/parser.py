@@ -336,6 +336,8 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
           lemma_table=None, log=None):
     """Fit the linear scorer on oracle traces by SGD on the multiclass
     logistic objective; reports per-epoch action accuracy."""
+    if not 0 <= dev_fraction < 1:
+        raise TrainingError("dev fraction %r is outside [0, 1)" % dev_fraction)
     corpus = list(corpus)
     if not corpus:
         raise TrainingError("training corpus is empty")

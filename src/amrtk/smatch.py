@@ -308,8 +308,8 @@ def smatch_score(a, b, restarts=4, seed=1):
 
 
 def exhaustive_counts(a, b):
-    """(matched, total_a, total_b) from searching every injective variable
-    mapping; guarded by a factorial size limit on the smaller set."""
+    """`SearchCounts` from searching every injective variable mapping;
+    guarded by a factorial size limit on the smaller set."""
     ta = to_triples(a)
     tb = to_triples(b)
     vars_a = a.var_ids()
@@ -326,11 +326,10 @@ def exhaustive_counts(a, b):
         for image in itertools.permutations(vars_a, len(vars_b)):
             mapping = {va: vb for vb, va in zip(vars_b, image)}
             best = max(best, _match_count(ta, tb, mapping))
-    return best, triple_count(ta), triple_count(tb)
+    return SearchCounts(best, triple_count(ta), triple_count(tb),
+                        best == upper_bound(ta, tb))
 
 
 def exhaustive_smatch(a, b):
     """Exact Smatch over every injective variable mapping."""
-    matched, n_a, n_b = exhaustive_counts(a, b)
-    return _score(matched, n_a, n_b,
-                  matched == upper_bound(to_triples(a), to_triples(b)))
+    return _score(*exhaustive_counts(a, b))

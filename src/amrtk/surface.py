@@ -40,7 +40,7 @@ def date_attributes(tokens):
     """Date-entity attributes derivable from a token span.
 
     Recognizes 4-digit years, YYYY-MM-DD and month names; any other token
-    falls back to an :opN string.  Returns (role, value, quoted) triples.
+    falls back to an :opN string.  Returns (role, value) pairs.
     """
     out = []
     op_index = 1
@@ -48,15 +48,15 @@ def date_attributes(tokens):
         match = _FULL_DATE_RE.match(token)
         if match:
             year, month, day = match.groups()
-            out.append((":year", year, False))
-            out.append((":month", month.lstrip("0") or "0", False))
-            out.append((":day", day.lstrip("0") or "0", False))
+            out.append((":year", year))
+            out.append((":month", month.lstrip("0") or "0"))
+            out.append((":day", day.lstrip("0") or "0"))
         elif _YEAR_RE.match(token):
-            out.append((":year", token, False))
+            out.append((":year", token))
         elif token.lower() in MONTH_NAMES:
-            out.append((":month", MONTH_NAMES[token.lower()], False))
+            out.append((":month", MONTH_NAMES[token.lower()]))
         else:
-            out.append((":op%d" % op_index, token, True))
+            out.append((":op%d" % op_index, token))
             op_index += 1
     return out
 

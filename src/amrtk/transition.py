@@ -18,8 +18,7 @@ import re
 from dataclasses import dataclass, replace
 
 from .graph import (
-    ATTRIBUTE, CONSTANT, AmrGraph, Concept, Relation, bfs_depths,
-    classify_label,
+    ATTRIBUTE, CONSTANT, VARIABLE, AmrGraph, Concept, Relation, bfs_depths,
 )
 from .surface import date_attributes, entity_name_pieces
 
@@ -232,7 +231,7 @@ def _apply_entity(state, action, history):
         return len(labels) - 1
 
     if head_label == "date-entity":
-        for role, value, _ in date_attributes(span_tokens):
+        for role, value in date_attributes(span_tokens):
             attach(head, role, value)
     else:
         name = head if head_label == "name" else attach(head, ":name", "name")
@@ -251,7 +250,7 @@ def _built_kind(label, under_name, under_date):
         return CONSTANT
     if under_date or _NUMERIC_RE.match(label) or label in ("-", "+"):
         return ATTRIBUTE
-    return classify_label(label)
+    return VARIABLE
 
 
 def extract_graph(state):
@@ -267,7 +266,7 @@ def extract_graph(state):
         raise StateError("cannot extract a graph from a non-terminal state")
     labels = state.labels
     if not labels:
-        empty = Concept("n0", EMPTY_GRAPH_LABEL, classify_label(EMPTY_GRAPH_LABEL))
+        empty = Concept("n0", EMPTY_GRAPH_LABEL, VARIABLE)
         return AmrGraph({"n0": empty}, [], "n0")
 
     heads = set()
@@ -285,7 +284,7 @@ def extract_graph(state):
     for node, label in enumerate(labels):
         # a concept that heads an arc, or stands alone, is a variable,
         # whatever its label
-        kind = classify_label(label) if node in heads or len(labels) == 1 \
+        kind = VARIABLE if node in heads or len(labels) == 1 \
             else _built_kind(label, node in name_children, node in date_children)
         concepts[ids[node]] = Concept(ids[node], label, kind)
     relations = [Relation(ids[head], ids[dep], role)
@@ -303,8 +302,7 @@ def extract_graph(state):
     if len(roots) == 1:
         return graph
     root = "nroot"
-    concepts = {root: Concept(root, MULTI_ROOT_LABEL,
-                              classify_label(MULTI_ROOT_LABEL)), **concepts}
+    concepts = {root: Concept(root, MULTI_ROOT_LABEL, VARIABLE), **concepts}
     for i, node in enumerate(roots, start=1):
         relations.append(Relation(root, node, ":snt%d" % i))
     return AmrGraph(concepts, relations, root)

@@ -1,6 +1,7 @@
 """Shared test utilities: random graph pairs, fixture paths, the
 reference Smatch hill-climbing and search, the reference matching-rule
-pass, the reference updating fixpoint and the reference action scorer."""
+pass, the reference updating fixpoint, the brute-force candidate list and
+the reference action scorer."""
 
 import importlib.util
 import itertools
@@ -9,10 +10,10 @@ import random
 
 from amrtk.align import (
     FUZZY_PREFIX_LEN, QUANTITY_SUFFIX, UPDATING, AlignmentContext,
-    AlignmentRecord, Span,
+    AlignmentRecord, CandidateAlignment, Span, collect_records, is_legal,
 )
 from amrtk.graph import (
-    ATTRIBUTE, ENTITY_TYPE, AmrGraph, Concept, Relation, extract_fragments,
+    ATTRIBUTE, VARIABLE, AmrGraph, Concept, Relation, extract_fragments,
     name_op_values, strip_sense,
 )
 from amrtk.resources import morph_match, semantic_match
@@ -50,7 +51,7 @@ def random_graph(rng, n_vars):
     relations = []
     ids = ["v%d" % i for i in range(n_vars)]
     for cid in ids:
-        concepts[cid] = Concept(cid, rng.choice(LABEL_POOL), ENTITY_TYPE)
+        concepts[cid] = Concept(cid, rng.choice(LABEL_POOL), VARIABLE)
     # spanning arborescence keeps the graph connected
     for i, cid in enumerate(ids[1:], start=1):
         parent = ids[rng.randrange(i)]
@@ -274,9 +275,7 @@ def _date_entity(fragment, span, ctx):
         return False
     gold = sorted((rel.label, ctx.graph.concept(rel.target).label)
                   for rel in fragment.relations)
-    derived = sorted((role, value)
-                     for role, value, _ in date_attributes(ctx.span_tokens(span)))
-    return gold == derived
+    return gold == sorted(date_attributes(ctx.span_tokens(span)))
 
 
 def _fuzzy_prefix(fragment, span, ctx):
@@ -455,3 +454,18 @@ class ReferenceScorer:
             weights = self.weights[idx]
             for feat in encoding:
                 weights[feat] = weights.get(feat, 0.0) + coef
+
+
+def brute_force_candidates(graph, tokens, rules, resources=None):
+    """The span map of every legal record combination, each once; the
+    all-unaligned candidate when none is legal."""
+    fragments, records = collect_records(graph, tokens, rules, resources)
+    order = [f.head for f in fragments]
+    out = {}
+    for combo in itertools.product(*(records[h] or [None] for h in order)):
+        choices = dict(zip(order, combo))
+        if is_legal(choices):
+            cand = CandidateAlignment(graph, tokens, {
+                h: rec.span if rec else None for h, rec in choices.items()})
+            out.setdefault(cand, cand)
+    return list(out) or [CandidateAlignment(graph, tokens, dict.fromkeys(order))]

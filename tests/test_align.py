@@ -13,7 +13,7 @@ from amrtk.align import (
 )
 from amrtk.corpus import read_corpus
 from amrtk.graph import (
-    ATTRIBUTE, ENTITY_TYPE, AmrGraph, Concept, Relation, extract_fragments,
+    ATTRIBUTE, VARIABLE, AmrGraph, Concept, Relation, extract_fragments,
     parse_penman, strip_sense,
 )
 from amrtk.resources import (
@@ -21,7 +21,7 @@ from amrtk.resources import (
     load_lemmas, load_morphosemantic,
 )
 from helpers import (
-    bench_module, fixture, reference_matching_records,
+    bench_module, brute_force_candidates, fixture, reference_matching_records,
     reference_updating_records,
 )
 
@@ -231,29 +231,10 @@ def test_legality_rejects_partial_overlap():
     assert is_legal(choices)
 
 
-def record_key(rec):
-    tspan = rec.trigger_span and (rec.trigger_span.start, rec.trigger_span.end)
-    return (rec.span.start, rec.span.end, rec.trigger or "", tspan or (-1, -1))
-
-
-def brute_force(order, sets, graph, tokens):
-    out = []
-    for combo in itertools.product(*(sets[h] or [None] for h in order)):
-        choices = dict(zip(order, combo))
-        if is_legal(choices):
-            out.append(CandidateAlignment(graph, tokens, choices))
-    return out
-
-
 def ranked_brute_force(graph, tokens, rules, resources=None):
-    """Every legal candidate, ranked by span tuple, ties in product order."""
-    fragments, records = collect_records(graph, tokens, rules, resources)
-    order = [f.head for f in fragments]
-    sets = {h: sorted(records[h], key=record_key) for h in order}
-    legal = brute_force(order, sets, graph, tokens)
-    legal.sort(key=lambda c: [(r.span.start, r.span.end)
-                              for r in c.choices.values() if r is not None])
-    return legal or [CandidateAlignment(graph, tokens, dict.fromkeys(order))]
+    """Every legal candidate, ranked by span tuple."""
+    return sorted(brute_force_candidates(graph, tokens, rules, resources),
+                  key=lambda c: [s for s in c.choices.values() if s is not None])
 
 
 def chain_trigger_case():
@@ -282,10 +263,7 @@ def chain_trigger_case():
 
 def test_enumeration_matches_brute_force_with_triggers():
     g, tokens, rules = chain_trigger_case()
-    fragments, records = collect_records(g, tokens, rules)
-    order = [f.head for f in fragments]
-    sets = {h: sorted(records[h], key=record_key) for h in order}
-    expected = {c for c in brute_force(order, sets, g, tokens)}
+    expected = set(brute_force_candidates(g, tokens, rules))
     got = set(enumerate_alignments(g, tokens, rules, limit=None))
     assert got == expected
     # every candidate aligning c must put it on b's span
@@ -296,7 +274,7 @@ def test_enumeration_matches_brute_force_with_triggers():
 
 def overlap_trigger_case():
     # a may overlap b; c follows b onto its span, d follows a or b onto any
-    # later token, so tied candidates share d's span but not its trigger
+    # later token, so one span of d can have records from both triggers
     g = parse_penman("(a / aaaa :ARG0 (b / bbbb :ARG1 (c / cccc) :ARG2 (d / dddd)))")
     tokens = ["aaaa", "bbbb", "cccc", "dddd"]
     rules = [
@@ -350,13 +328,13 @@ def and_of(parts):
 
 def test_first_fifty_of_many_legal_candidates(caplog):
     # "the boy and" six times: 6^7 candidates, every one legal, so the
-    # first fifty in rank order are the first fifty of the records' product
+    # first fifty in rank order are the first fifty of the spans' product
     graph = and_of(["(b%d / boy)" % i for i in range(1, 7)])
     tokens = "the boy and".split() * 6
     rules = base_rule_set()
     fragments, records = collect_records(graph, tokens, rules)
     order = [f.head for f in fragments]
-    sets = [sorted(records[h], key=record_key) for h in order]
+    sets = [sorted({rec.span for rec in records[h]}) for h in order]
     expected = [dict(zip(order, combo))
                 for combo in itertools.islice(itertools.product(*sets), 50)]
     aset = enumerate_alignments(graph, tokens, rules)
@@ -468,8 +446,8 @@ def rule_shape_cases():
             ("(m / monetary-quantity :quant (m2 / many))", ["many"])]:
         cases.append((parse_penman(text), tokens))
     # a number that is also a name's value belongs to the name fragment
-    shared = AmrGraph({"q": Concept("q", "quantity", ENTITY_TYPE),
-                       "n": Concept("n", "name", ENTITY_TYPE),
+    shared = AmrGraph({"q": Concept("q", "quantity", VARIABLE),
+                       "n": Concept("n", "name", VARIABLE),
                        "l": Concept("l", "5", ATTRIBUTE)},
                       [Relation("q", "l", ":quant"), Relation("n", "l", ":op1"),
                        Relation("q", "n", ":mod")], "q")
@@ -548,7 +526,7 @@ def test_candidate_ordering_is_deterministic():
     first = enumerate_alignments(g, FIGURE_TOKENS, full_rule_set(res), resources=res)
     second = enumerate_alignments(g, FIGURE_TOKENS, full_rule_set(res), resources=res)
     assert [c.choices for c in first] == [c.choices for c in second]
-    counts = [sum(1 for rec in c.choices.values() if rec is None)
+    counts = [sum(1 for span in c.choices.values() if span is None)
               for c in first]
     assert counts == sorted(counts)
 
@@ -563,7 +541,7 @@ def test_limit_truncates():
 
 def test_alignment_f1_identity():
     g = parse_penman("(c / country)")
-    cand = CandidateAlignment(g, ["country"], {"c": AlignmentRecord(Span(0, 1))})
+    cand = CandidateAlignment(g, ["country"], {"c": Span(0, 1)})
     assert alignment_f1(cand, cand) == (1.0, 1.0, 1.0)
 
 
@@ -571,11 +549,11 @@ def test_alignment_f1_partial():
     g = parse_penman("(a / aa :ARG0 (b / bb) :ARG1 (c / cc) :ARG2 (d / dd))")
     tokens = ["aa", "bb", "cc", "dd"]
     gold = CandidateAlignment(g, tokens, {
-        h: AlignmentRecord(Span(i, i + 1))
+        h: Span(i, i + 1)
         for i, h in enumerate(["a", "b", "c", "d"])})
     pred = CandidateAlignment(g, tokens, {
-        "a": AlignmentRecord(Span(0, 1)),
-        "b": AlignmentRecord(Span(1, 2)),
+        "a": Span(0, 1),
+        "b": Span(1, 2),
         "c": None,
         "d": None})
     p, r, f1 = alignment_f1(pred, gold)
@@ -587,10 +565,10 @@ def test_alignment_f1_boundary_error():
     g = parse_penman(
         "(a / aa :ARG0 (b / bb) :ARG1 (c / cc) :ARG2 (d / dd) :ARG3 (e / ee))")
     tokens = ["aa", "bb", "cc", "dd", "ee", "x"]
-    gold_choices = {h: AlignmentRecord(Span(i, i + 1))
+    gold_choices = {h: Span(i, i + 1)
                     for i, h in enumerate(["a", "b", "c", "d", "e"])}
     pred_choices = dict(gold_choices)
-    pred_choices["e"] = AlignmentRecord(Span(4, 6))  # span boundary error
+    pred_choices["e"] = Span(4, 6)  # span boundary error
     gold = CandidateAlignment(g, tokens, gold_choices)
     pred = CandidateAlignment(g, tokens, pred_choices)
     p, r, f1 = alignment_f1(pred, gold)

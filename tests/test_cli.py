@@ -286,6 +286,35 @@ def test_unaligned_root_rebuilds_forest(tmp_path, capsys):
     assert text.count("LEFT(:ARG0)") == 2
 
 
+PERSONS = """\
+# ::id persons
+# ::tok Person and Person and Person
+(a / and
+    :op1 (p1 / person :name (n1 / name :op1 "Person"))
+    :op2 (p2 / person :name (n2 / name :op1 "Person"))
+    :op3 (p3 / person :name (n3 / name :op1 "Person")))
+"""
+
+
+def test_one_candidate_per_span_assignment(tmp_path, capsys):
+    # each `person` has a matching and an updating (entity-type) record on
+    # its name's span, yet a span assignment is kept once, so the 50 kept
+    # candidates reach the one that puts every person on its own token
+    source = tmp_path / "persons.amr"
+    source.write_text(PERSONS, encoding="utf-8")
+    aligned, tuned, report = (str(tmp_path / name)
+                              for name in ("aligned", "tuned", "report"))
+    assert run_cli(capsys, "align", "-i", str(source), "-o", aligned,
+                   "--base-only")[0] == 0
+    lines = [line for line in read_text(aligned).splitlines()
+             if line.startswith("# ::alignments-")]
+    assert len(lines) == 50
+    assert len({line.split(" ", 2)[2] for line in lines}) == 50
+    assert run_cli(capsys, "tune", "-i", aligned, "-o", tuned,
+                   "--report", report)[0] == 0
+    assert read_text(report).splitlines()[0] == "mean-oracle-smatch\t1.0000"
+
+
 def test_full_pipeline(tmp_path, capsys):
     _, tuned = align_tune(tmp_path, capsys)
     traces = str(tmp_path / "traces.txt")
@@ -356,6 +385,16 @@ def test_smatch_reports_an_uncertified_pair(tmp_path, capsys, extra):
     assert run_cli(capsys, "smatch", "--gold", str(gold), "--pred", str(pred),
                    *extra) == (0, "0.5000\t0.5000\t0.5000\n",
                                "certified-pairs\t0\n")
+
+
+def test_smatch_rejects_blocks_paired_with_other_ids(tmp_path, capsys):
+    gold, pred = tmp_path / "gold", tmp_path / "pred"
+    gold.write_text("# ::id a\n(x / a)\n\n# ::id b\n(y / b)\n", encoding="utf-8")
+    pred.write_text("# ::id b\n(y / b)\n\n# ::id a\n(x / a)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "smatch", "--gold", str(gold),
+                             "--pred", str(pred))
+    assert (code, out) == (2, "")
+    assert err.startswith("ERR:corpus:")
 
 
 def test_stats_tsv(tmp_path, capsys):
@@ -458,6 +497,17 @@ def test_train_rejects_an_incomplete_trace(tmp_path, capsys, actions):
                       encoding="utf-8")
     code, _, err = run_cli(capsys, "train", "--traces", str(traces),
                            "--model", str(tmp_path / "model.json"))
+    assert code == 2
+    assert err.startswith("ERR:train:")
+
+
+def test_train_rejects_a_negative_dev_fraction(tmp_path, capsys):
+    _, tuned = align_tune(tmp_path, capsys)
+    traces = str(tmp_path / "traces.txt")
+    assert run_cli(capsys, "oracle", "-i", tuned, "-o", traces)[0] == 0
+    code, _, err = run_cli(capsys, "train", "--traces", traces,
+                           "--model", str(tmp_path / "model.json"),
+                           "--epochs", "1", "--dev-fraction", "-0.5")
     assert code == 2
     assert err.startswith("ERR:train:")
 

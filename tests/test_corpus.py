@@ -2,12 +2,18 @@ import io
 
 import pytest
 
-from amrtk.align import AlignmentRecord, CandidateAlignment, Span
+from amrtk.align import (
+    CandidateAlignment, Span, base_rule_set, enumerate_alignments,
+    full_rule_set,
+)
 from amrtk.corpus import (
     CorpusFormatError, corpus_to_string, format_alignment, parse_alignment,
     read_corpus, read_traces, write_traces,
 )
-from helpers import fixture
+from amrtk.resources import (
+    Resources, load_embeddings, load_lemmas, load_morphosemantic,
+)
+from helpers import bench_module, fixture
 
 SAMPLE = """\
 # ::id x1
@@ -51,8 +57,8 @@ def test_alignment_round_trip():
     docs = read_corpus(SAMPLE)
     doc = docs[0]
     cand = CandidateAlignment(doc.graph, doc.tokens, {
-        "s": AlignmentRecord(Span(2, 3)),
-        "b": AlignmentRecord(Span(1, 2)),
+        "s": Span(2, 3),
+        "b": Span(1, 2),
     })
     line = format_alignment(cand)
     assert line == "1-2|1 2-3|0"
@@ -65,13 +71,40 @@ def test_alignment_stacked_heads():
     text = '(c / country :name (n / name :op1 "Fr"))'
     doc = read_corpus("# ::tok Fr\n" + text + "\n")[0]
     cand = CandidateAlignment(doc.graph, doc.tokens, {
-        "c": AlignmentRecord(Span(0, 1)),
-        "n": AlignmentRecord(Span(0, 1)),
+        "c": Span(0, 1),
+        "n": Span(0, 1),
     })
     line = format_alignment(cand)
     assert line == "0-1|0+1"
     parsed = parse_alignment(line, doc.graph, doc.tokens)
     assert parsed.span_of("c") == parsed.span_of("n") == Span(0, 1)
+
+
+def candidate_corpora():
+    """The fixture corpora and the benchmark workloads at seeds 1-3."""
+    corpus_gen = bench_module("corpus_gen")
+    yield read_corpus(fixture("train_corpus.amr"))
+    yield read_corpus(fixture("oracle_corpus.amr"))
+    for workload in ("compose-long", "compose-short"):
+        for seed in (1, 2, 3):
+            yield read_corpus(corpus_gen.generate(workload, seed))
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["base", "full"])
+def test_enumerated_candidates_round_trip_and_are_distinct(extended):
+    resources = Resources(
+        embeddings=load_embeddings(fixture("resources", "embeddings.txt")),
+        morph=load_morphosemantic(fixture("resources", "morph.tsv")),
+        lemmas=load_lemmas(fixture("resources", "lemmas.tsv")))
+    rules = full_rule_set(resources) if extended else base_rule_set()
+    for docs in candidate_corpora():
+        for doc in docs:
+            aset = enumerate_alignments(doc.graph, doc.tokens, rules,
+                                        resources=resources)
+            assert len(set(aset)) == len(aset), doc.id
+            for cand in aset:
+                line = format_alignment(cand)
+                assert parse_alignment(line, doc.graph, doc.tokens) == cand, line
 
 
 def test_alignment_bad_item():
@@ -88,9 +121,9 @@ def test_candidates_round_trip():
     docs = read_corpus(SAMPLE)
     doc = docs[0]
     first = CandidateAlignment(doc.graph, doc.tokens,
-                               {"s": AlignmentRecord(Span(2, 3)), "b": None})
+                               {"s": Span(2, 3), "b": None})
     second = CandidateAlignment(doc.graph, doc.tokens,
-                                {"s": None, "b": AlignmentRecord(Span(1, 2))})
+                                {"s": None, "b": Span(1, 2)})
     doc.set_candidates([first, second])
     text = corpus_to_string(docs)
     reread = read_corpus(text)[0]
@@ -105,9 +138,9 @@ def test_single_alignment_write():
     docs = read_corpus(SAMPLE)
     doc = docs[0]
     doc.set_candidates([CandidateAlignment(doc.graph, doc.tokens, {
-        "s": AlignmentRecord(Span(2, 3)), "b": None})])
+        "s": Span(2, 3), "b": None})])
     doc.set_alignment(CandidateAlignment(doc.graph, doc.tokens, {
-        "s": AlignmentRecord(Span(2, 3)), "b": AlignmentRecord(Span(1, 2))}))
+        "s": Span(2, 3), "b": Span(1, 2)}))
     text = corpus_to_string(docs)
     assert "::alignments-0" not in text
     assert "::alignments 1-2|1 2-3|0" in text

@@ -1,7 +1,7 @@
 import pytest
 
 from amrtk.graph import (
-    ATTRIBUTE, CONSTANT, PREDICATE,
+    ATTRIBUTE, CONSTANT, VARIABLE,
     AmrGraph, Concept, GraphLookupError, PenmanStructureError, Relation,
     PenmanSyntaxError, SerializationError,
     depth_to_root, extract_fragments, name_op_values, parse_penman,
@@ -138,7 +138,7 @@ def test_unterminated_quote_is_syntax_error(text):
 
 def test_serialize_disconnected_fails():
     g = AmrGraph(
-        {"a": Concept("a", "act-01", PREDICATE), "b": Concept("b", "boy", "entity-type")},
+        {"a": Concept("a", "act-01", VARIABLE), "b": Concept("b", "boy", VARIABLE)},
         [], "a")
     with pytest.raises(SerializationError):
         serialize_penman(g)
@@ -188,7 +188,7 @@ def test_depth_takes_longest_path():
 
 def test_depth_forest_sources_are_zero():
     # two trees sharing b: a -> b <- c -> d, named by its first source a
-    concepts = {cid: Concept(cid, cid, PREDICATE) for cid in "abcd"}
+    concepts = {cid: Concept(cid, cid, VARIABLE) for cid in "abcd"}
     relations = [Relation("a", "b", ":ARG0"), Relation("c", "b", ":ARG1"),
                  Relation("c", "d", ":ARG2")]
     g = AmrGraph(concepts, relations, "a")
@@ -199,7 +199,7 @@ def test_depth_forest_sources_are_zero():
 def test_only_the_empty_graph_has_no_root():
     assert AmrGraph({}, [], None).root is None
     with pytest.raises(PenmanStructureError):
-        AmrGraph({"a": Concept("a", "a", PREDICATE)}, [], None)
+        AmrGraph({"a": Concept("a", "a", VARIABLE)}, [], None)
 
 
 def test_depth_missing_concept():

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 
 from amrtk.align import (
-    AlignmentRecord, AlignmentSet, CandidateAlignment, Span,
+    AlignmentSet, CandidateAlignment, Span,
     base_rule_set, enumerate_alignments, full_rule_set,
 )
 from amrtk.corpus import read_corpus
@@ -49,10 +49,8 @@ def figure_alignments():
 
 
 def candidate(graph, tokens, spans):
-    choices = {}
-    for head, span in spans.items():
-        choices[head] = AlignmentRecord(Span(*span)) if span else None
-    return CandidateAlignment(graph, tokens, choices)
+    return CandidateAlignment(graph, tokens, {
+        head: Span(*span) if span else None for head, span in spans.items()})
 
 
 def test_prune_identity_when_fully_aligned():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import amrtk.parser
-from amrtk.align import AlignmentRecord, CandidateAlignment, Span
+from amrtk.align import CandidateAlignment, Span
 from amrtk.graph import parse_penman, serialize_penman
 from amrtk.oracle import oracle_run
 from amrtk.parser import (
@@ -21,7 +21,7 @@ from helpers import ReferenceScorer
 
 def make_example(text, tokens, spans, lemma_table=None):
     g = parse_penman(text)
-    choices = {h: AlignmentRecord(Span(*span)) if span else None
+    choices = {h: Span(*span) if span else None
                for h, span in spans.items()}
     cand = CandidateAlignment(g, tokens, choices)
     run = oracle_run(tokens, g, cand)
@@ -182,6 +182,13 @@ def test_lemma_fallback_rewrite():
     assert "sleep" in model.predicate_lemmas
     assert lemma_label("sleeps", LEMMAS, model.predicate_lemmas) == "sleep-01"
     assert lemma_label("boy", LEMMAS, model.predicate_lemmas) == "boy"
+
+
+@pytest.mark.parametrize("fraction", [-0.5, -3, 1.0, float("nan")])
+def test_dev_fraction_outside_unit_interval_rejected(fraction):
+    _, examples = tiny_corpus()
+    with pytest.raises(TrainingError):
+        train(examples, epochs=1, seed=1, dev_fraction=fraction)
 
 
 def test_dev_split_reported():

@@ -138,9 +138,11 @@ class ActionScorer:
     """Linear multiclass model over an action vocabulary, held as one dense
     table with a column per action.  Row 0 holds the biases; each hashed
     feature id the model knows has its own row (`rows`).  A feature id
-    without a row weighs zero for every action.  `touched` marks the cells
-    a training update or a model file wrote: they are the sparse weights a
-    model file holds."""
+    without a row weighs zero for every action.  One more row, `zero_row`,
+    past the feature rows, stays zero: it pads the row-index blocks of the
+    instances that `train` compiles.  `touched` marks the cells a training
+    update or a model file wrote: they are the sparse weights a model file
+    holds."""
 
     def __init__(self, actions, predicate_lemmas=(), features=()):
         self.actions = list(actions)
@@ -151,7 +153,8 @@ class ActionScorer:
         self.rows = {}
         for feat in features:
             self.rows.setdefault(feat, len(self.rows) + 1)
-        self.table = np.zeros((len(self.rows) + 1, len(self.actions)))
+        self.zero_row = len(self.rows) + 1
+        self.table = np.zeros((self.zero_row + 1, len(self.actions)))
         self.touched = np.zeros(self.table.shape, dtype=bool)
 
     @property
@@ -165,7 +168,7 @@ class ActionScorer:
         ids = np.array([0] + list(self.rows))
         views = []
         for col in range(len(self.actions)):
-            rows = np.flatnonzero(self.touched[1:, col]) + 1
+            rows = np.flatnonzero(self.touched[1:self.zero_row, col]) + 1
             views.append(dict(zip(ids[rows].tolist(),
                                   self.table[rows, col].tolist())))
         return views
@@ -174,24 +177,42 @@ class ActionScorer:
         """The bias plus the encoded features' weights of each action
         column, added one row at a time in encoding order.  `accumulate`
         keeps that order where `sum` may add pairwise, which would move
-        the last bits of a logit and with them every trained model."""
+        the last bits of a logit and with them every trained model.  The
+        instances `train` compiles hold their rows as flat cell offsets
+        already (`cells`); the accuracy pass adds the same rows in the same
+        order, and `zero_row` where an instance is shorter."""
         rows = self.rows
-        block = self.table.take([0] + [rows[f] for f in encoding if f in rows],
-                                axis=0).take(columns, axis=1)
-        return np.add.accumulate(block, axis=0)[-1].tolist()
+        offsets = np.array([0] + [rows[f] for f in encoding if f in rows])
+        return self.cell_logits(self.cells(offsets * len(self.actions),
+                                           columns))
 
     def update(self, encoding, columns, coefs):
         """Add coefs[j] to the bias of action column columns[j] and to its
         weight of each encoded feature, once per time the feature is
-        encoded.  Every encoded feature needs a row."""
-        rows = np.array([0] + [self.rows[f] for f in encoding])
-        # flat cell numbers, column by column, with one coefficient per
-        # cell: numpy 2.4's `ufunc.at` adds garbage when it broadcasts the
-        # values over a 2-D index
-        cells = (np.array(columns)[:, None]
-                 + rows * len(self.actions)).ravel()
+        encoded.  Every encoded feature needs a row.  A compiled instance
+        of `train` holds its rows as flat cell offsets already
+        (`cells`)."""
+        offsets = np.array([0] + [self.rows[f] for f in encoding])
+        self.add_at(self.cells(offsets * len(self.actions), columns), coefs)
+
+    @staticmethod
+    def cells(offsets, columns):
+        """The flat cell numbers of action columns `columns` in the table
+        rows that start at cell `offsets`: one line per column"""
+        return np.asarray(columns)[:, None] + offsets
+
+    def cell_logits(self, cells):
+        """`logits` from the `cells` of the bias row and the feature rows"""
+        return np.add.accumulate(self.table.reshape(-1).take(cells),
+                                 axis=1)[:, -1].tolist()
+
+    def add_at(self, cells, coefs):
+        """`update` of `cells`, coefs[j] to each cell of line j"""
+        # one coefficient per cell: numpy 2.4's `ufunc.at` adds garbage
+        # when it broadcasts the values over a 2-D index
+        cells = cells.ravel()
         np.add.at(self.table.reshape(-1), cells,
-                  np.array(coefs).repeat(len(rows)))
+                  np.array(coefs).repeat(len(cells) // len(coefs)))
         self.touched.reshape(-1)[cells] = True
 
 
@@ -335,9 +356,23 @@ def materialize(model, name, state, lemma_table):
 def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
           lemma_table=None, log=None):
     """Fit the linear scorer on oracle traces by SGD on the multiclass
-    logistic objective; reports per-epoch action accuracy."""
+    logistic objective; reports per-epoch action accuracy.
+
+    Each instance is compiled once, before the first epoch, into the table
+    rows it adds and its legal action columns (`CompiledInstances`), so an
+    SGD step gathers, accumulates and updates table cells by index and
+    looks up no feature.  The accuracy passes score every instance of a
+    split at once, its rows padded with the model's zero row.  Fewer than
+    one epoch, a learning rate that is not a positive number, and an epoch
+    whose loss is not a finite number raise `TrainingError`: the model
+    would not load."""
     if not 0 <= dev_fraction < 1:
         raise TrainingError("dev fraction %r is outside [0, 1)" % dev_fraction)
+    if epochs < 1:
+        raise TrainingError("epochs must be at least 1, not %r" % epochs)
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise TrainingError(
+            "learning rate %r is not a positive number" % learning_rate)
     corpus = list(corpus)
     if not corpus:
         raise TrainingError("training corpus is empty")
@@ -373,43 +408,109 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
     del replays  # the states were kept only to find the legal names
     if not train_instances:
         raise TrainingError("no training instances after the dev split")
-
-    def accuracy(instances):
-        if not instances:
-            return 0.0
-        hits = 0
-        for encoding, legal, gold in instances:
-            probs = score_actions(model, encoding, legal)
-            hits += best_action(model, probs, legal) == gold
-        return hits / len(instances)
+    train_set = CompiledInstances(model, train_instances)
+    dev_set = CompiledInstances(model, dev_instances)
 
     for epoch in range(epochs):
         order = list(range(len(train_instances)))
         rng.shuffle(order)
         total_loss = 0.0
         for i in order:
-            encoding, legal, gold = train_instances[i]
-            probs = score_actions(model, encoding, legal)
+            offsets, columns, gold = train_set.steps[i]
+            cells = model.cells(offsets, columns)
+            probs = _softmax(model.cell_logits(cells))
             total_loss -= math.log(max(probs[gold], 1e-300))
-            columns, coefs = [], []
-            for action in legal:
-                coef = learning_rate * ((action == gold) - probs[action])
-                if coef != 0.0:
-                    columns.append(model.action_index[action])
-                    coefs.append(coef)
-            if columns:
-                model.update(encoding, columns, coefs)
+            coefs = [learning_rate * ((j == gold) - prob)
+                     for j, prob in enumerate(probs)]
+            if 0.0 in coefs:
+                kept = [j for j, coef in enumerate(coefs) if coef != 0.0]
+                if not kept:
+                    continue
+                cells, coefs = cells[kept], [coefs[j] for j in kept]
+            model.add_at(cells, coefs)
+        if not math.isfinite(total_loss):
+            raise TrainingError(
+                "the loss of epoch %d is not a finite number; the learning "
+                "rate %r is too large" % (epoch + 1, learning_rate))
         entry = {
             "epoch": epoch + 1,
             "loss": total_loss / len(train_instances),
-            "train_accuracy": accuracy(train_instances),
+            "train_accuracy": train_set.accuracy(model),
         }
         if dev_instances:
-            entry["dev_accuracy"] = accuracy(dev_instances)
+            entry["dev_accuracy"] = dev_set.accuracy(model)
         model.train_log.append(entry)
         if log is not None:
             log(entry)
     return model
+
+
+# a top legal logit at most this far above the next one may tie with it in
+# probability, so `CompiledInstances.accuracy` scores that instance the
+# exact way
+NEAR_TIE = 1e-9
+
+
+class CompiledInstances:
+    """Training instances (encoding, legal names, gold name) compiled
+    against a model's table.
+
+    Row i of `offsets` holds the flat cell offset of each table row that
+    instance i adds: the bias row, then the row of each encoded feature in
+    encoding order (`zero_row` for a feature without one), padded to the
+    longest instance with the zero row.  `steps` holds, per instance, the
+    unpadded part of its offsets (a view), its legal action columns and the
+    position of the gold action among them."""
+
+    def __init__(self, model, instances):
+        self.instances = instances
+        self.width = width = len(model.actions)
+        length = 1 + max((len(enc) for enc, _, _ in instances), default=0)
+        self.offsets = np.full((len(instances), length), model.zero_row)
+        self.illegal = np.ones((len(instances), width), dtype=bool)
+        spans = []
+        for i, (encoding, legal, gold) in enumerate(instances):
+            rows = [0] + [model.rows.get(f, model.zero_row) for f in encoding]
+            columns = [model.action_index[a] for a in legal]
+            self.offsets[i, :len(rows)] = rows
+            self.illegal[i, columns] = False
+            spans.append((len(rows), np.array(columns), legal.index(gold)))
+        self.offsets *= width
+        self.steps = [(offsets[:n], columns, gold) for offsets, (
+            n, columns, gold) in zip(self.offsets, spans)]
+        self.gold_columns = np.array(
+            [model.action_index[gold] for _, _, gold in instances])
+
+    def accuracy(self, model):
+        """The share of instances whose best legal action under `model` is
+        the gold one, as `score_actions` and `best_action` decide it.
+
+        The logits of all instances are summed one row position at a time:
+        the additions of `ActionScorer.logits` in the same order, and the
+        zero row adds +0.0, which moves no argmax.  The best legal action
+        is then the argmax, unless the next legal logit is within
+        `NEAR_TIE` (or a logit is not finite): only then can a probability
+        tie bring in the vocabulary's tie-break, and the instance is scored
+        the exact way.  Gathering every instance's rows at once would hold
+        a line of logits per row in memory."""
+        if not self.instances:
+            return 0.0
+        table = model.table
+        logits = table.take(self.offsets[:, 0] // self.width, axis=0)
+        for offsets in self.offsets.T[1:]:
+            logits += table.take(offsets // self.width, axis=0)
+        logits[self.illegal] = -np.inf
+        best = logits.argmax(axis=1)
+        picked = np.arange(len(best))
+        top = logits[picked, best]
+        logits[picked, best] = -np.inf
+        clear = (top - logits.max(axis=1) > NEAR_TIE) & np.isfinite(top)
+        hits = int(np.count_nonzero(clear & (best == self.gold_columns)))
+        for i in np.flatnonzero(~clear).tolist():
+            encoding, legal, gold = self.instances[i]
+            probs = score_actions(model, encoding, legal)
+            hits += best_action(model, probs, legal) == gold
+        return hits / len(self.instances)
 
 
 def decode(model, tokens, pos=None, lemma_table=None):

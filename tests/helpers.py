@@ -1,10 +1,11 @@
 """Shared test utilities: random graph pairs, fixture paths, the
 reference Smatch hill-climbing and search, the reference matching-rule
 pass, the reference updating fixpoint, the brute-force candidate list and
-the reference action scorer."""
+the reference action scorer and trainer."""
 
 import importlib.util
 import itertools
+import math
 import os
 import random
 
@@ -16,12 +17,17 @@ from amrtk.graph import (
     ATTRIBUTE, VARIABLE, AmrGraph, Concept, Relation, extract_fragments,
     name_op_values, strip_sense,
 )
-from amrtk.resources import morph_match, semantic_match
+from amrtk.parser import (
+    ActionScorer, TrainingError, _replay, best_action, legal_action_names,
+    score_actions,
+)
+from amrtk.resources import LemmaTable, morph_match, semantic_match
 from amrtk.smatch import (
     _held, _label_init, _match_count, _move_gain, _random_init, _swap_gain,
     _weight_table, to_triples, triple_count,
 )
 from amrtk.surface import date_attributes, numeric_form
+from amrtk.transition import CONFIRM
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -454,6 +460,93 @@ class ReferenceScorer:
             weights = self.weights[idx]
             for feat in encoding:
                 weights[feat] = weights.get(feat, 0.0) + coef
+
+
+# ---------------------------------------------------------------------------
+# The per-instance trainer that the compiled instances of
+# `amrtk.parser.train` replaced: each SGD step looks its feature rows up in
+# `ActionScorer.rows`, and each epoch's accuracy pass scores every instance
+# through `score_actions` and `best_action`, one at a time.  Kept verbatim
+# as the test oracle for the trained model and its log.
+
+def reference_train(corpus, epochs=30, learning_rate=0.5, seed=1,
+                    dev_fraction=0.0, lemma_table=None, log=None):
+    """Fit the linear scorer on oracle traces by SGD on the multiclass
+    logistic objective; reports per-epoch action accuracy."""
+    if not 0 <= dev_fraction < 1:
+        raise TrainingError("dev fraction %r is outside [0, 1)" % dev_fraction)
+    corpus = list(corpus)
+    if not corpus:
+        raise TrainingError("training corpus is empty")
+    lemma_table = lemma_table or LemmaTable()
+    rng = random.Random(seed)
+
+    predicate_lemmas = {strip_sense(action.label)
+                        for example in corpus for action in example.actions
+                        if action.tag == CONFIRM
+                        and strip_sense(action.label) != action.label}
+    replays = [_replay(example, lemma_table, predicate_lemmas)
+               for example in corpus]
+    indices = list(range(len(corpus)))
+    rng.shuffle(indices)
+    n_dev = int(len(corpus) * dev_fraction)
+    dev_idx = set(indices[:n_dev])
+    # one table row for each feature the training instances encode
+    model = ActionScorer(
+        sorted({name for steps in replays for _, _, name in steps}),
+        predicate_lemmas=predicate_lemmas,
+        features=(feat for i, steps in enumerate(replays) if i not in dev_idx
+                  for encoding, _, _ in steps for feat in encoding))
+
+    train_instances = []
+    dev_instances = []
+    for i, steps in enumerate(replays):
+        bucket = dev_instances if i in dev_idx else train_instances
+        # `apply` and `legal_action_names` share one legality rule, so the
+        # replay has already checked that each gold name is legal here
+        for encoding, state, gold_name in steps:
+            bucket.append((encoding, legal_action_names(model, state),
+                           gold_name))
+    del replays  # the states were kept only to find the legal names
+    if not train_instances:
+        raise TrainingError("no training instances after the dev split")
+
+    def accuracy(instances):
+        if not instances:
+            return 0.0
+        hits = 0
+        for encoding, legal, gold in instances:
+            probs = score_actions(model, encoding, legal)
+            hits += best_action(model, probs, legal) == gold
+        return hits / len(instances)
+
+    for epoch in range(epochs):
+        order = list(range(len(train_instances)))
+        rng.shuffle(order)
+        total_loss = 0.0
+        for i in order:
+            encoding, legal, gold = train_instances[i]
+            probs = score_actions(model, encoding, legal)
+            total_loss -= math.log(max(probs[gold], 1e-300))
+            columns, coefs = [], []
+            for action in legal:
+                coef = learning_rate * ((action == gold) - probs[action])
+                if coef != 0.0:
+                    columns.append(model.action_index[action])
+                    coefs.append(coef)
+            if columns:
+                model.update(encoding, columns, coefs)
+        entry = {
+            "epoch": epoch + 1,
+            "loss": total_loss / len(train_instances),
+            "train_accuracy": accuracy(train_instances),
+        }
+        if dev_instances:
+            entry["dev_accuracy"] = accuracy(dev_instances)
+        model.train_log.append(entry)
+        if log is not None:
+            log(entry)
+    return model
 
 
 def brute_force_candidates(graph, tokens, rules, resources=None):

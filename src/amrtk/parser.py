@@ -179,12 +179,12 @@ class ActionScorer:
         keeps that order where `sum` may add pairwise, which would move
         the last bits of a logit and with them every trained model.  The
         instances `train` compiles hold their rows as flat cell offsets
-        already (`cells`); the accuracy pass adds the same rows in the same
+        (`cell_logits`); its accuracy pass adds the same rows in the same
         order, and `zero_row` where an instance is shorter."""
         rows = self.rows
-        offsets = np.array([0] + [rows[f] for f in encoding if f in rows])
-        return self.cell_logits(self.cells(offsets * len(self.actions),
-                                           columns))
+        block = self.table.take([0] + [rows[f] for f in encoding if f in rows],
+                                axis=0).take(columns, axis=1)
+        return np.add.accumulate(block, axis=0)[-1].tolist()
 
     def update(self, encoding, columns, coefs):
         """Add coefs[j] to the bias of action column columns[j] and to its

@@ -512,6 +512,23 @@ def test_train_rejects_a_negative_dev_fraction(tmp_path, capsys):
     assert err.startswith("ERR:train:")
 
 
+
+@pytest.mark.parametrize("argv", [("--learning-rate", "nan"),
+                                  ("--learning-rate", "1e308"),
+                                  ("--epochs", "0")],
+                         ids=["nan-rate", "overflowing-rate", "no-epoch"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_train_writes_no_model_that_parse_refuses(tmp_path, capsys, argv):
+    traces = tmp_path / "traces.txt"
+    traces.write_text("# ::tok the cat\nDROP\nCONFIRM(cat)\nSHIFT\nREDUCE\n",
+                      encoding="utf-8")
+    model = tmp_path / "model.json"
+    code, _, err = run_cli(capsys, "train", "--traces", str(traces),
+                           "--model", str(model), *argv)
+    assert code == 2
+    assert err.startswith("ERR:train:")
+    assert not model.exists()
+
 def test_oracle_requires_single_alignment(tmp_path, capsys):
     aligned, _ = align_tune(tmp_path, capsys, fixture("train_corpus.amr"))
     # the aligned (multi-candidate) file is rejected by `oracle`

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,15 +11,18 @@ import amrtk.parser
 from amrtk.align import CandidateAlignment, Span
 from amrtk.graph import parse_penman, serialize_penman
 from amrtk.oracle import oracle_run
+import helpers
+from amrtk.cli import _read_training_corpus, main
 from amrtk.parser import (
-    ActionScorer, DecodeError, Ensemble, TrainingError, TrainingExample,
-    averaged_scores, decode, encode, encode_state, lemma_label,
-    legal_action_names, load_model, save_model, score_actions, train,
+    ActionScorer, CompiledInstances, DecodeError, Ensemble, TrainingError,
+    TrainingExample, averaged_scores, best_action, decode, encode,
+    encode_state, lemma_label, legal_action_names, load_model, save_model,
+    score_actions, train,
 )
-from amrtk.resources import LemmaTable
+from amrtk.resources import LemmaTable, load_lemmas
 from amrtk.smatch import smatch_score
 from amrtk.transition import Action, TransitionError, apply, initial_state
-from helpers import ReferenceScorer
+from helpers import ReferenceScorer, bench_module, fixture, reference_train
 
 
 def make_example(text, tokens, spans, lemma_table=None):
@@ -417,10 +423,16 @@ def test_unseen_feature_scores_zero(tmp_path, monkeypatch):
         return probs
 
     monkeypatch.setattr(amrtk.parser, "score_actions", against_reference)
+    monkeypatch.setattr(helpers, "score_actions", against_reference)
     model = train(examples, epochs=3, seed=1, dev_fraction=0.2,
                   lemma_table=LEMMAS)
+    # the reference trainer scores each dev instance through
+    # `score_actions`; the compiled one logs the same dev accuracy
+    reference = reference_train(examples, epochs=3, seed=1, dev_fraction=0.2,
+                                lemma_table=LEMMAS)
     in_dev_pass = len(checked)
     assert in_dev_pass > 0
+    assert model.train_log == reference.train_log
     decode(model, ["a", "zebra", "sings"], lemma_table=LEMMAS)
     assert len(checked) > in_dev_pass
     unseen = {f for encoding in checked for f in encoding} - set(model.rows)
@@ -430,3 +442,159 @@ def test_unseen_feature_scores_zero(tmp_path, monkeypatch):
     keys = {int(k) for row in json.loads(path.read_text())["weights"]
             for k in row}
     assert keys and not keys & unseen
+
+
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_train_rejects_fewer_than_one_epoch(epochs):
+    _, examples = tiny_corpus()
+    with pytest.raises(TrainingError):
+        train(examples, epochs=epochs, seed=1)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -0.5])
+def test_train_rejects_a_learning_rate_that_is_not_positive(rate):
+    _, examples = tiny_corpus()
+    with pytest.raises(TrainingError):
+        train(examples, epochs=1, learning_rate=rate, seed=1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_train_stops_at_an_epoch_whose_loss_is_not_finite():
+    _, examples = tiny_corpus()
+    logged = []
+    with pytest.raises(TrainingError, match="epoch 1 "):
+        train(examples, epochs=3, learning_rate=1e308, seed=1,
+              log=logged.append)
+    assert logged == []
+
+
+@pytest.fixture(scope="module")
+def pipeline_traces(tmp_path_factory):
+    """corpus -> the training examples of its `align`, `tune --seed 1` and
+    `oracle --seed 1` traces; compose-short is the benchmark's workload at
+    seed 1"""
+    out = tmp_path_factory.mktemp("traces")
+    resources = fixture("resources")
+    examples = {}
+    for corpus in ("train_corpus", "oracle_corpus", "compose-short"):
+        source = fixture(corpus + ".amr")
+        if corpus.startswith("compose-"):
+            source = str(out / (corpus + ".amr"))
+            with open(source, "w", encoding="utf-8") as handle:
+                handle.write(bench_module("corpus_gen").generate(corpus, 1))
+        aligned, tuned, traces = (str(out / (corpus + suffix))
+                                  for suffix in (".aligned", ".tuned", ".traces"))
+        steps = [
+            ["align", "-i", source, "-o", aligned,
+             "--embeddings", resources + "/embeddings.txt",
+             "--morph", resources + "/morph.tsv",
+             "--lemmas", resources + "/lemmas.tsv"],
+            ["tune", "-i", aligned, "-o", tuned, "--seed", "1",
+             "--report", str(out / "report")],
+            ["oracle", "-i", tuned, "-o", traces, "--seed", "1"],
+        ]
+        with contextlib.redirect_stderr(io.StringIO()):
+            for argv in steps:
+                assert main(argv) == 0
+        examples[corpus] = _read_training_corpus(traces)
+    return examples
+
+
+FIXTURE_LEMMAS = load_lemmas(fixture("resources", "lemmas.tsv"))
+
+
+@pytest.fixture
+def exact(monkeypatch):
+    """The encodings that `score_actions` scores, in call order"""
+    calls = []
+    original = amrtk.parser.score_actions
+
+    def counted(model, encoding, legal):
+        calls.append(encoding)
+        return original(model, encoding, legal)
+
+    monkeypatch.setattr(amrtk.parser, "score_actions", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dev_fraction", [0.0, 0.3])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("corpus", ["train_corpus", "oracle_corpus",
+                                    "compose-short"])
+def test_compiled_train_matches_reference(pipeline_traces, monkeypatch, exact,
+                                          corpus, seed, dev_fraction):
+    compiled = []
+
+    class Recorded(CompiledInstances):
+        def __init__(self, model, instances):
+            super().__init__(model, instances)
+            compiled.append(self)
+
+    monkeypatch.setattr(amrtk.parser, "CompiledInstances", Recorded)
+    examples = pipeline_traces[corpus]
+    model = train(examples, epochs=10, seed=seed, dev_fraction=dev_fraction,
+                  lemma_table=FIXTURE_LEMMAS)
+    # no two legal logits of these models come near a tie, so the
+    # accuracy passes never score an instance the exact way
+    assert exact == []
+    reference = reference_train(examples, epochs=10, seed=seed,
+                                dev_fraction=dev_fraction,
+                                lemma_table=FIXTURE_LEMMAS)
+    assert model.bias == reference.bias
+    assert model.weights == reference.weights
+    assert (model.touched == reference.touched).all()
+    assert model.train_log == reference.train_log
+    _, dev_set = compiled
+    if dev_fraction:
+        # dev features without a row were scored through the zero row
+        assert any(f not in model.rows
+                   for encoding, _, _ in dev_set.instances for f in encoding)
+
+
+def test_near_ties_are_scored_the_exact_way(exact):
+    # the column order puts SHIFT first; the tie-break key puts DROP, then
+    # CONFIRM, before it
+    model = ActionScorer(["SHIFT", "DROP", "CONFIRM(boy)"], features=[3, 5])
+    model.table[1, 2] = 1e-12      # feature 3, CONFIRM(boy)
+    model.table[2, 1] = 2.0        # feature 5, DROP
+    instances = [
+        ([3], ["SHIFT", "DROP"], "DROP"),             # a tie: DROP wins
+        ([9], ["SHIFT", "CONFIRM(boy)"], "SHIFT"),    # a tie; 9 has no row
+        ([3], ["DROP", "CONFIRM(boy)"], "CONFIRM(boy)"),  # 1e-12 apart
+        ([5], ["SHIFT", "DROP"], "DROP"),             # clear
+        ([5, 9], ["SHIFT", "DROP"], "SHIFT"),         # clear
+    ]
+    accuracy = CompiledInstances(model, instances).accuracy(model)
+    assert exact == [[3], [9], [3]]
+    hits = [best_action(model, score_actions(model, encoding, legal), legal)
+            == gold
+            for encoding, legal, gold in instances]
+    assert hits == [True, False, True, True, False]
+    assert accuracy == sum(hits) / len(hits)
+
+
+def test_a_tiny_learning_rate_logs_the_exact_accuracy(exact):
+    # after an epoch at this rate every pair of legal logits is a near tie
+    _, examples = tiny_corpus()
+    model = train(examples, epochs=3, learning_rate=1e-12, seed=1,
+                  dev_fraction=0.2, lemma_table=LEMMAS)
+    assert exact
+    reference = reference_train(examples, epochs=3, learning_rate=1e-12,
+                                seed=1, dev_fraction=0.2, lemma_table=LEMMAS)
+    assert model.train_log == reference.train_log
+
+
+def test_accuracy_pass_holds_no_block_of_rows(pipeline_traces):
+    examples = pipeline_traces["compose-short"]
+    reference_train(examples, epochs=1, seed=1, lemma_table=FIXTURE_LEMMAS)
+    peaks = []
+    for trainer in (reference_train, train):
+        tracemalloc.start()
+        try:
+            trainer(examples, epochs=2, seed=1, lemma_table=FIXTURE_LEMMAS)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a block of every instance's rows would take 831 instances x 27 rows
+    # x 30 actions x 8 bytes, about 5.4 MB
+    assert peaks[1] <= peaks[0] + (1 << 20)

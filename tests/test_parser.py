@@ -482,8 +482,8 @@ def pipeline_traces(tmp_path_factory):
             source = str(out / (corpus + ".amr"))
             with open(source, "w", encoding="utf-8") as handle:
                 handle.write(bench_module("corpus_gen").generate(corpus, 1))
-        aligned, tuned, traces = (str(out / (corpus + suffix))
-                                  for suffix in (".aligned", ".tuned", ".traces"))
+        aligned, tuned, traces = (str(out / (corpus + "." + step))
+                                  for step in ("aligned", "tuned", "traces"))
         steps = [
             ["align", "-i", source, "-o", aligned,
              "--embeddings", resources + "/embeddings.txt",

@@ -18,13 +18,14 @@ from . import parser as parser_mod
 from . import resources as resources_mod
 from . import smatch as smatch_mod
 from . import transition
-from .graph import PenmanError, serialize_penman
+from .graph import GraphLookupError, PenmanError, serialize_penman
 
 RESOURCE_DIR_ENV = "AMRTK_RESOURCES"
 
 ERROR_CODES = [
     (corpus_mod.CorpusFormatError, "corpus"),
     (PenmanError, "penman"),
+    (GraphLookupError, "graph"),
     (resources_mod.ResourceFormatError, "resource"),
     (parser_mod.ModelFormatError, "model"),
     (parser_mod.TrainingError, "train"),

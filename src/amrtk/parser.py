@@ -8,6 +8,7 @@ decodes with the per-step average of its members' action distributions,
 all scoring the same encoding of each state.
 """
 
+import itertools
 import json
 import math
 import random
@@ -150,12 +151,30 @@ class ActionScorer:
         self.vocabulary = parse_vocabulary(self.actions)
         self.predicate_lemmas = set(predicate_lemmas)
         self.train_log = []
-        self.rows = {}
-        for feat in features:
-            self.rows.setdefault(feat, len(self.rows) + 1)
+        self.rows = {feat: row for row, feat in enumerate(
+            dict.fromkeys(features), start=1)}
         self.zero_row = len(self.rows) + 1
         self.table = np.zeros((self.zero_row + 1, len(self.actions)))
         self.touched = np.zeros(self.table.shape, dtype=bool)
+        self._by_tags = {}
+
+    def tagged_names(self, tags):
+        """(name, action) of each vocabulary entry whose tag is in `tags`,
+        in vocabulary order; the action only for LEFT and RIGHT, whose
+        legality also depends on the arcs of the state, else None.  The
+        entries are found once per set of tags."""
+        key = frozenset(tags)
+        entries = self._by_tags.get(key)
+        if entries is None:
+            entries = []
+            for name in self.actions:
+                action, _ = self.vocabulary[name]
+                tag = CONFIRM if action is None else action.tag
+                if tag in key:
+                    entries.append((name, action if tag in RELATION_ACTIONS
+                                    else None))
+            entries = self._by_tags[key] = tuple(entries)
+        return entries
 
     @property
     def bias(self):
@@ -177,10 +196,10 @@ class ActionScorer:
         """The bias plus the encoded features' weights of each action
         column, added one row at a time in encoding order.  `accumulate`
         keeps that order where `sum` may add pairwise, which would move
-        the last bits of a logit and with them every trained model.  The
-        instances `train` compiles hold their rows as flat cell offsets
-        (`cell_logits`); its accuracy pass adds the same rows in the same
-        order, and `zero_row` where an instance is shorter."""
+        the last bits of a logit and with them every trained model.  An
+        SGD step of `train` accumulates the same rows of its compiled
+        instance as flat table cells; its accuracy pass adds them one row
+        position at a time, and `zero_row` where an instance is shorter."""
         rows = self.rows
         block = self.table.take([0] + [rows[f] for f in encoding if f in rows],
                                 axis=0).take(columns, axis=1)
@@ -189,25 +208,14 @@ class ActionScorer:
     def update(self, encoding, columns, coefs):
         """Add coefs[j] to the bias of action column columns[j] and to its
         weight of each encoded feature, once per time the feature is
-        encoded.  Every encoded feature needs a row.  A compiled instance
-        of `train` holds its rows as flat cell offsets already
-        (`cells`)."""
+        encoded.  Every encoded feature needs a row."""
         offsets = np.array([0] + [self.rows[f] for f in encoding])
-        self.add_at(self.cells(offsets * len(self.actions), columns), coefs)
-
-    @staticmethod
-    def cells(offsets, columns):
-        """The flat cell numbers of action columns `columns` in the table
-        rows that start at cell `offsets`: one line per column"""
-        return np.asarray(columns)[:, None] + offsets
-
-    def cell_logits(self, cells):
-        """`logits` from the `cells` of the bias row and the feature rows"""
-        return np.add.accumulate(self.table.reshape(-1).take(cells),
-                                 axis=1)[:, -1].tolist()
+        self.add_at(np.asarray(columns)[:, None] + offsets * len(self.actions),
+                    coefs)
 
     def add_at(self, cells, coefs):
-        """`update` of `cells`, coefs[j] to each cell of line j"""
+        """`update` of flat table cells, one line of them per column:
+        coefs[j] to each cell of line j, once per time the line holds it"""
         # one coefficient per cell: numpy 2.4's `ufunc.at` adds garbage
         # when it broadcasts the values over a 2-D index
         cells = cells.ravel()
@@ -258,6 +266,9 @@ class Ensemble:
     def predicate_lemmas(self):
         return self.members[0].predicate_lemmas
 
+    def tagged_names(self, tags):
+        return self.members[0].tagged_names(tags)
+
 
 def averaged_scores(model, state, legal, pos_tags=None):
     members = model.members if isinstance(model, Ensemble) else [model]
@@ -282,9 +293,13 @@ def lemma_label(surface, lemma_table, predicate_lemmas):
     return lemma
 
 
-def _replay(example, lemma_table, predicate_lemmas):
+def _replay(example, lemma_table, predicate_lemmas, hashed=None):
     """(encoding, state, gold name) for each gold action of a trace.  A
-    CONFIRM whose label is the word's lemma label is named CONFIRM-LEMMA."""
+    CONFIRM whose label is the word's lemma label is named CONFIRM-LEMMA.
+    `hashed` is a {feature string: id} memo of the features hashed so
+    far, which the replay extends; a caller shares one across traces so
+    that `hash_features` sees each feature once."""
+    hashed = {} if hashed is None else hashed
     state = initial_state(example.tokens)
     steps = []
     for action in example.actions:
@@ -293,7 +308,11 @@ def _replay(example, lemma_table, predicate_lemmas):
         if action.tag == CONFIRM and action.label == lemma_label(
                 state.b0.surface, lemma_table, predicate_lemmas):
             name = LEMMA_ACTION
-        steps.append((encode(state, example.pos), state, name))
+        feats = encode_state(state, example.pos)
+        missing = [f for f in feats if f not in hashed]
+        if missing:
+            hashed.update(zip(missing, hash_features(missing)))
+        steps.append(([hashed[f] for f in feats], state, name))
         state = successor
     if not is_terminal(state):  # an empty trace, say
         raise TrainingError("trace of %r stops before a terminal state"
@@ -322,22 +341,10 @@ def parse_vocabulary(names):
 
 
 def legal_action_names(model, state):
-    """Vocabulary entries whose tag pattern matches the state, with
-    duplicate-arc label filtering for Left/Right."""
-    tags = legal_actions(state)
-    names = []
-    for name in model.actions:
-        action, _ = model.vocabulary[name]
-        if action is None:
-            if CONFIRM in tags:
-                names.append(name)
-            continue
-        if action.tag not in tags:
-            continue
-        if action.tag in RELATION_ACTIONS and new_arc(state, action) is None:
-            continue
-        names.append(name)
-    return names
+    """Vocabulary entries whose tag pattern matches the state, in
+    vocabulary order, with duplicate-arc label filtering for Left/Right."""
+    return [name for name, arc in model.tagged_names(legal_actions(state))
+            if arc is None or new_arc(state, arc) is not None]
 
 
 def best_action(model, probs, legal):
@@ -358,14 +365,16 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
     """Fit the linear scorer on oracle traces by SGD on the multiclass
     logistic objective; reports per-epoch action accuracy.
 
-    Each instance is compiled once, before the first epoch, into the table
-    rows it adds and its legal action columns (`CompiledInstances`), so an
-    SGD step gathers, accumulates and updates table cells by index and
-    looks up no feature.  The accuracy passes score every instance of a
-    split at once, its rows padded with the model's zero row.  Fewer than
-    one epoch, a learning rate that is not a positive number, and an epoch
-    whose loss is not a finite number raise `TrainingError`: the model
-    would not load."""
+    Each feature string is hashed once per call, and each instance is
+    compiled once, before the first epoch, into the table rows it adds and
+    its legal action columns (`CompiledInstances`), so an SGD step gathers,
+    accumulates and updates table cells by index and looks up no feature.
+    The SGD pass skips an instance with one legal action: its probability
+    is 1, so its step adds nothing to the loss and changes no weight.  The
+    accuracy passes score every instance of a split at once, its rows
+    padded with the model's zero row.  Fewer than one epoch, a learning rate that is not a positive number, and an
+    epoch whose loss is not a finite number raise `TrainingError`: the
+    model would not load."""
     if not 0 <= dev_fraction < 1:
         raise TrainingError("dev fraction %r is outside [0, 1)" % dev_fraction)
     if epochs < 1:
@@ -383,7 +392,8 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
                         for example in corpus for action in example.actions
                         if action.tag == CONFIRM
                         and strip_sense(action.label) != action.label}
-    replays = [_replay(example, lemma_table, predicate_lemmas)
+    hashed = {}  # feature string -> id, for this call only
+    replays = [_replay(example, lemma_table, predicate_lemmas, hashed)
                for example in corpus]
     indices = list(range(len(corpus)))
     rng.shuffle(indices)
@@ -411,37 +421,28 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
     train_set = CompiledInstances(model, train_instances)
     dev_set = CompiledInstances(model, dev_instances)
 
-    for epoch in range(epochs):
-        order = list(range(len(train_instances)))
-        rng.shuffle(order)
-        total_loss = 0.0
-        for i in order:
-            offsets, columns, gold = train_set.steps[i]
-            cells = model.cells(offsets, columns)
-            probs = _softmax(model.cell_logits(cells))
-            total_loss -= math.log(max(probs[gold], 1e-300))
-            coefs = [learning_rate * ((j == gold) - prob)
-                     for j, prob in enumerate(probs)]
-            if 0.0 in coefs:
-                kept = [j for j, coef in enumerate(coefs) if coef != 0.0]
-                if not kept:
-                    continue
-                cells, coefs = cells[kept], [coefs[j] for j in kept]
-            model.add_at(cells, coefs)
-        if not math.isfinite(total_loss):
-            raise TrainingError(
-                "the loss of epoch %d is not a finite number; the learning "
-                "rate %r is too large" % (epoch + 1, learning_rate))
-        entry = {
-            "epoch": epoch + 1,
-            "loss": total_loss / len(train_instances),
-            "train_accuracy": train_set.accuracy(model),
-        }
-        if dev_instances:
-            entry["dev_accuracy"] = dev_set.accuracy(model)
-        model.train_log.append(entry)
-        if log is not None:
-            log(entry)
+    # a weight may overflow to inf, and inf - inf is nan: the loss check
+    # reports either as a `TrainingError`, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = list(range(len(train_instances)))
+            rng.shuffle(order)
+            total_loss = train_set.descend(model, order, learning_rate)
+            if not math.isfinite(total_loss):
+                raise TrainingError(
+                    "the loss of epoch %d is not a finite number; the "
+                    "learning rate %r is too large"
+                    % (epoch + 1, learning_rate))
+            entry = {
+                "epoch": epoch + 1,
+                "loss": total_loss / len(train_instances),
+                "train_accuracy": train_set.accuracy(model),
+            }
+            if dev_instances:
+                entry["dev_accuracy"] = dev_set.accuracy(model)
+            model.train_log.append(entry)
+            if log is not None:
+                log(entry)
     return model
 
 
@@ -458,28 +459,75 @@ class CompiledInstances:
     Row i of `offsets` holds the flat cell offset of each table row that
     instance i adds: the bias row, then the row of each encoded feature in
     encoding order (`zero_row` for a feature without one), padded to the
-    longest instance with the zero row.  `steps` holds, per instance, the
-    unpadded part of its offsets (a view), its legal action columns and the
-    position of the gold action among them."""
+    longest instance with the zero row.  `steps` holds, per instance, what
+    `descend` needs for its SGD step: the unpadded part of its offsets as a
+    column (a view), its legal action columns, the position of the gold
+    action among them and whether a row repeats in it; or None for an
+    instance with one legal action, whose step would change nothing."""
 
     def __init__(self, model, instances):
         self.instances = instances
         self.width = width = len(model.actions)
-        length = 1 + max((len(enc) for enc, _, _ in instances), default=0)
-        self.offsets = np.full((len(instances), length), model.zero_row)
-        self.illegal = np.ones((len(instances), width), dtype=bool)
-        spans = []
-        for i, (encoding, legal, gold) in enumerate(instances):
-            rows = [0] + [model.rows.get(f, model.zero_row) for f in encoding]
-            columns = [model.action_index[a] for a in legal]
-            self.offsets[i, :len(rows)] = rows
-            self.illegal[i, columns] = False
-            spans.append((len(rows), np.array(columns), legal.index(gold)))
+        feature_rows, zero = model.rows, model.zero_row
+        rows = [[0] + [feature_rows.get(f, zero) for f in encoding]
+                for encoding, _, _ in instances]
+        columns = [[model.action_index[a] for a in legal]
+                   for _, legal, _ in instances]
+        lengths = np.array([len(line) for line in rows], dtype=int)
+        self.offsets = np.full((len(rows), lengths.max(initial=1)), zero)
+        self.offsets[np.arange(self.offsets.shape[1]) < lengths[:, None]] = \
+            list(itertools.chain.from_iterable(rows))
         self.offsets *= width
-        self.steps = [(offsets[:n], columns, gold) for offsets, (
-            n, columns, gold) in zip(self.offsets, spans)]
+        self.illegal = np.ones((len(rows), width), dtype=bool)
+        self.illegal[np.arange(len(rows)).repeat([len(c) for c in columns]),
+                     list(itertools.chain.from_iterable(columns))] = False
+        self.steps = [
+            (offsets[:len(line), None], np.array(cols), legal.index(gold),
+             len(set(line)) < len(line)) if len(cols) > 1 else None
+            for offsets, line, cols, (_, legal, gold)
+            in zip(self.offsets, rows, columns, instances)]
         self.gold_columns = np.array(
             [model.action_index[gold] for _, _, gold in instances])
+
+    def descend(self, model, order, learning_rate):
+        """One SGD step on each instance in `order`: the summed loss.
+
+        A step gathers a block of table cells, a line per row of the
+        instance and a column per legal action, and accumulates the lines
+        into the logits, as `ActionScorer.logits` adds them.  Each column
+        then gains learning_rate x (gold indicator - probability) in each
+        of its cells; a cell whose coefficient is 0 is not marked
+        touched."""
+        flat = model.table.reshape(-1)
+        touched = model.touched.reshape(-1)
+        total_loss = 0.0
+        for i in order:
+            step = self.steps[i]
+            if step is None:
+                continue
+            offsets, columns, gold, repeats = step
+            cells = offsets + columns
+            block = flat[cells]
+            probs = _softmax(np.add.accumulate(block)[-1].tolist())
+            total_loss -= math.log(max(probs[gold], 1e-300))
+            # learning_rate x (0 - p) for each other column, up to the
+            # sign of a zero coefficient, which adds nothing either way
+            coefs = np.array(probs) * -learning_rate
+            coefs[gold] = learning_rate * (1 - probs[gold])
+            if repeats:
+                kept = coefs != 0.0
+                if kept.any():
+                    model.add_at(cells.T[kept], coefs[kept])
+                continue
+            # no cell repeats, so adding each coefficient once to its
+            # cells is what `add_at` does; a zero coefficient leaves its
+            # cells as they are, since no update makes a cell -0.0
+            block += coefs
+            flat[cells] = block
+            if np.count_nonzero(coefs) < len(coefs):
+                cells = cells[:, coefs != 0.0]
+            touched[cells] = True
+        return total_loss
 
     def accuracy(self, model):
         """The share of instances whose best legal action under `model` is

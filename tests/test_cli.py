@@ -1,10 +1,13 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
+import amrtk.cli
 from amrtk import parser as parser_mod
 from amrtk.cli import main
+from amrtk.graph import GraphLookupError
 from helpers import bench_module, fixture
 
 RES = dict(
@@ -517,17 +520,31 @@ def test_train_rejects_a_negative_dev_fraction(tmp_path, capsys):
                                   ("--learning-rate", "1e308"),
                                   ("--epochs", "0")],
                          ids=["nan-rate", "overflowing-rate", "no-epoch"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_train_writes_no_model_that_parse_refuses(tmp_path, capsys, argv):
     traces = tmp_path / "traces.txt"
     traces.write_text("# ::tok the cat\nDROP\nCONFIRM(cat)\nSHIFT\nREDUCE\n",
                       encoding="utf-8")
     model = tmp_path / "model.json"
-    code, _, err = run_cli(capsys, "train", "--traces", str(traces),
-                           "--model", str(model), *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "train", "--traces", str(traces),
+                               "--model", str(model), *argv)
     assert code == 2
+    # the error is the first line: no numpy warning comes before it
     assert err.startswith("ERR:train:")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not model.exists()
+
+
+def test_a_graph_lookup_error_ends_in_an_err_line(capsys, monkeypatch):
+    # no command input found so far reaches a missing concept id
+    def lookup(args):
+        raise GraphLookupError("c9")
+
+    monkeypatch.setattr(amrtk.cli, "cmd_smatch", lookup)
+    code, out, err = run_cli(capsys, "smatch", "--gold", "-", "--pred", "-")
+    assert (code, out, err) == (2, "", "ERR:graph: 'c9'\n")
+
 
 def test_oracle_requires_single_alignment(tmp_path, capsys):
     aligned, _ = align_tune(tmp_path, capsys, fixture("train_corpus.amr"))

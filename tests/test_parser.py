@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -458,25 +459,29 @@ def test_train_rejects_a_learning_rate_that_is_not_positive(rate):
         train(examples, epochs=1, learning_rate=rate, seed=1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_train_stops_at_an_epoch_whose_loss_is_not_finite():
     _, examples = tiny_corpus()
     logged = []
-    with pytest.raises(TrainingError, match="epoch 1 "):
-        train(examples, epochs=3, learning_rate=1e308, seed=1,
-              log=logged.append)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingError, match="epoch 1 "):
+            train(examples, epochs=3, learning_rate=1e308, seed=1,
+                  log=logged.append)
     assert logged == []
+    # the overflow shows as the error only, not as a numpy warning too
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.fixture(scope="module")
 def pipeline_traces(tmp_path_factory):
     """corpus -> the training examples of its `align`, `tune --seed 1` and
-    `oracle --seed 1` traces; compose-short is the benchmark's workload at
-    seed 1"""
+    `oracle --seed 1` traces; compose-short and compose-long are the
+    benchmark's workloads at seed 1"""
     out = tmp_path_factory.mktemp("traces")
     resources = fixture("resources")
     examples = {}
-    for corpus in ("train_corpus", "oracle_corpus", "compose-short"):
+    for corpus in ("train_corpus", "oracle_corpus", "compose-short",
+                   "compose-long"):
         source = fixture(corpus + ".amr")
         if corpus.startswith("compose-"):
             source = str(out / (corpus + ".amr"))
@@ -520,7 +525,7 @@ def exact(monkeypatch):
 @pytest.mark.parametrize("dev_fraction", [0.0, 0.3])
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("corpus", ["train_corpus", "oracle_corpus",
-                                    "compose-short"])
+                                    "compose-short", "compose-long"])
 def test_compiled_train_matches_reference(pipeline_traces, monkeypatch, exact,
                                           corpus, seed, dev_fraction):
     compiled = []
@@ -549,6 +554,52 @@ def test_compiled_train_matches_reference(pipeline_traces, monkeypatch, exact,
         # dev features without a row were scored through the zero row
         assert any(f not in model.rows
                    for encoding, _, _ in dev_set.instances for f in encoding)
+
+
+def test_steps_whose_rows_repeat_match_the_reference(pipeline_traces,
+                                                    monkeypatch):
+    # folded into 7 ids, the 16 or more features of every encoding name some
+    # row more than once, so each step adds through `add_at`
+    compiled = []
+
+    class Recorded(CompiledInstances):
+        def __init__(self, model, instances):
+            super().__init__(model, instances)
+            compiled.append(self)
+
+    original = amrtk.parser.hash_features
+    monkeypatch.setattr(amrtk.parser, "hash_features",
+                        lambda feats: [i % 7 for i in original(feats)])
+    monkeypatch.setattr(amrtk.parser, "CompiledInstances", Recorded)
+    examples = pipeline_traces["train_corpus"]
+    model = train(examples, epochs=5, seed=1, lemma_table=FIXTURE_LEMMAS)
+    reference = reference_train(examples, epochs=5, seed=1,
+                                lemma_table=FIXTURE_LEMMAS)
+    assert model.bias == reference.bias
+    assert model.weights == reference.weights
+    assert (model.touched == reference.touched).all()
+    assert model.train_log == reference.train_log
+    train_set, _ = compiled
+    assert any(step[3] for step in train_set.steps if step is not None)
+
+
+def test_steps_of_one_legal_action_change_nothing(exact):
+    # DROP is the only action of the vocabulary, so every step has one
+    # legal action and is skipped
+    drop = Action("DROP")
+    examples = [TrainingExample(("x",), (drop,)),
+                TrainingExample(("y", "z"), (drop, drop))]
+    model = train(examples, epochs=3, seed=1)
+    reference = reference_train(examples, epochs=3, seed=1)
+    assert model.actions == reference.actions == ["DROP"]
+    assert model.bias == reference.bias == [0.0]
+    assert model.weights == reference.weights == [{}]
+    assert (model.touched == reference.touched).all()
+    assert model.train_log == reference.train_log == [
+        {"epoch": e, "loss": 0.0, "train_accuracy": 1.0} for e in (1, 2, 3)]
+    assert not model.table.any() and not model.touched.any()
+    # the accuracy passes count each such instance as a clear hit
+    assert exact == []
 
 
 def test_near_ties_are_scored_the_exact_way(exact):

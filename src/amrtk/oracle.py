@@ -4,8 +4,11 @@ Given a gold graph and one candidate alignment, the oracle emits the
 action sequence that rebuilds the best achievable graph: unaligned
 concepts are pruned first, which may leave a forest, then conditions are
 checked in a fixed order to pick each action until every tree is built.
-An `EdgeLedger` holds the gold edges still open and the gold concept each
-built node stands for.  A concept is its creation index, so the oracle
+An `EdgeLedger` holds the pruned graph's edges still open, the aligned
+heads still pending on each span and the gold concept each built node
+stands for; each fact has one home there, and a concept's edges are read
+from the graph's own adjacency lists, so a step looks facts up instead of
+scanning for them.  A concept is its creation index, so the oracle
 records the node an action creates, and the edge it builds, when it
 picks the action.  The tuner runs the oracle over every candidate and
 keeps the highest-scoring one, breaking ties by the smaller action count.
@@ -65,22 +68,20 @@ def prune_unaligned(graph, alignment):
     if len(kept) == len(graph.concepts):
         return graph
 
-    relations = list(graph.relations)
+    contracted = {}  # parent edge of a contracted concept -> its new edge
     for removed in [cid for cid in graph.concepts if cid not in kept]:
-        in_edges = [r for r in relations
-                    if r.target == removed and r.source in kept]
-        out_edges = [r for r in relations
-                     if r.source == removed and r.target in kept]
+        in_edges = [r for r in graph.incoming(removed) if r.source in kept]
+        out_edges = [r for r in graph.outgoing(removed) if r.target in kept]
         if len(in_edges) == 1 and len(out_edges) == 1:
             parent_edge = in_edges[0]
-            child = out_edges[0].target
-            contracted = Relation(parent_edge.source, child, parent_edge.label)
-            if contracted.source != contracted.target \
-                    and contracted not in relations:
-                relations = [contracted if r is parent_edge else r
-                             for r in relations]
-        relations = [r for r in relations
-                     if r.source != removed and r.target != removed]
+            edge = Relation(parent_edge.source, out_edges[0].target,
+                            parent_edge.label)
+            if edge.source != edge.target \
+                    and edge not in graph.outgoing(edge.source) \
+                    and edge not in contracted.values():
+                contracted[parent_edge] = edge
+    relations = [rel for rel in (contracted.get(r, r) for r in graph.relations)
+                 if rel.source in kept and rel.target in kept]
 
     concepts = {cid: c for cid, c in graph.concepts.items() if cid in kept}
     root = graph.root
@@ -95,37 +96,35 @@ def prune_unaligned(graph, alignment):
 class EdgeLedger:
     """Bookkeeping for one oracle run.
 
-    `open_edges` holds the gold edges still to be built, keyed (source,
-    target, role) in the pruned graph's relation order; an edge leaves it
-    when it is built or can no longer be.  `state_to_gold` maps each
-    built node to the gold concept it stands for, and `settled` holds the
-    gold concepts realized as a node or forfeited because their span was
-    spent.  Both are recorded when the oracle picks the action that
-    builds the concept."""
+    `open_edges` holds the pruned graph's relations still to be built; a
+    relation leaves it when it is built or can no longer be, and the
+    graph's own adjacency lists give a concept's edges in relation order.
+    `pending` maps each aligned span to the heads aligned there that are
+    neither realized nor forfeited, in address order, and `span_at` maps
+    a token to the span of the first aligned head, in address order, that
+    covers it.  `state_to_gold` maps each built node to the gold concept
+    it stands for.  A head is settled, and a node recorded, when the
+    oracle picks the action that builds it."""
 
     def __init__(self, pruned, alignment):
         self.graph = pruned
-        self.open_edges = dict.fromkeys(
-            (r.source, r.target, r.label) for r in pruned.relations)
+        self.open_edges = set(pruned.relations)
         self.state_to_gold = {}
-        self.settled = set()
         self.frag_of = {f.head: f for f in extract_fragments(pruned)}
         self.span_of = {head: span for head, span in alignment.choices.items()
                         if span is not None and head in self.frag_of}
-        self.order = pruned.addresses()
-        self.heads_order = sorted(self.span_of, key=self.order.__getitem__)
+        self.pending = {}
+        self.span_at = {}
+        for head in pruned.concepts:  # address order
+            span = self.span_of.get(head)
+            if span is not None:
+                self.pending.setdefault(span, {})[head] = None
+                for index in range(span.start, span.end):
+                    self.span_at.setdefault(index, span)
 
-    # --- alignment geometry -------------------------------------------------
-
-    def covering_span(self, index):
-        for head in self.heads_order:
-            if self.span_of[head].covers(index):
-                return self.span_of[head]
-        return None
-
-    def unsettled_heads_at(self, span):
-        return [h for h in self.heads_order
-                if self.span_of[h] == span and h not in self.settled]
+    def settle(self, head):
+        """The head is realized or can no longer be: it leaves `pending`."""
+        del self.pending[self.span_of[head]][head]
 
     def entity_wrapper(self, entity_head, candidates):
         """The entity-type concept holding a :name edge to this fragment,
@@ -137,57 +136,49 @@ class EdgeLedger:
 
     # --- open edges ---------------------------------------------------------
 
-    def has_open_edge(self, gold_id):
-        return any(gold_id in key[:2] for key in self.open_edges)
-
     def open_edge_between(self, gold_b0, gold_s0):
         """First open edge between the two concepts; b0-headed edges
         (Left) are preferred when both directions exist."""
         for source, target in ((gold_b0, gold_s0), (gold_s0, gold_b0)):
-            for key in self.open_edges:
-                if key[0] == source and key[1] == target:
-                    return key
+            for rel in self.graph.outgoing(source):
+                if rel.target == target and rel in self.open_edges:
+                    return rel
         return None
 
     def close_edges(self, gold_id):
         """Close every open edge of a concept: edges that can no longer
         be built."""
-        for key in [key for key in self.open_edges if gold_id in key[:2]]:
-            del self.open_edges[key]
+        self.open_edges.difference_update(self.graph.outgoing(gold_id))
+        self.open_edges.difference_update(self.graph.incoming(gold_id))
 
     # --- realization --------------------------------------------------------
 
     def same_span_parent(self, gold_id):
-        """Deepest unsettled gold parent aligned to the same span."""
-        span = self.span_of.get(gold_id)
-        if span is None:
-            return None
+        """Deepest pending gold parent aligned to the same span."""
+        pending = self.pending[self.span_of[gold_id]]
         parents = [rel.source for rel in self.graph.incoming(gold_id)
-                   if self.span_of.get(rel.source) == span
-                   and rel.source not in self.settled]
+                   if rel.source in pending]
         if not parents:
             return None
         return max(parents, key=lambda h: depth_to_root(self.graph, h))
 
     def realize(self, gold_id, state_node):
         self.state_to_gold[state_node] = gold_id
-        self.settled.add(gold_id)
+        self.settle(gold_id)
 
     def chain_closure(self, start, span):
-        """Gold concepts reachable from `start` by climbing parents that
-        share the span: everything the New action can still build."""
+        """Gold concepts reachable from `start` by climbing parents still
+        pending on the span: everything the New action can still build."""
+        pending = self.pending[span]
         closure = {start}
         frontier = [start]
         while frontier:
             cid = frontier.pop()
             for rel in self.graph.incoming(cid):
                 parent = rel.source
-                if parent in closure or self.span_of.get(parent) != span:
-                    continue
-                if parent in self.settled:
-                    continue
-                closure.add(parent)
-                frontier.append(parent)
+                if parent in pending and parent not in closure:
+                    closure.add(parent)
+                    frontier.append(parent)
         return closure
 
     def forfeit_outside_chain(self, built, span):
@@ -195,10 +186,8 @@ class EdgeLedger:
         not reachable through the New chain can never be built, so their
         edges are closed to keep the run deadlock-free."""
         reachable = self.chain_closure(built, span)
-        for head in self.unsettled_heads_at(span):
-            if head in reachable or head == built:
-                continue
-            self.settled.add(head)
+        for head in [h for h in self.pending[span] if h not in reachable]:
+            self.settle(head)
             self.close_edges(head)
             logger.debug("forfeited unreachable same-span concept %s", head)
 
@@ -212,13 +201,13 @@ def oracle_action(state, ledger):
     node = len(state.labels)  # the node CONFIRM, NEW or ENTITY creates
 
     if b0 is not None and b0.is_word():
-        span = ledger.covering_span(b0.span[0])
+        span = ledger.span_at.get(b0.span[0])
         if span is None:
             return Action(transition.DROP)
         b1 = state.b1
         if b1 is not None and b1.is_word() and span.covers(b1.span[0]):
             return Action(transition.MERGE)
-        pending = ledger.unsettled_heads_at(span)
+        pending = ledger.pending[span]
         if not pending:
             raise OracleError(
                 "aligned span %s has no pending concept (state: %r)"
@@ -226,24 +215,23 @@ def oracle_action(state, ledger):
         entity_heads = [h for h in pending if len(ledger.frag_of[h]) > 1]
         if len(entity_heads) == 1:
             entity = entity_heads[0]
-            wrapper = ledger.entity_wrapper(entity, set(pending))
+            wrapper = ledger.entity_wrapper(entity, pending)
             top = wrapper if wrapper is not None else entity
             label = pruned.concept(top).label
             ledger.realize(top, node)
             if top != entity:
                 if label in ("name", "date-entity"):
-                    ledger.settled.add(entity)
+                    ledger.settle(entity)
                 else:  # _apply_entity builds the name right after its head
                     ledger.realize(entity, node + 1)
                 # the name node lives inside the entity fragment and never
                 # reaches the stack or buffer; edges into it are unbuildable
                 ledger.close_edges(entity)
-            for rel in ledger.frag_of[entity].relations:
-                ledger.open_edges.pop((rel.source, rel.target, rel.label), None)
+            ledger.open_edges.difference_update(ledger.frag_of[entity].relations)
             ledger.forfeit_outside_chain(top, span)
             return Action(transition.ENTITY, label)
-        chosen = max(pending,
-                     key=lambda h: (depth_to_root(pruned, h), -ledger.order[h]))
+        # pending is in address order: the first deepest head is chosen
+        chosen = max(pending, key=lambda h: depth_to_root(pruned, h))
         ledger.realize(chosen, node)
         ledger.forfeit_outside_chain(chosen, span)
         return Action(transition.CONFIRM, pruned.concept(chosen).label)
@@ -256,18 +244,21 @@ def oracle_action(state, ledger):
             ledger.realize(parent, node)
             return Action(transition.NEW, pruned.concept(parent).label)
         if s0 is not None:
-            key = ledger.open_edge_between(gold_b0,
+            rel = ledger.open_edge_between(gold_b0,
                                            ledger.state_to_gold[s0.node])
-            if key is not None:
-                del ledger.open_edges[key]
-                if key[0] == gold_b0:
-                    return Action(transition.LEFT, key[2])
-                return Action(transition.RIGHT, key[2])
+            if rel is not None:
+                ledger.open_edges.remove(rel)
+                if rel.source == gold_b0:
+                    return Action(transition.LEFT, rel.label)
+                return Action(transition.RIGHT, rel.label)
 
     if s0 is None:  # b0 is a concept: the state is not terminal
         return Action(transition.SHIFT)
-    if b0 is not None and ledger.has_open_edge(ledger.state_to_gold[s0.node]):
-        return Action(transition.CACHE)
+    if b0 is not None:
+        gold_s0 = ledger.state_to_gold[s0.node]
+        if not (ledger.open_edges.isdisjoint(pruned.outgoing(gold_s0))
+                and ledger.open_edges.isdisjoint(pruned.incoming(gold_s0))):
+            return Action(transition.CACHE)
     # with the buffer empty, open edges of s0 can no longer be built
     return Action(transition.REDUCE)
 

@@ -255,10 +255,6 @@ class Ensemble:
         self.members = list(members)
 
     @property
-    def actions(self):
-        return self.members[0].actions
-
-    @property
     def vocabulary(self):
         return self.members[0].vocabulary
 

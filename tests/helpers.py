@@ -1,4 +1,5 @@
-"""Shared test utilities: random graph pairs, fixture paths, the
+"""Shared test utilities: random graph pairs, fixture paths, a generator
+of hard sentences, a model that decodes until the step guard, the
 reference Smatch hill-climbing and search, the reference matching-rule
 pass, the reference updating fixpoint, the brute-force candidate list and
 the reference action scorer and trainer."""
@@ -49,6 +50,51 @@ def bench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def hard_corpus(seed, count):
+    """A seeded corpus of `count` sentences composed from the oracle
+    fixture's parts by `bench/corpus_gen.py`, cycling through three kinds:
+
+    - one part repeated two or three times under an `and` root, so
+      same-label fragments can stack on one span;
+    - two or three distinct parts joined without the `and` token, so the
+      root stays unaligned and the oracle rebuilds a forest;
+    - one or two parts with one word removed, so a fragment may be left
+      without its word.
+    """
+    corpus_gen = bench_module("corpus_gen")
+    parts = corpus_gen.read_parts()
+    rng = random.Random(seed)
+    blocks = []
+    for n in range(count):
+        kind = n % 3
+        if kind == 0:
+            group = [rng.choice(parts)] * rng.randint(2, 3)
+        elif kind == 1:
+            group = rng.sample(parts, rng.randint(2, 3))
+        else:
+            group = rng.sample(parts, rng.randint(1, 2))
+        block = corpus_gen.compose(group, "hard-%d-%d" % (seed, n))
+        head, _, tok, graph_text = block.split("\n", 3)
+        tokens = tok.split()[2:]
+        if kind == 1:
+            tokens = [t for part in group for t in part.tokens if t != "."]
+            tokens.append(".")
+        elif kind == 2:
+            del tokens[rng.randrange(len(tokens) - 1)]
+        sentence = " ".join(tokens)
+        blocks.append("%s\n# ::snt %s\n# ::tok %s\n%s" % (
+            head, sentence, sentence, graph_text))
+    return "\n".join(blocks)
+
+
+def looping_model():
+    """A model whose bias prefers NEW(y) to CONFIRM(x): after CONFIRM(x)
+    it builds new concepts until decode's step guard stops it."""
+    model = ActionScorer(["CONFIRM(x)", "NEW(y)"])
+    model.table[0] = [1.0, 2.0]
+    return model
 
 
 def random_graph(rng, n_vars):

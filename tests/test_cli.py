@@ -8,7 +8,7 @@ import amrtk.cli
 from amrtk import parser as parser_mod
 from amrtk.cli import main
 from amrtk.graph import GraphLookupError
-from helpers import bench_module, fixture
+from helpers import bench_module, fixture, looping_model
 
 RES = dict(
     embeddings=fixture("resources", "embeddings.txt"),
@@ -359,6 +359,17 @@ def test_parse_ensemble_identity(tmp_path, capsys):
     run_cli(capsys, "parse", "-i", tuned, "-o", double, "--model", model,
             "--model", model, "--lemmas", RES["lemmas"])
     assert read_text(single) == read_text(double)
+
+
+def test_parse_writes_the_drain_warning(tmp_path, capsys):
+    path = str(tmp_path / "model.json")
+    parser_mod.save_model(looping_model(), path)
+    corpus = tmp_path / "c.amr"
+    corpus.write_text("# ::tok a\n(c / cat)\n")
+    code, out, _ = run_cli(capsys, "parse", "-i", str(corpus), "-o", "-",
+                           "--model", path)
+    assert code == 0
+    assert "# ::parse-warning fallback drain after 20 steps\n" in out
 
 
 def test_smatch_identical_files(capsys):

@@ -18,7 +18,7 @@ from amrtk.resources import (
 )
 from amrtk.smatch import smatch_score
 from amrtk.transition import apply, extract_graph, initial_state, is_terminal
-from helpers import bench_module, fixture
+from helpers import bench_module, fixture, hard_corpus
 
 FIGURE_TEXT = """
 (f / freeze-01
@@ -75,6 +75,22 @@ def test_prune_contracts_mid_chain():
     assert set(pruned.concepts) == {"a", "c"}
     rel = pruned.relations[0]
     assert (rel.source, rel.target, rel.label) == ("a", "c", ":ARG0")
+
+
+@pytest.mark.parametrize("text", [
+    "(a / aa :ARG0 (b / bb :ARG1 (c / cc)) :ARG0 c)",
+    "(a / aa :ARG0 (b / bb :ARG1 (c / cc)) :ARG0 (d / dd :ARG2 c))",
+], ids=["edge-exists", "two-contractions"])
+def test_prune_contracts_to_an_edge_once(text):
+    # the contracted edge a -:ARG0-> c is kept once: beside the gold edge it
+    # repeats, or beside the same contraction through another removed concept
+    g = parse_penman(text)
+    spans = {cid: None for cid in g.concepts}
+    spans.update(a=(0, 1), c=(1, 2))
+    pruned = prune_unaligned(g, candidate(g, ["x", "y"], spans))
+    assert set(pruned.concepts) == {"a", "c"}
+    assert [(r.source, r.target, r.label) for r in pruned.relations] == \
+        [("a", "c", ":ARG0")]
 
 
 def test_prune_detaches_branchy_removed_node():
@@ -337,13 +353,18 @@ def test_oracle_nothing_aligned_drops_every_word():
 
 
 @functools.lru_cache(maxsize=None)
-def pinned_candidates(rule_set):
-    """(tokens, graph, candidate) for every candidate the `align` stage
-    makes on both fixture corpora and the compose corpora at seed 1."""
-    resources = Resources(
+def fixture_resources():
+    return Resources(
         embeddings=load_embeddings(fixture("resources", "embeddings.txt")),
         morph=load_morphosemantic(fixture("resources", "morph.tsv")),
         lemmas=load_lemmas(fixture("resources", "lemmas.tsv")))
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_candidates(rule_set):
+    """(tokens, graph, candidate) for every candidate the `align` stage
+    makes on both fixture corpora and the compose corpora at seed 1."""
+    resources = fixture_resources()
     rules = base_rule_set() if rule_set == "base" else full_rule_set(resources)
     corpus_gen = bench_module("corpus_gen")
     documents = (read_corpus(fixture("train_corpus.amr"))
@@ -365,17 +386,44 @@ CANDIDATE_RUN_DIGESTS = {
 }
 
 
+def run_line(run):
+    return ("%s\t%.4f\t%d\n" % (" ".join(map(str, run.actions)),
+                                 run.smatch_f1, run.trees)).encode("utf-8")
+
+
 @pytest.mark.parametrize("rule_set", sorted(CANDIDATE_RUN_DIGESTS))
 def test_every_candidate_run_pinned(rule_set):
     digest = hashlib.sha256()
     candidates = pinned_candidates(rule_set)
     for tokens, graph, cand in candidates:
-        run = oracle_run(tokens, graph, cand)
-        digest.update(("%s\t%.4f\t%d\n" % (
-            " ".join(map(str, run.actions)), run.smatch_f1, run.trees)
-        ).encode("utf-8"))
+        digest.update(run_line(oracle_run(tokens, graph, cand)))
     assert len(candidates) == 137
     assert digest.hexdigest() == CANDIDATE_RUN_DIGESTS[rule_set]
+
+
+# sha256 over the runs of every candidate of the hard corpus at seed 1,
+# base rules first: stacked same-label fragments, forests and missing words
+# reach the chain-climbing and forfeiting paths that the fixtures barely do
+HARD_RUN_DIGEST = \
+    "5f51ef4d3eb66801c644072775333b966f21704aebd6c46111585384c379fc11"
+
+
+def test_every_hard_candidate_run_pinned():
+    resources = fixture_resources()
+    documents = read_corpus(hard_corpus(1, 24))
+    digest = hashlib.sha256()
+    truncated = forests = 0
+    for rules in (base_rule_set(), full_rule_set(resources)):
+        for doc in documents:
+            aset = enumerate_alignments(doc.graph, doc.tokens, rules,
+                                        resources=resources)
+            truncated += aset.truncated
+            for cand in aset:
+                run = oracle_run(doc.tokens, doc.graph, cand)
+                forests += run.trees > 1
+                digest.update(run_line(run))
+    assert truncated and forests
+    assert digest.hexdigest() == HARD_RUN_DIGEST
 
 
 @pytest.mark.parametrize("rule_set", ["base", "full"])
@@ -392,3 +440,22 @@ def test_ledger_maps_every_built_variable_to_its_gold_concept(rule_set):
         for node in range(len(state.labels)):
             if parsed.concept("n%d" % node).kind not in LITERAL_KINDS:
                 assert node in ledger.state_to_gold
+
+
+def test_name_under_a_date_entity_wrapper_is_settled_unbuilt():
+    # ENTITY builds the date-entity wrapper alone; its name child stays in
+    # the entity fragment, so no built node stands for it
+    g = parse_penman('(d / date-entity :name (n / name :op1 "Easter"))')
+    tokens = ["Easter", "came"]
+    aset = enumerate_alignments(g, tokens, base_rule_set())
+    assert len(aset) == 1
+    cand = aset[0]
+    run = oracle_run(tokens, g, cand)
+    assert [str(a) for a in run.actions] == \
+        ["ENTITY(date-entity)", "SHIFT", "DROP", "REDUCE"]
+    assert run.smatch_f1 == pytest.approx(0.5)
+    ledger = EdgeLedger(prune_unaligned(g, cand), cand)
+    state = initial_state(tokens)
+    while not is_terminal(state):
+        state = apply(state, oracle_action(state, ledger))
+    assert ledger.state_to_gold == {0: "d"}

@@ -23,7 +23,9 @@ from amrtk.parser import (
 from amrtk.resources import LemmaTable, load_lemmas
 from amrtk.smatch import smatch_score
 from amrtk.transition import Action, TransitionError, apply, initial_state
-from helpers import ReferenceScorer, bench_module, fixture, reference_train
+from helpers import (
+    ReferenceScorer, bench_module, fixture, looping_model, reference_train,
+)
 
 
 def make_example(text, tokens, spans, lemma_table=None):
@@ -266,6 +268,16 @@ def test_untrained_model_still_returns_graph():
     result = decode(model, ["a", "b"])
     assert result.graph is not None
     assert result.graph.concept(result.graph.root).label == "amr-empty"
+
+
+@pytest.mark.parametrize("model, tokens, warning", [
+    (ActionScorer(["SHIFT"]), ["the", "boy"], "fallback drain after 0 steps"),
+    (looping_model(), ["a"], "fallback drain after 20 steps"),
+], ids=["no-legal-action", "step-limit"])
+def test_decode_drains_to_a_terminal_state(model, tokens, warning):
+    result = decode(model, tokens)
+    assert result.warning == warning
+    assert parse_penman(serialize_penman(result.graph)) is not None
 
 
 def test_training_determinism():
@@ -554,6 +566,31 @@ def test_compiled_train_matches_reference(pipeline_traces, monkeypatch, exact,
         # dev features without a row were scored through the zero row
         assert any(f not in model.rows
                    for encoding, _, _ in dev_set.instances for f in encoding)
+
+
+def test_zero_coefficients_match_the_reference(pipeline_traces, monkeypatch):
+    # at this learning rate some probabilities underflow to exactly 0.0:
+    # their columns get a zero coefficient and must stay untouched
+    zeros = []
+    original = amrtk.parser._softmax
+
+    def softmax(logits):
+        probs = original(logits)
+        zeros.append(0.0 in probs)
+        return probs
+
+    examples = pipeline_traces["train_corpus"]
+    monkeypatch.setattr(amrtk.parser, "_softmax", softmax)
+    model = train(examples, epochs=10, learning_rate=20.0, seed=1,
+                  lemma_table=FIXTURE_LEMMAS)
+    monkeypatch.setattr(amrtk.parser, "_softmax", original)
+    assert any(zeros)
+    reference = reference_train(examples, epochs=10, learning_rate=20.0,
+                                seed=1, lemma_table=FIXTURE_LEMMAS)
+    assert model.bias == reference.bias
+    assert model.weights == reference.weights
+    assert (model.touched == reference.touched).all()
+    assert model.train_log == reference.train_log
 
 
 def test_steps_whose_rows_repeat_match_the_reference(pipeline_traces,

@@ -254,11 +254,8 @@ def cmd_smatch(args):
         total_pred += counts.total_a
         total_gold += counts.total_b
         certified += counts.certified
-    precision = matched / total_pred if total_pred else 0.0
-    recall = matched / total_gold if total_gold else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall else 0.0)
-    sys.stdout.write("%.4f\t%.4f\t%.4f\n" % (precision, recall, f1))
+    score = smatch_mod.score_counts(matched, total_pred, total_gold, certified)
+    sys.stdout.write("%.4f\t%.4f\t%.4f\n" % score[:3])
     sys.stderr.write("certified-pairs\t%d\n" % certified)
     return 0
 

@@ -14,6 +14,7 @@ import math
 import random
 import re
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +142,8 @@ class ActionScorer:
     feature id the model knows has its own row (`rows`).  A feature id
     without a row weighs zero for every action.  One more row, `zero_row`,
     past the feature rows, stays zero: it pads the row-index blocks of the
-    instances that `train` compiles.  `touched` marks the cells a training
-    update or a model file wrote: they are the sparse weights a model file
-    holds."""
+    instances that `train` compiles.  The nonzero cells of the feature
+    rows are the sparse weights a model file holds."""
 
     def __init__(self, actions, predicate_lemmas=(), features=()):
         self.actions = list(actions)
@@ -155,7 +155,6 @@ class ActionScorer:
             dict.fromkeys(features), start=1)}
         self.zero_row = len(self.rows) + 1
         self.table = np.zeros((self.zero_row + 1, len(self.actions)))
-        self.touched = np.zeros(self.table.shape, dtype=bool)
         self._by_tags = {}
 
     def tagged_names(self, tags):
@@ -182,12 +181,12 @@ class ActionScorer:
 
     @property
     def weights(self):
-        """{feature id: weight} of the touched cells, one dict per action
+        """{feature id: weight} of the nonzero cells, one dict per action
         (a copy: writing to it changes nothing)."""
         ids = np.array([0] + list(self.rows))
         views = []
         for col in range(len(self.actions)):
-            rows = np.flatnonzero(self.touched[1:self.zero_row, col]) + 1
+            rows = np.flatnonzero(self.table[1:self.zero_row, col]) + 1
             views.append(dict(zip(ids[rows].tolist(),
                                   self.table[rows, col].tolist())))
         return views
@@ -221,7 +220,6 @@ class ActionScorer:
         cells = cells.ravel()
         np.add.at(self.table.reshape(-1), cells,
                   np.array(coefs).repeat(len(cells) // len(coefs)))
-        self.touched.reshape(-1)[cells] = True
 
 
 def _softmax(logits):
@@ -368,9 +366,9 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
     The SGD pass skips an instance with one legal action: its probability
     is 1, so its step adds nothing to the loss and changes no weight.  The
     accuracy passes score every instance of a split at once, its rows
-    padded with the model's zero row.  Fewer than one epoch, a learning rate that is not a positive number, and an
-    epoch whose loss is not a finite number raise `TrainingError`: the
-    model would not load."""
+    padded with the model's zero row.  Fewer than one epoch, a learning
+    rate that is not a positive number, and an epoch whose loss is not a
+    finite number raise `TrainingError`: the model would not load."""
     if not 0 <= dev_fraction < 1:
         raise TrainingError("dev fraction %r is outside [0, 1)" % dev_fraction)
     if epochs < 1:
@@ -458,8 +456,9 @@ class CompiledInstances:
     longest instance with the zero row.  `steps` holds, per instance, what
     `descend` needs for its SGD step: the unpadded part of its offsets as a
     column (a view), its legal action columns, the position of the gold
-    action among them and whether a row repeats in it; or None for an
-    instance with one legal action, whose step would change nothing."""
+    action among them and whether a row repeats in it (its step then adds
+    through `ActionScorer.add_at`); or None for an instance with one legal
+    action, whose step would change nothing."""
 
     def __init__(self, model, instances):
         self.instances = instances
@@ -492,10 +491,10 @@ class CompiledInstances:
         instance and a column per legal action, and accumulates the lines
         into the logits, as `ActionScorer.logits` adds them.  Each column
         then gains learning_rate x (gold indicator - probability) in each
-        of its cells; a cell whose coefficient is 0 is not marked
-        touched."""
+        of its cells.  A zero coefficient leaves its cells as they are,
+        since no update makes a cell -0.0, so a cell holds a weight only
+        where some update moved it."""
         flat = model.table.reshape(-1)
-        touched = model.touched.reshape(-1)
         total_loss = 0.0
         for i in order:
             step = self.steps[i]
@@ -511,18 +510,12 @@ class CompiledInstances:
             coefs = np.array(probs) * -learning_rate
             coefs[gold] = learning_rate * (1 - probs[gold])
             if repeats:
-                kept = coefs != 0.0
-                if kept.any():
-                    model.add_at(cells.T[kept], coefs[kept])
+                model.add_at(cells.T, coefs)
                 continue
             # no cell repeats, so adding each coefficient once to its
-            # cells is what `add_at` does; a zero coefficient leaves its
-            # cells as they are, since no update makes a cell -0.0
+            # cells is what `add_at` does
             block += coefs
             flat[cells] = block
-            if np.count_nonzero(coefs) < len(coefs):
-                cells = cells[:, coefs != 0.0]
-            touched[cells] = True
         return total_loss
 
     def accuracy(self, model):
@@ -637,6 +630,10 @@ def load_model(path):
             and all(isinstance(name, str) for name in actions + lemmas)):
         raise ModelFormatError(
             "%s: actions and predicate_lemmas must be lists of strings" % path)
+    repeated = [name for name, n in Counter(actions).items() if n > 1]
+    if repeated:
+        raise ModelFormatError(
+            "%s names the action %s more than once" % (path, repeated[0]))
     if not (isinstance(bias, list) and isinstance(weights, list)) \
             or len(actions) != len(bias) or len(actions) != len(weights):
         raise ModelFormatError(
@@ -651,9 +648,8 @@ def load_model(path):
         raise ModelFormatError("%s: %s" % (path, err))
     model.table[0] = bias
     for col, row in enumerate(rows):
-        cells = [model.rows[feat] for feat in row], col
-        model.table[cells] = list(row.values())
-        model.touched[cells] = True
+        model.table[[model.rows[feat] for feat in row], col] = \
+            list(row.values())
     return model
 
 

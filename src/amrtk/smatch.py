@@ -100,9 +100,10 @@ def upper_bound(ta, tb):
                        [role for _, role, _ in tb.relations]))
 
 
-def _score(matched, n_a, n_b, certified):
-    if n_a == 0 and n_b == 0:
-        return SmatchScore(1.0, 1.0, 1.0, certified)
+def score_counts(matched, n_a, n_b, certified):
+    """`SmatchScore` of `matched` triples out of `n_a` candidate and `n_b`
+    reference triples; a ratio with nothing to divide by is 0.0.  Every
+    graph has its TOP triple, so only an empty corpus has zero counts."""
     precision = matched / n_a if n_a else 0.0
     recall = matched / n_b if n_b else 0.0
     if precision + recall == 0.0:
@@ -304,7 +305,7 @@ def smatch_counts(a, b, restarts=4, seed=1):
 
 def smatch_score(a, b, restarts=4, seed=1):
     """Hill-climbing Smatch of graph `a` (candidate) against `b` (reference)."""
-    return _score(*search_counts(a, b, restarts=restarts, seed=seed))
+    return score_counts(*search_counts(a, b, restarts=restarts, seed=seed))
 
 
 def exhaustive_counts(a, b):
@@ -332,4 +333,4 @@ def exhaustive_counts(a, b):
 
 def exhaustive_smatch(a, b):
     """Exact Smatch over every injective variable mapping."""
-    return _score(*exhaustive_counts(a, b))
+    return score_counts(*exhaustive_counts(a, b))

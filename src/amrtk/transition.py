@@ -15,7 +15,7 @@ concepts alone; each concept lives in exactly one item.
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graph import (
     ATTRIBUTE, CONSTANT, VARIABLE, AmrGraph, Concept, Relation, bfs_depths,
@@ -153,51 +153,43 @@ def legal_actions(state):
 
 def apply(state, action):
     """Apply one action, returning the successor state."""
-    if action.tag not in legal_actions(state):
+    tag = action.tag
+    if tag not in legal_actions(state):
         raise TransitionError(
             "action %s is illegal in state (|sigma|=%d, |delta|=%d, |beta|=%d)"
             % (action, len(state.sigma), len(state.delta), len(state.beta)))
-    history = state.history + (action,)
+    sigma, delta, beta = state.sigma, state.delta, state.beta
+    arcs, labels = state.arcs, state.labels
     b0 = state.b0
 
-    if action.tag == DROP:
-        return replace(state, beta=state.beta[1:], history=history)
-
-    if action.tag == MERGE:
-        b1 = state.b1
+    if tag == DROP:
+        beta = beta[1:]
+    elif tag == MERGE:
+        b1 = beta[1]
         merged = StackItem((b0.span[0], b1.span[1]),
                            b0.surface + "_" + b1.surface)
-        return replace(state, beta=(merged,) + state.beta[2:], history=history)
-
-    if action.tag in (CONFIRM, NEW):
+        beta = (merged,) + beta[2:]
+    elif tag in (CONFIRM, NEW):
         # CONFIRM derives the word at b0; NEW pushes a concept before b0
-        item = StackItem(b0.span, b0.surface, len(state.labels))
-        rest = state.beta[1:] if action.tag == CONFIRM else state.beta
-        return replace(state, beta=(item,) + rest,
-                       labels=state.labels + (action.label,), history=history)
-
-    if action.tag == ENTITY:
-        return _apply_entity(state, action, history)
-
-    if action.tag in RELATION_ACTIONS:
+        item = StackItem(b0.span, b0.surface, len(labels))
+        beta = (item,) + (beta[1:] if tag == CONFIRM else beta)
+        labels = labels + (action.label,)
+    elif tag == ENTITY:
+        beta = (StackItem(b0.span, b0.surface, len(labels)),) + beta[1:]
+        arcs, labels = _apply_entity(state, action.label)
+    elif tag in RELATION_ACTIONS:
         arc = new_arc(state, action)
         if arc is None:
             raise TransitionError("%s duplicates an arc of the state" % action)
-        return replace(state, arcs=state.arcs + (arc,), history=history)
-
-    if action.tag == CACHE:
-        return replace(state, sigma=state.sigma[:-1],
-                       delta=(state.sigma[-1],) + state.delta, history=history)
-
-    if action.tag == SHIFT:
-        sigma = state.sigma + state.delta + (b0,)
-        return replace(state, sigma=sigma, delta=(), beta=state.beta[1:],
-                       history=history)
-
-    if action.tag == REDUCE:
-        return replace(state, sigma=state.sigma[:-1], history=history)
-
-    raise TransitionError("unhandled action %s" % action)  # pragma: no cover
+        arcs = arcs + (arc,)
+    elif tag == CACHE:
+        sigma, delta = sigma[:-1], (sigma[-1],) + delta
+    elif tag == SHIFT:
+        sigma, delta, beta = sigma + delta + (b0,), (), beta[1:]
+    else:  # REDUCE
+        sigma = sigma[:-1]
+    return ParserState(sigma, delta, beta, arcs, labels, state.tokens,
+                       state.history + (action,))
 
 
 def new_arc(state, action):
@@ -209,16 +201,16 @@ def new_arc(state, action):
     return None if arc in state.arcs else arc
 
 
-def _apply_entity(state, action, history):
-    """Derive the buffer front into an entity: the head concept plus an
-    internal fragment built from the span's surface tokens.
+def _apply_entity(state, head_label):
+    """(arcs, labels) of the state once the buffer front is derived into an
+    entity: the head concept plus an internal fragment built from the
+    span's surface tokens.
 
     The oracle relies on this layout: the head is node len(labels).  A
     `date-entity` head takes its date attributes, a `name` head its :opN
     pieces; any other head takes a :name concept at the next node, head
     + 1, and the pieces hang off that."""
     b0 = state.b0
-    head_label = action.label
     head = len(state.labels)
     labels = list(state.labels) + [head_label]
     arcs = list(state.arcs)
@@ -237,9 +229,7 @@ def _apply_entity(state, action, history):
         name = head if head_label == "name" else attach(head, ":name", "name")
         for i, piece in enumerate(entity_name_pieces(span_tokens), start=1):
             attach(name, ":op%d" % i, piece)
-    item = StackItem(b0.span, b0.surface, head)
-    return replace(state, beta=(item,) + state.beta[1:], arcs=tuple(arcs),
-                   labels=tuple(labels), history=history)
+    return tuple(arcs), tuple(labels)
 
 
 _NUMERIC_RE = re.compile(r"^-?\d+(\.\d+)?$")

@@ -401,6 +401,15 @@ def test_smatch_reports_an_uncertified_pair(tmp_path, capsys, extra):
                                "certified-pairs\t0\n")
 
 
+def test_smatch_of_empty_files_is_zero(tmp_path, capsys):
+    # no triple on either side: each ratio has nothing to divide by
+    empty = tmp_path / "empty.amr"
+    empty.write_text("", encoding="utf-8")
+    assert run_cli(capsys, "smatch", "--gold", str(empty),
+                   "--pred", str(empty)) == (0, "0.0000\t0.0000\t0.0000\n",
+                                             "certified-pairs\t0\n")
+
+
 def test_smatch_rejects_blocks_paired_with_other_ids(tmp_path, capsys):
     gold, pred = tmp_path / "gold", tmp_path / "pred"
     gold.write_text("# ::id a\n(x / a)\n\n# ::id b\n(y / b)\n", encoding="utf-8")
@@ -455,27 +464,31 @@ def test_model_file_not_an_object(tmp_path, capsys, text):
     assert err.startswith("ERR:model:")
 
 
-# (key, value) breaking a valid model file; a value of None deletes the key
+# {key: value} breaking a valid model file; a value of None deletes the key
 BROKEN_MODELS = {
-    "hash_dim": ("hash_dim", parser_mod.HASH_DIM + 1),
-    "hash_seed": ("hash_seed", parser_mod.HASH_SEED + 1),
-    "no-actions": ("actions", None),
-    "no-bias": ("bias", None),
-    "no-weights": ("weights", None),
-    "no-predicate_lemmas": ("predicate_lemmas", None),
-    "short-bias": ("bias", []),
-    "number-action": ("actions", [1]),
-    "unparsed-action": ("actions", ["HOP"]),
-    "number-predicate_lemmas": ("predicate_lemmas", 5),
-    "short-weights": ("weights", []),
-    "long-bias": ("bias", [0.0, 0.0]),
-    "text-bias": ("bias", ["x"]),
-    "list-weight-row": ("weights", [[1, 2]]),
-    "text-weight-key": ("weights", [{"x": 1.0}]),
-    "padded-weight-key": ("weights", [{"07": 1.0}]),
-    "outside-weight-key": ("weights", [{str(parser_mod.HASH_DIM): 1.0}]),
-    "text-weight": ("weights", [{"7": "x"}]),
-    "bool-weight": ("weights", [{"7": True}]),
+    "hash_dim": {"hash_dim": parser_mod.HASH_DIM + 1},
+    "hash_seed": {"hash_seed": parser_mod.HASH_SEED + 1},
+    "no-actions": {"actions": None},
+    "no-bias": {"bias": None},
+    "no-weights": {"weights": None},
+    "no-predicate_lemmas": {"predicate_lemmas": None},
+    "short-bias": {"bias": []},
+    "number-action": {"actions": [1]},
+    "unparsed-action": {"actions": ["HOP"]},
+    "number-predicate_lemmas": {"predicate_lemmas": 5},
+    "short-weights": {"weights": []},
+    "long-bias": {"bias": [0.0, 0.0]},
+    "text-bias": {"bias": ["x"]},
+    "list-weight-row": {"weights": [[1, 2]]},
+    "text-weight-key": {"weights": [{"x": 1.0}]},
+    "padded-weight-key": {"weights": [{"07": 1.0}]},
+    "outside-weight-key": {"weights": [{str(parser_mod.HASH_DIM): 1.0}]},
+    "text-weight": {"weights": [{"7": "x"}]},
+    "bool-weight": {"weights": [{"7": True}]},
+    # the first column would be dead, and DROP would get two shares of
+    # the softmax
+    "repeated-action": {"actions": ["DROP", "DROP"], "bias": [0.0, 0.0],
+                        "weights": [{}, {}]},
 }
 
 
@@ -491,11 +504,11 @@ def test_foreign_feature_space_errors(tmp_path, capsys, case):
     argv = ("parse", "-i", str(corpus), "-o", "-", "--model", str(path))
     path.write_text(json.dumps(model))
     assert run_cli(capsys, *argv)[0] == 0
-    key, value = BROKEN_MODELS[case]
-    if value is None:
-        del model[key]
-    else:
-        model[key] = value
+    for key, value in BROKEN_MODELS[case].items():
+        if value is None:
+            del model[key]
+        else:
+            model[key] = value
     path.write_text(json.dumps(model))
     code, _, err = run_cli(capsys, *argv)
     assert code == 2

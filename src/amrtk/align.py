@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .graph import extract_fragments, name_op_values, strip_sense
 from .resources import Resources, morph_match, semantic_match
+from .smatch import score_counts
 from .surface import NEGATION_WORDS, date_attributes, numeric_form
 
 MATCHING = "matching"
@@ -440,9 +441,5 @@ def alignment_f1(pred, gold):
         raise AlignmentInputError("alignments refer to different graphs or tokens")
     pred_pairs = pred.pairs()
     gold_pairs = gold.pairs()
-    correct = len(pred_pairs & gold_pairs)
-    precision = correct / len(pred_pairs) if pred_pairs else 0.0
-    recall = correct / len(gold_pairs) if gold_pairs else 0.0
-    if precision + recall == 0.0:
-        return precision, recall, 0.0
-    return precision, recall, 2 * precision * recall / (precision + recall)
+    return score_counts(len(pred_pairs & gold_pairs), len(pred_pairs),
+                        len(gold_pairs), False)[:3]

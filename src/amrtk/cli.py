@@ -127,9 +127,8 @@ def cmd_tune(args):
         if not candidates:
             raise corpus_mod.CorpusFormatError(
                 "document %s has no alignment candidates" % doc.id)
-        aset = align_mod.AlignmentSet(doc.graph, _require_tokens(doc), candidates)
-        best, run = oracle_mod.tune(aset.tokens, doc.graph, aset,
-                                    smatch_restarts=args.restarts,
+        best, run = oracle_mod.tune(_require_tokens(doc), doc.graph,
+                                    candidates, smatch_restarts=args.restarts,
                                     smatch_seed=args.seed)
         doc.set_alignment(best)
         doc.metadata["oracle-smatch"] = "%.4f" % run.smatch_f1
@@ -164,13 +163,13 @@ def _tuned_candidate(doc):
 def cmd_oracle(args):
     blocks = []
     for doc in _read(args.input, corpus_mod.read_corpus):
-        run = oracle_mod.oracle_run(_require_tokens(doc), doc.graph,
-                                    _tuned_candidate(doc),
+        tokens = _require_tokens(doc)
+        run = oracle_mod.oracle_run(tokens, doc.graph, _tuned_candidate(doc),
                                     smatch_restarts=args.restarts,
                                     smatch_seed=args.seed)
         metadata = {k: doc.metadata[k] for k in ("id", "tok", "pos")
                     if k in doc.metadata}
-        metadata.setdefault("tok", " ".join(_require_tokens(doc)))
+        metadata.setdefault("tok", " ".join(tokens))
         metadata["oracle-smatch"] = "%.4f" % run.smatch_f1
         blocks.append((metadata, [str(a) for a in run.actions]))
     _write(args.output, corpus_mod.write_traces, blocks)
@@ -236,6 +235,8 @@ def cmd_smatch(args):
     if len(gold_docs) != len(pred_docs):
         raise corpus_mod.CorpusFormatError(
             "gold has %d graphs, pred has %d" % (len(gold_docs), len(pred_docs)))
+    if not gold_docs:
+        raise corpus_mod.CorpusFormatError("gold and pred hold no graphs")
     matched = total_pred = total_gold = certified = 0
     for gold_doc, pred_doc in zip(gold_docs, pred_docs):
         pred, gold = pred_doc.graph, gold_doc.graph

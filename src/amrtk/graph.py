@@ -6,6 +6,7 @@ concepts so that triple extraction and fragment grouping can treat every
 node uniformly.
 """
 
+import itertools
 import logging
 import re
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ _TOKEN_RE = re.compile(r'\(|\)|/|(?P<quoted>"(?:[^"\\]|\\.)*")|[^\s()/]+')
 _BARE_ATOM_RE = re.compile(r'[^\s()/"][^\s()/]*')
 _OP_ROLE_RE = re.compile(r"^:op\d+$")
 _ESCAPE_RE = re.compile(r"\\(.)")
+INDENT = 4  # spaces per nesting level of written Penman
 
 
 def strip_sense(label):
@@ -121,9 +123,6 @@ class AmrGraph:
     def addresses(self):
         """id -> position in first-appearance order."""
         return {cid: i for i, cid in enumerate(self.concepts)}
-
-    def is_connected(self):
-        return len(bfs_depths(self)) == len(self.concepts)
 
     def __repr__(self):
         return "AmrGraph(root=%r, %d concepts, %d relations)" % (
@@ -236,34 +235,28 @@ def parse_penman(text):
     """
     reader = _PenmanReader(text)
     root = reader.parse()
-
-    concepts = {}
-    lit_ids = iter("_lit%d" % i for i in range(10 ** 6))
-    relations = []
-    # interleave definitions and literals back into appearance order
-    resolved_edges = []
-    for source, role, (kind, value) in reader.edges:
-        if kind == "var" or (kind == "atom" and value in reader.defined):
-            resolved_edges.append((source, role, value, None))
-        elif kind == "atom" and _VAR_LIKE_RE.match(value):
-            raise PenmanStructureError(
-                "dangling reference to undefined variable %r" % value)
-        else:
-            lid = next(lit_ids)
-            while lid in reader.defined:
-                lid = next(lit_ids)
-            node_kind = CONSTANT if kind == "quoted" else ATTRIBUTE
-            resolved_edges.append((source, role, lid, Concept(lid, value, node_kind)))
+    defined = reader.defined
+    # _lit0, _lit1, ..., skipping the names of defined variables
+    lit_ids = (lid for lid in ("_lit%d" % i for i in itertools.count())
+               if lid not in defined)
 
     # appearance order: the root, then edges in file order, defining each
     # variable at its first occurrence; every other variable is an edge
     # target, so this reaches them all
-    concepts[root] = Concept(root, reader.defined[root], VARIABLE)
-    for source, role, target, literal in resolved_edges:
-        if literal is not None:
-            concepts[literal.id] = literal
-        elif target not in concepts:
-            concepts[target] = Concept(target, reader.defined[target], VARIABLE)
+    concepts = {root: Concept(root, defined[root], VARIABLE)}
+    relations = []
+    for source, role, (kind, value) in reader.edges:
+        if kind == "var" or (kind == "atom" and value in defined):
+            target = value
+            if target not in concepts:
+                concepts[target] = Concept(target, defined[target], VARIABLE)
+        elif kind == "atom" and _VAR_LIKE_RE.match(value):
+            raise PenmanStructureError(
+                "dangling reference to undefined variable %r" % value)
+        else:
+            target = next(lit_ids)
+            concepts[target] = Concept(
+                target, value, CONSTANT if kind == "quoted" else ATTRIBUTE)
         relations.append(Relation(source, target, role))
     return AmrGraph(concepts, relations, root)
 
@@ -280,48 +273,39 @@ def _render_atom(text, quoted=False):
     return text
 
 
-def serialize_penman(graph, indent=4):
+def serialize_penman(graph):
     """Write a graph back to Penman text.
 
     Variables are renumbered c0, c1, ... in visit order; re-entrant nodes
-    are defined once and referenced by bare variable afterwards.
+    are defined once and referenced by bare variable afterwards.  The
+    empty graph, and a graph with a concept that the walk from the root
+    along edge direction does not reach, raise `SerializationError`.
     """
-    if not graph.is_connected():
-        raise SerializationError("graph is not connected; cannot serialize")
-    names = {}
-
-    def name_of(cid):
-        if cid not in names:
-            names[cid] = "c%d" % len(names)
-        return names[cid]
-
-    defined = set()
+    if graph.root is None:
+        raise SerializationError("the empty graph cannot be serialized")
+    names = {}  # variable -> its name, in visit order
+    reached = {graph.root}  # every concept the walk reaches, literals too
 
     def render(cid, depth):
-        concept = graph.concept(cid)
-        var = name_of(cid)
-        defined.add(cid)
-        parts = ["(%s / %s" % (var, _render_atom(concept.label))]
-        pad = "\n" + " " * (indent * (depth + 1))
+        var = names[cid] = "c%d" % len(names)
+        parts = ["(%s / %s" % (var, _render_atom(graph.concept(cid).label))]
+        pad = "\n" + " " * (INDENT * (depth + 1))
         for rel in graph.outgoing(cid):
+            reached.add(rel.target)
             target = graph.concept(rel.target)
             if target.kind in LITERAL_KINDS:
                 # a variable-shaped bare value would read back as a reference
                 value = _render_atom(target.label, target.kind == CONSTANT
                                      or bool(_VAR_LIKE_RE.match(target.label)))
-            elif rel.target in defined:
-                value = name_of(rel.target)
+            elif rel.target in names:
+                value = names[rel.target]
             else:
                 value = render(rel.target, depth + 1)
             parts.append("%s%s %s" % (pad, rel.label, value))
         return "".join(parts) + ")"
 
-    # re-entrancies reachable only through undirected edges cannot be
-    # emitted from the root; the connectivity check above still lets them
-    # through when directed reachability fails
     text = render(graph.root, 0)
-    if len(defined) + sum(1 for c in graph.concepts.values()
-                          if c.kind in LITERAL_KINDS) < len(graph.concepts):
+    if len(reached) < len(graph.concepts):
         raise SerializationError("some concepts are unreachable from the root "
                                  "via directed edges")
     return text
@@ -408,15 +392,12 @@ def _topological_order(graph):
     indeg = {cid: 0 for cid in graph.concepts}
     for rel in graph.relations:
         indeg[rel.target] += 1
-    queue = [cid for cid, d in indeg.items() if d == 0]
-    order = []
-    while queue:
-        cid = queue.pop(0)
-        order.append(cid)
+    order = [cid for cid, d in indeg.items() if d == 0]
+    for cid in order:  # a queue: each concept joins once its last edge is in
         for rel in graph.outgoing(cid):
             indeg[rel.target] -= 1
             if indeg[rel.target] == 0:
-                queue.append(rel.target)
+                order.append(rel.target)
     if len(order) != len(graph.concepts):
         return None
     return order

@@ -131,9 +131,17 @@ def hash_features(feats):
             for f in feats]
 
 
-def encode(state, pos_tags=None):
-    """The hashed feature indices of a state, the same for every model."""
-    return hash_features(encode_state(state, pos_tags))
+def encode(state, pos_tags=None, memo=None):
+    """The hashed feature ids of a state, the same for every model.
+    `memo` maps each feature string hashed so far to its id, and the call
+    extends it; callers share one across states so that `hash_features`
+    sees each feature string once."""
+    memo = {} if memo is None else memo
+    feats = encode_state(state, pos_tags)
+    missing = [f for f in feats if f not in memo]
+    if missing:
+        memo.update(zip(missing, hash_features(missing)))
+    return [memo[f] for f in feats]
 
 
 class ActionScorer:
@@ -264,9 +272,10 @@ class Ensemble:
         return self.members[0].tagged_names(tags)
 
 
-def averaged_scores(model, state, legal, pos_tags=None):
+def averaged_scores(model, encoding, legal):
+    """The members' distributions over the legal actions of one encoded
+    state, averaged."""
     members = model.members if isinstance(model, Ensemble) else [model]
-    encoding = encode(state, pos_tags)
     total = {a: 0.0 for a in legal}
     for member in members:
         for action, prob in score_actions(member, encoding, legal).items():
@@ -287,13 +296,10 @@ def lemma_label(surface, lemma_table, predicate_lemmas):
     return lemma
 
 
-def _replay(example, lemma_table, predicate_lemmas, hashed=None):
+def _replay(example, lemma_table, predicate_lemmas, memo=None):
     """(encoding, state, gold name) for each gold action of a trace.  A
     CONFIRM whose label is the word's lemma label is named CONFIRM-LEMMA.
-    `hashed` is a {feature string: id} memo of the features hashed so
-    far, which the replay extends; a caller shares one across traces so
-    that `hash_features` sees each feature once."""
-    hashed = {} if hashed is None else hashed
+    Each state is encoded through `memo` (see `encode`)."""
     state = initial_state(example.tokens)
     steps = []
     for action in example.actions:
@@ -302,11 +308,7 @@ def _replay(example, lemma_table, predicate_lemmas, hashed=None):
         if action.tag == CONFIRM and action.label == lemma_label(
                 state.b0.surface, lemma_table, predicate_lemmas):
             name = LEMMA_ACTION
-        feats = encode_state(state, example.pos)
-        missing = [f for f in feats if f not in hashed]
-        if missing:
-            hashed.update(zip(missing, hash_features(missing)))
-        steps.append(([hashed[f] for f in feats], state, name))
+        steps.append((encode(state, example.pos, memo), state, name))
         state = successor
     if not is_terminal(state):  # an empty trace, say
         raise TrainingError("trace of %r stops before a terminal state"
@@ -386,8 +388,8 @@ def train(corpus, epochs=30, learning_rate=0.5, seed=1, dev_fraction=0.0,
                         for example in corpus for action in example.actions
                         if action.tag == CONFIRM
                         and strip_sense(action.label) != action.label}
-    hashed = {}  # feature string -> id, for this call only
-    replays = [_replay(example, lemma_table, predicate_lemmas, hashed)
+    memo = {}  # feature string -> id, for this call only
+    replays = [_replay(example, lemma_table, predicate_lemmas, memo)
                for example in corpus]
     indices = list(range(len(corpus)))
     rng.shuffle(indices)
@@ -556,6 +558,7 @@ def decode(model, tokens, pos=None, lemma_table=None):
     lemma_table = lemma_table or LemmaTable()
     state = initial_state(tokens)
     limit = STEP_FACTOR * len(tokens)
+    memo = {}  # feature string -> id, for this sentence only
     warning = None
     steps = 0
     while not is_terminal(state):
@@ -564,7 +567,7 @@ def decode(model, tokens, pos=None, lemma_table=None):
             warning = "fallback drain after %d steps" % steps
             state = _drain(state)
             break
-        probs = averaged_scores(model, state, legal, pos)
+        probs = averaged_scores(model, encode(state, pos, memo), legal)
         action = materialize(model, best_action(model, probs, legal), state,
                              lemma_table)
         state = apply(state, action)

@@ -103,7 +103,8 @@ def upper_bound(ta, tb):
 def score_counts(matched, n_a, n_b, certified):
     """`SmatchScore` of `matched` triples out of `n_a` candidate and `n_b`
     reference triples; a ratio with nothing to divide by is 0.0.  Every
-    graph has its TOP triple, so only an empty corpus has zero counts."""
+    graph has its TOP triple, so a total is zero only where no graph was
+    scored, and `amrtk smatch` refuses an empty corpus."""
     precision = matched / n_a if n_a else 0.0
     recall = matched / n_b if n_b else 0.0
     if precision + recall == 0.0:

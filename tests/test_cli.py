@@ -401,13 +401,15 @@ def test_smatch_reports_an_uncertified_pair(tmp_path, capsys, extra):
                                "certified-pairs\t0\n")
 
 
-def test_smatch_of_empty_files_is_zero(tmp_path, capsys):
-    # no triple on either side: each ratio has nothing to divide by
+def test_smatch_refuses_empty_files(tmp_path, capsys):
+    # no graph on either side: a score of 0 would hide a corpus that read
+    # as nothing
     empty = tmp_path / "empty.amr"
     empty.write_text("", encoding="utf-8")
-    assert run_cli(capsys, "smatch", "--gold", str(empty),
-                   "--pred", str(empty)) == (0, "0.0000\t0.0000\t0.0000\n",
-                                             "certified-pairs\t0\n")
+    code, out, err = run_cli(capsys, "smatch", "--gold", str(empty),
+                             "--pred", str(empty))
+    assert (code, out) == (2, "")
+    assert err.startswith("ERR:corpus:")
 
 
 def test_smatch_rejects_blocks_paired_with_other_ids(tmp_path, capsys):

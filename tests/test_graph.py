@@ -136,12 +136,25 @@ def test_unterminated_quote_is_syntax_error(text):
     assert err.value.position == text.index('"')
 
 
+def test_literal_ids_skip_defined_variable_names():
+    g = parse_penman('(_lit0 / a :ARG0 "x" :ARG1 (_lit1 / b :mod 5))')
+    assert list(g.concepts) == ["_lit0", "_lit2", "_lit1", "_lit3"]
+    assert [c.kind for c in g.concepts.values()] == [
+        VARIABLE, CONSTANT, VARIABLE, ATTRIBUTE]
+
+
 def test_serialize_disconnected_fails():
-    g = AmrGraph(
-        {"a": Concept("a", "act-01", VARIABLE), "b": Concept("b", "boy", VARIABLE)},
-        [], "a")
-    with pytest.raises(SerializationError):
-        serialize_penman(g)
+    act, boy = Concept("a", "act-01", VARIABLE), Concept("b", "boy", VARIABLE)
+    graphs = [
+        AmrGraph({"a": act, "b": boy}, [], "a"),
+        AmrGraph({}, [], None),  # the empty graph
+        AmrGraph({"a": act, "l": Concept("l", "5", ATTRIBUTE)}, [], "a"),
+        # `b` is reachable only against edge direction
+        AmrGraph({"a": act, "b": boy}, [Relation("b", "a", ":ARG0")], "a"),
+    ]
+    for g in graphs:
+        with pytest.raises(SerializationError):
+            serialize_penman(g)
 
 
 def test_fragments_group_name_ops():

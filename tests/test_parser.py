@@ -236,7 +236,7 @@ def test_ensemble_averaging_hand_computed():
     model_b = ActionScorer(["DROP", "SHIFT"])
     model_b.table[0] = [0.0, 1.0]
     state = initial_state(["x"])
-    merged = averaged_scores(Ensemble([model_a, model_b]), state,
+    merged = averaged_scores(Ensemble([model_a, model_b]), encode(state),
                              ["DROP", "SHIFT"])
     pa = math.e / (math.e + 1.0)
     assert merged["DROP"] == pytest.approx((pa + (1 - pa)) / 2, abs=1e-9)
@@ -248,7 +248,7 @@ def test_averaged_distribution_sums_to_one():
     model = train(examples, epochs=5, seed=1)
     state = initial_state(examples[0].tokens)
     legal = legal_action_names(model, state)
-    probs = averaged_scores(Ensemble([model, model]), state, legal)
+    probs = averaged_scores(Ensemble([model, model]), encode(state), legal)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -294,8 +294,8 @@ def test_argmax_invariant_to_constant_logit_shift():
     shifted = ActionScorer(["DROP", "SHIFT"])
     shifted.table[0] = [10.4, 10.1]
     state = initial_state(["x"])
-    a = averaged_scores(model, state, ["DROP", "SHIFT"])
-    b = averaged_scores(shifted, state, ["DROP", "SHIFT"])
+    a = averaged_scores(model, encode(state), ["DROP", "SHIFT"])
+    b = averaged_scores(shifted, encode(state), ["DROP", "SHIFT"])
     assert max(a, key=a.get) == max(b, key=b.get)
 
 

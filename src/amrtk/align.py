@@ -12,6 +12,7 @@ legal span assignments, found by a depth-first search.
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import extract_fragments, name_op_values, strip_sense
 from .resources import Resources, morph_match, semantic_match
@@ -32,14 +33,19 @@ class AlignmentInputError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Span:
+class _SpanFields(NamedTuple):
     start: int
     end: int  # exclusive
 
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise AlignmentInputError("bad span (%d, %d)" % (self.start, self.end))
+
+class Span(_SpanFields):
+    """A token span [start, end); construction checks it is not empty."""
+    __slots__ = ()
+
+    def __new__(cls, start, end):
+        if not 0 <= start < end:
+            raise AlignmentInputError("bad span (%d, %d)" % (start, end))
+        return tuple.__new__(cls, (start, end))
 
     def covers(self, index):
         return self.start <= index < self.end

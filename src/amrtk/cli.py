@@ -121,6 +121,8 @@ def cmd_align(args):
 
 def cmd_tune(args):
     documents = _read(args.input, corpus_mod.read_corpus)
+    if not documents:
+        raise corpus_mod.CorpusFormatError("the corpus holds no documents")
     runs = []
     for doc in documents:
         candidates = doc.alignment_candidates()
@@ -135,9 +137,8 @@ def cmd_tune(args):
         doc.metadata["oracle-actions"] = str(run.action_count)
         runs.append(run)
     _write(args.output, corpus_mod.write_corpus, documents)
-    mean_f1 = sum(r.smatch_f1 for r in runs) / len(runs) if runs else 0.0
-    mean_actions = (sum(r.action_count for r in runs) / len(runs)
-                    if runs else 0.0)
+    mean_f1 = sum(r.smatch_f1 for r in runs) / len(runs)
+    mean_actions = sum(r.action_count for r in runs) / len(runs)
     forests = sum(1 for r in runs if r.trees > 1)
     certified = sum(1 for r in runs if r.certified)
     report = ("mean-oracle-smatch\t%.4f\nmean-actions\t%.2f\n"

@@ -10,6 +10,7 @@ import itertools
 import logging
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -58,15 +59,13 @@ class GraphLookupError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     id: str
     label: str
     kind: str
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     source: str
     target: str
     label: str  # role, e.g. ':ARG0'
@@ -89,11 +88,16 @@ class AmrGraph:
         seen = set()
         for rel in self.relations:
             if rel.source == rel.target:
-                raise PenmanStructureError("self-loop on %r" % rel.source)
-            key = (rel.source, rel.target, rel.label)
-            if key in seen:
-                raise PenmanStructureError("duplicate relation %r" % (key,))
-            seen.add(key)
+                raise PenmanStructureError("self-loop on %r" % (rel.source,))
+            for end in (rel.source, rel.target):
+                if end not in self.concepts:
+                    raise PenmanStructureError(
+                        "relation %r names %r, which is not a concept"
+                        % (tuple(rel), end))
+            if rel in seen:
+                raise PenmanStructureError(
+                    "duplicate relation %r" % (tuple(rel),))
+            seen.add(rel)
         self._out = {}
         self._in = {}
         for rel in self.relations:

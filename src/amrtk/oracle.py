@@ -22,7 +22,7 @@ from .graph import (
     AmrGraph, Relation, depth_to_root, extract_fragments,
 )
 from .smatch import smatch_score
-from .transition import Action, apply, initial_state, is_terminal
+from .transition import BARE, Action, apply, initial_state, is_terminal
 
 logger = logging.getLogger(__name__)
 
@@ -203,10 +203,10 @@ def oracle_action(state, ledger):
     if b0 is not None and b0.is_word():
         span = ledger.span_at.get(b0.span[0])
         if span is None:
-            return Action(transition.DROP)
+            return BARE[transition.DROP]
         b1 = state.b1
         if b1 is not None and b1.is_word() and span.covers(b1.span[0]):
-            return Action(transition.MERGE)
+            return BARE[transition.MERGE]
         pending = ledger.pending[span]
         if not pending:
             raise OracleError(
@@ -253,14 +253,14 @@ def oracle_action(state, ledger):
                 return Action(transition.RIGHT, rel.label)
 
     if s0 is None:  # b0 is a concept: the state is not terminal
-        return Action(transition.SHIFT)
+        return BARE[transition.SHIFT]
     if b0 is not None:
         gold_s0 = ledger.state_to_gold[s0.node]
         if not (ledger.open_edges.isdisjoint(pruned.outgoing(gold_s0))
                 and ledger.open_edges.isdisjoint(pruned.incoming(gold_s0))):
-            return Action(transition.CACHE)
+            return BARE[transition.CACHE]
     # with the buffer empty, open edges of s0 can no longer be built
-    return Action(transition.REDUCE)
+    return BARE[transition.REDUCE]
 
 
 def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):

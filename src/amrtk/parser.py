@@ -70,23 +70,24 @@ def encode_state(state, pos_tags=None):
     """Deterministic sparse feature strings for a state: identity of the
     stack top two, deque front, buffer front two, the last three actions
     and arc-count buckets."""
-    sigma = state.sigma
-    beta = state.beta
+    # unpacking reads a named tuple's fields faster than its attributes
+    sigma, delta, beta, arcs, labels, _, history = state
 
     def describe(item):
         if item is None:
             return None, None, None
-        word = item.surface.lower()
-        label = state.labels[item.node] if item.is_concept() else word
+        (start, _), surface, node = item
+        word = surface.lower()
+        label = word if node is None else labels[node]
         tag = None
-        if pos_tags is not None and item.span[0] < len(pos_tags):
-            tag = pos_tags[item.span[0]]
+        if pos_tags is not None and start < len(pos_tags):
+            tag = pos_tags[start]
         return label, word, tag
 
     slots = {
         "s0": sigma[-1] if sigma else None,
         "s1": sigma[-2] if len(sigma) > 1 else None,
-        "d0": state.delta[0] if state.delta else None,
+        "d0": delta[0] if delta else None,
         "b0": beta[0] if beta else None,
         "b1": beta[1] if len(beta) > 1 else None,
         "b2": beta[2] if len(beta) > 2 else None,
@@ -103,14 +104,13 @@ def encode_state(state, pos_tags=None):
         feats.append("%s.w=%s" % (name, word))
         if tag is not None:
             feats.append("%s.t=%s" % (name, tag))
-        if item.is_concept():
-            incident = sum(1 for head, _, dep in state.arcs
-                           if item.node in (head, dep))
+        node = item.node
+        if node is not None:
+            incident = sum(1 for head, _, dep in arcs if node in (head, dep))
             feats.append("%s.na=%d" % (name, min(incident, 3)))
     feats.append("s0b0.c=%s|%s" % (described["s0"], described["b0"]))
     feats.append("s0b1.c=%s|%s" % (described["s0"], described["b1"]))
     feats.append("d0b0.c=%s|%s" % (described["d0"], described["b0"]))
-    history = state.history
     for back in (1, 2, 3):
         if len(history) >= back:
             feats.append("h%d=%s" % (back, history[-back].tag))
@@ -121,7 +121,7 @@ def encode_state(state, pos_tags=None):
     if len(history) >= 2:
         feats.append("h12=%s|%s" % (history[-1].tag, history[-2].tag))
     feats.append("nsig=%d" % min(len(sigma), 5))
-    feats.append("ndel=%d" % min(len(state.delta), 5))
+    feats.append("ndel=%d" % min(len(delta), 5))
     feats.append("nbet=%d" % min(len(beta), 5))
     return feats
 
@@ -166,21 +166,20 @@ class ActionScorer:
         self._by_tags = {}
 
     def tagged_names(self, tags):
-        """(name, action) of each vocabulary entry whose tag is in `tags`,
-        in vocabulary order; the action only for LEFT and RIGHT, whose
-        legality also depends on the arcs of the state, else None.  The
-        entries are found once per set of tags."""
-        key = frozenset(tags)
-        entries = self._by_tags.get(key)
+        """(name, action) of each vocabulary entry whose tag is in the
+        frozenset `tags`, in vocabulary order; the action only for LEFT
+        and RIGHT, whose legality also depends on the arcs of the state,
+        else None.  The entries are found once per set of tags."""
+        entries = self._by_tags.get(tags)
         if entries is None:
             entries = []
             for name in self.actions:
                 action, _ = self.vocabulary[name]
                 tag = CONFIRM if action is None else action.tag
-                if tag in key:
+                if tag in tags:
                     entries.append((name, action if tag in RELATION_ACTIONS
                                     else None))
-            entries = self._by_tags[key] = tuple(entries)
+            entries = self._by_tags[tags] = tuple(entries)
         return entries
 
     @property
@@ -585,7 +584,7 @@ def _drain(state):
             tag = transition.DROP
         else:
             tag = transition.SHIFT
-        state = apply(state, Action(tag))
+        state = apply(state, transition.BARE[tag])
     return state
 
 

@@ -12,10 +12,14 @@ and an arc is a (head, role, dependent) triple of indices.  SHIFT alone
 pushes onto sigma (the deque, then b0, which must be a concept), and
 CACHE alone fills the deque (from sigma's top), so sigma and delta hold
 concepts alone; each concept lives in exactly one item.
+
+States, items and actions are named tuples, compared and hashed by
+their fields, and the legal tags of a state are the one frozenset kept
+for its shape, so a step builds no more than its successor.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import (
     ATTRIBUTE, CONSTANT, VARIABLE, AmrGraph, Concept, Relation, bfs_depths,
@@ -51,23 +55,32 @@ class StateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Action:
+class _ActionFields(NamedTuple):
     tag: str
     label: str = None
 
-    def __post_init__(self):
-        if self.tag not in ALL_TAGS:
-            raise TransitionError("unknown action tag %r" % self.tag)
-        if self.tag in BARE_ACTIONS and self.label is not None:
-            raise TransitionError("%s takes no label" % self.tag)
-        if self.tag not in BARE_ACTIONS and not self.label:
-            raise TransitionError("%s requires a label" % self.tag)
+
+class Action(_ActionFields):
+    """One transition; construction checks the tag and its label."""
+    __slots__ = ()
+
+    def __new__(cls, tag, label=None):
+        if tag not in ALL_TAGS:
+            raise TransitionError("unknown action tag %r" % (tag,))
+        if tag in BARE_ACTIONS and label is not None:
+            raise TransitionError("%s takes no label" % tag)
+        if tag not in BARE_ACTIONS and not label:
+            raise TransitionError("%s requires a label" % tag)
+        return tuple.__new__(cls, (tag, label))
 
     def __str__(self):
         if self.label is None:
             return self.tag
         return "%s(%s)" % (self.tag, self.label)
+
+
+# the one Action of each bare tag, built once
+BARE = {tag: Action(tag) for tag in BARE_ACTIONS}
 
 
 def parse_action(text):
@@ -78,8 +91,7 @@ def parse_action(text):
     return Action(tag, label)
 
 
-@dataclass(frozen=True)
-class StackItem:
+class StackItem(NamedTuple):
     span: tuple          # (start, end) token span of origin
     surface: str         # joined surface form
     node: int = None     # index of the item's concept; None for a word
@@ -91,8 +103,7 @@ class StackItem:
         return self.node is not None
 
 
-@dataclass(frozen=True)
-class ParserState:
+class ParserState(NamedTuple):
     sigma: tuple
     delta: tuple
     beta: tuple
@@ -126,29 +137,47 @@ def is_terminal(state):
     return not state.beta and not state.sigma
 
 
-def legal_actions(state):
-    """The set of legal action tags in a state (Table rows whose
-    current-state pattern matches)."""
+# the kinds of a state's b0 in its shape (None when the buffer is empty)
+WORD = "word"
+CONCEPT = "concept"
+
+
+def _shape_tags(b0, b1_word, has_s0):
+    """The legal action tags of a state shape (Table rows whose
+    current-state pattern matches): `b0` is None, WORD or CONCEPT,
+    `b1_word` whether b1 is a word, `has_s0` whether sigma is non-empty."""
     legal = set()
-    b0 = state.b0
-    s0 = state.s0
-    if b0 is not None and b0.is_word():
-        legal.add(DROP)
-        legal.add(CONFIRM)
-        legal.add(ENTITY)
-        if state.b1 is not None and state.b1.is_word():
+    if b0 == WORD:
+        legal.update((DROP, CONFIRM, ENTITY))
+        if b1_word:
             legal.add(MERGE)
-    if b0 is not None and b0.is_concept():
-        legal.add(NEW)
-        legal.add(SHIFT)
-        if s0 is not None:
-            legal.add(LEFT)
-            legal.add(RIGHT)
-    if s0 is not None:
+    if b0 == CONCEPT:
+        legal.update((NEW, SHIFT))
+        if has_s0:
+            legal.update((LEFT, RIGHT))
+    if has_s0:
         legal.add(REDUCE)
         if b0 is not None:
             legal.add(CACHE)
-    return legal
+    return frozenset(legal)
+
+
+# one interned tag set per state shape, built once
+_LEGAL_BY_SHAPE = {
+    (b0, b1_word, has_s0): _shape_tags(b0, b1_word, has_s0)
+    for b0 in (None, WORD, CONCEPT)
+    for b1_word in (False, True)
+    for has_s0 in (False, True)
+}
+
+
+def legal_actions(state):
+    """The frozenset of legal action tags in a state, the one interned for
+    the state's shape."""
+    beta = state.beta
+    b0 = None if not beta else WORD if beta[0].node is None else CONCEPT
+    return _LEGAL_BY_SHAPE[
+        b0, len(beta) > 1 and beta[1].node is None, bool(state.sigma)]
 
 
 def apply(state, action):
@@ -180,7 +209,8 @@ def apply(state, action):
     elif tag in RELATION_ACTIONS:
         arc = new_arc(state, action)
         if arc is None:
-            raise TransitionError("%s duplicates an arc of the state" % action)
+            raise TransitionError(
+                "%s duplicates an arc of the state" % (action,))
         arcs = arcs + (arc,)
     elif tag == CACHE:
         sigma, delta = sigma[:-1], (sigma[-1],) + delta

@@ -2,13 +2,16 @@
 of hard sentences, a model that decodes until the step guard, the
 reference Smatch hill-climbing and search, the reference matching-rule
 pass, the reference updating fixpoint, the brute-force candidate list and
-the reference action scorer and trainer."""
+the reference action scorer and trainer and the reference legality
+rule."""
 
 import importlib.util
 import itertools
 import math
 import os
 import random
+
+import pytest
 
 from amrtk.align import (
     FUZZY_PREFIX_LEN, QUANTITY_SUFFIX, UPDATING, AlignmentContext,
@@ -28,7 +31,10 @@ from amrtk.smatch import (
     _weight_table, to_triples, triple_count,
 )
 from amrtk.surface import date_attributes, numeric_form
-from amrtk.transition import CONFIRM
+from amrtk.transition import (
+    ALL_TAGS, BARE_ACTIONS, CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE, NEW,
+    REDUCE, RIGHT, SHIFT, Action, TransitionError, apply, legal_actions,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -608,3 +614,40 @@ def brute_force_candidates(graph, tokens, rules, resources=None):
                 h: rec.span if rec else None for h, rec in choices.items()})
             out.setdefault(cand, cand)
     return list(out) or [CandidateAlignment(graph, tokens, dict.fromkeys(order))]
+
+
+def reference_legal_actions(state):
+    """The set of legal action tags in a state (Table rows whose
+    current-state pattern matches), built from the state on every call:
+    the rule `transition.legal_actions` reads from its table of state
+    shapes."""
+    legal = set()
+    b0 = state.b0
+    s0 = state.s0
+    if b0 is not None and b0.is_word():
+        legal.add(DROP)
+        legal.add(CONFIRM)
+        legal.add(ENTITY)
+        if state.b1 is not None and state.b1.is_word():
+            legal.add(MERGE)
+    if b0 is not None and b0.is_concept():
+        legal.add(NEW)
+        legal.add(SHIFT)
+        if s0 is not None:
+            legal.add(LEFT)
+            legal.add(RIGHT)
+    if s0 is not None:
+        legal.add(REDUCE)
+        if b0 is not None:
+            legal.add(CACHE)
+    return legal
+
+
+def assert_apply_refuses_every_illegal_tag(state):
+    """`apply` raises for each tag outside the state's legal set."""
+    legal = legal_actions(state)
+    for tag in ALL_TAGS:
+        if tag not in legal:
+            action = Action(tag) if tag in BARE_ACTIONS else Action(tag, "x")
+            with pytest.raises(TransitionError, match="is illegal in state"):
+                apply(state, action)

@@ -66,8 +66,25 @@ def test_span_validation():
         Span(2, 2)
     with pytest.raises(AlignmentInputError):
         Span(-1, 1)
+    with pytest.raises(AlignmentInputError, match=r"^bad span \(2, 1\)$"):
+        Span(2, 1)
     assert Span(0, 2).overlaps(Span(1, 3))
     assert not Span(0, 1).overlaps(Span(1, 2))
+
+
+def test_span_is_a_value():
+    assert Span(1, 3) == Span(start=1, end=3)
+    assert hash(Span(1, 3)) == hash(Span(1, 3))
+    assert Span(1, 3) != Span(1, 2)
+    assert len({Span(1, 3), Span(1, 3), Span(0, 1)}) == 2
+    assert {Span(0, 1): "a"}[Span(0, 1)] == "a"
+    # spans order by start, then end
+    assert sorted([Span(2, 3), Span(0, 2), Span(1, 2), Span(0, 1)]) == \
+        [Span(0, 1), Span(0, 2), Span(1, 2), Span(2, 3)]
+    assert Span(0, 5) < Span(1, 2) and max(Span(3, 4), Span(3, 5)) == Span(3, 5)
+    assert (Span(1, 3).start, Span(1, 3).end) == (1, 3)
+    assert Span(1, 3).covers(2) and not Span(1, 3).covers(3)
+    assert repr(Span(1, 3)) == "Span(start=1, end=3)"
 
 
 def test_named_entity_rule_matches_north_korea():

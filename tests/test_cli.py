@@ -412,6 +412,20 @@ def test_smatch_refuses_empty_files(tmp_path, capsys):
     assert err.startswith("ERR:corpus:")
 
 
+def test_tune_refuses_an_empty_corpus(tmp_path, capsys):
+    # no sentence to tune: a mean oracle Smatch of 0 would hide a corpus
+    # that read as nothing
+    empty = tmp_path / "empty.amr"
+    empty.write_text("", encoding="utf-8")
+    tuned = tmp_path / "tuned.amr"
+    code, out, err = run_cli(capsys, "tune", "-i", str(empty),
+                             "-o", str(tuned))
+    assert (code, out) == (2, "")
+    assert err.startswith("ERR:corpus:")
+    assert "mean-oracle-smatch" not in err
+    assert not tuned.exists()
+
+
 def test_smatch_rejects_blocks_paired_with_other_ids(tmp_path, capsys):
     gold, pred = tmp_path / "gold", tmp_path / "pred"
     gold.write_text("# ::id a\n(x / a)\n\n# ::id b\n(y / b)\n", encoding="utf-8")

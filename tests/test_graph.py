@@ -69,6 +69,22 @@ def test_self_loop_rejected():
         parse_penman("(a / act-01 :mod a)")
 
 
+@pytest.mark.parametrize("relation", [
+    Relation("a", "z", ":ARG0"), Relation("z", "a", ":ARG0")],
+    ids=["target", "source"])
+def test_relation_to_a_missing_concept_is_refused_at_construction(relation):
+    # refused where it is built, not later as a GraphLookupError on 'z'
+    # from serialize_penman
+    with pytest.raises(PenmanStructureError, match="'z', which is not a concept"):
+        AmrGraph({"a": Concept("a", "x", VARIABLE)}, [relation], "a")
+
+
+def test_duplicate_relation_rejected():
+    concepts = {cid: Concept(cid, cid, VARIABLE) for cid in "ab"}
+    with pytest.raises(PenmanStructureError, match="duplicate relation"):
+        AmrGraph(concepts, [Relation("a", "b", ":ARG0")] * 2, "a")
+
+
 def test_constant_kinds():
     g = parse_penman('(d / date-entity :year 2002 :note "fine")')
     kinds = sorted((c.label, c.kind) for c in g.concepts.values())

@@ -17,8 +17,13 @@ from amrtk.resources import (
     load_morphosemantic,
 )
 from amrtk.smatch import smatch_score
-from amrtk.transition import apply, extract_graph, initial_state, is_terminal
-from helpers import bench_module, fixture, hard_corpus
+from amrtk.transition import (
+    apply, extract_graph, initial_state, is_terminal, legal_actions,
+)
+from helpers import (
+    assert_apply_refuses_every_illegal_tag, bench_module, fixture, hard_corpus,
+    reference_legal_actions,
+)
 
 FIGURE_TEXT = """
 (f / freeze-01
@@ -440,6 +445,32 @@ def test_ledger_maps_every_built_variable_to_its_gold_concept(rule_set):
         for node in range(len(state.labels)):
             if parsed.concept("n%d" % node).kind not in LITERAL_KINDS:
                 assert node in ledger.state_to_gold
+
+
+def test_every_oracle_state_has_the_reference_legal_tags():
+    # every state of every candidate's oracle run, under both rule sets:
+    # the interned tag set of its shape equals the set the rule builds
+    # from the state, and `apply` refuses each tag outside it
+    resources = fixture_resources()
+    documents = (read_corpus(hard_corpus(1, 24))
+                 + read_corpus(fixture("train_corpus.amr"))
+                 + read_corpus(fixture("oracle_corpus.amr")))
+    states = 0
+    for rules in (base_rule_set(), full_rule_set(resources)):
+        for doc in documents:
+            for cand in enumerate_alignments(doc.graph, doc.tokens, rules,
+                                             resources=resources):
+                ledger = EdgeLedger(prune_unaligned(doc.graph, cand), cand)
+                state = initial_state(doc.tokens)
+                while True:
+                    assert legal_actions(state) == \
+                        reference_legal_actions(state)
+                    assert_apply_refuses_every_illegal_tag(state)
+                    states += 1
+                    if is_terminal(state):
+                        break
+                    state = apply(state, oracle_action(state, ledger))
+    assert states > 30000
 
 
 def test_name_under_a_date_entity_wrapper_is_settled_unbuilt():

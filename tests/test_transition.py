@@ -1,15 +1,21 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from amrtk import transition
 from amrtk.graph import parse_penman, serialize_penman
 from amrtk.parser import _drain
 from amrtk.smatch import smatch_score
 from amrtk.transition import (
     BARE_ACTIONS, CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE, NEW, REDUCE,
-    RELATION_ACTIONS, RIGHT, SHIFT, Action, StateError, TransitionError,
-    apply, extract_graph, initial_state, is_terminal, legal_actions, new_arc,
-    parse_action,
+    RELATION_ACTIONS, RIGHT, SHIFT, Action, ParserState, StackItem,
+    StateError, TransitionError, apply, extract_graph, initial_state,
+    is_terminal, legal_actions, new_arc, parse_action,
+)
+from helpers import (
+    assert_apply_refuses_every_illegal_tag, reference_legal_actions,
 )
 
 FIGURE_TOKENS = ("North Korea froze its nuclear actions in exchange for "
@@ -37,12 +43,31 @@ def test_initial_state_empty_rejected():
 
 
 def test_action_validation():
-    with pytest.raises(TransitionError):
-        Action(CONFIRM)           # missing label
-    with pytest.raises(TransitionError):
-        Action(SHIFT, "x")        # spurious label
-    with pytest.raises(TransitionError):
+    with pytest.raises(TransitionError, match=r"^CONFIRM requires a label$"):
+        Action(CONFIRM)
+    with pytest.raises(TransitionError, match=r"^NEW requires a label$"):
+        Action("NEW")
+    with pytest.raises(TransitionError, match=r"^SHIFT takes no label$"):
+        Action(SHIFT, "x")
+    with pytest.raises(TransitionError, match=r"^DROP takes no label$"):
+        Action("DROP", "x")
+    with pytest.raises(TransitionError, match=r"^unknown action tag 'WIBBLE'$"):
         Action("WIBBLE")
+
+
+def test_actions_are_values():
+    left = Action(LEFT, ":ARG0")
+    assert left == Action(LEFT, label=":ARG0")
+    assert hash(left) == hash(Action(LEFT, ":ARG0"))
+    assert left != Action(RIGHT, ":ARG0") and left != Action(LEFT, ":ARG1")
+    assert len({left, Action(LEFT, ":ARG0"), Action(SHIFT)}) == 2
+    assert (left.tag, left.label) == (LEFT, ":ARG0")
+    assert Action(DROP).label is None
+    assert transition.BARE[DROP] == Action(DROP)
+    assert str(left) == "LEFT(:ARG0)"
+    assert str(Action(CONFIRM, "boy")) == "CONFIRM(boy)"
+    assert str(Action(REDUCE)) == "REDUCE"
+    assert repr(left) == "Action(tag='LEFT', label=':ARG0')"
 
 
 def test_action_round_trip():
@@ -159,6 +184,53 @@ def test_illegal_action_raises():
         apply(s, Action(SHIFT))  # b0 is a word
     with pytest.raises(TransitionError):
         apply(s, Action(CACHE))  # sigma empty
+    with pytest.raises(TransitionError,
+                       match=r"^action RIGHT\(:mod\) is illegal in state "
+                             r"\(\|sigma\|=0, \|delta\|=0, \|beta\|=1\)$"):
+        apply(s, Action(RIGHT, ":mod"))
+
+
+def test_duplicate_arc_error_names_the_action():
+    s = run(initial_state(["boy", "runs"]), Action(CONFIRM, "boy"),
+            Action(SHIFT), Action(CONFIRM, "run-01"), Action(LEFT, ":ARG0"))
+    with pytest.raises(TransitionError,
+                       match=r"^LEFT\(:ARG0\) duplicates an arc of the state$"):
+        apply(s, Action(LEFT, ":ARG0"))
+
+
+WORD_ITEM = StackItem((0, 1), "w")
+CONCEPT_ITEM = StackItem((0, 1), "c", 0)
+ITEM_OF_KIND = {None: None, transition.WORD: WORD_ITEM,
+                transition.CONCEPT: CONCEPT_ITEM}
+
+
+def test_legal_table_matches_the_reference_rule_on_every_shape():
+    table = transition._LEGAL_BY_SHAPE
+    assert len(table) == 12
+    for (b0, b1_word, has_s0), tags in table.items():
+        assert isinstance(tags, frozenset)
+        # the reference reads the shape's b0, b1 and s0 alone; a b1 that is
+        # not a word is either absent or a concept
+        for b1 in ([WORD_ITEM] if b1_word else [None, CONCEPT_ITEM]):
+            shape = SimpleNamespace(b0=ITEM_OF_KIND[b0], b1=b1,
+                                    s0=CONCEPT_ITEM if has_s0 else None)
+            assert reference_legal_actions(shape) == tags
+
+
+def test_legal_actions_returns_the_interned_set_of_the_state_shape():
+    interned = {id(tags) for tags in transition._LEGAL_BY_SHAPE.values()}
+    items = (WORD_ITEM, CONCEPT_ITEM)
+    states = 0
+    for n_beta in range(3):
+        for beta in itertools.product(items, repeat=n_beta):
+            for sigma in ((), (CONCEPT_ITEM,)):
+                state = ParserState(sigma, (), beta, (), ("c",), ("w",))
+                tags = legal_actions(state)
+                assert id(tags) in interned
+                assert tags == reference_legal_actions(state)
+                assert_apply_refuses_every_illegal_tag(state)
+                states += 1
+    assert states == 14
 
 
 def test_extract_single_concept():
@@ -284,6 +356,12 @@ def test_states_are_values():
     assert s2.b0.is_concept()
     assert s.history == ()
     assert s2.history == (Action(CONFIRM, "boy"),)
+    # equal by value: a second run of the same actions, and its items
+    again = apply(initial_state(["boy"]), Action(CONFIRM, "boy"))
+    assert again == s2 and hash(again) == hash(s2) and again is not s2
+    assert s2 != apply(s, Action(CONFIRM, "lad"))
+    assert s2.b0 == StackItem((0, 1), "boy", 0)
+    assert s.b0 == StackItem((0, 1), "boy") and s.b0.node is None
 
 
 WALK_WORDS = ("x", "y", "Korea", "North-Korea", "2002-01-05", "7")

@@ -14,7 +14,6 @@ import sys
 from . import align as align_mod
 from . import corpus as corpus_mod
 from . import oracle as oracle_mod
-from . import parser as parser_mod
 from . import resources as resources_mod
 from . import smatch as smatch_mod
 from . import transition
@@ -27,9 +26,9 @@ ERROR_CODES = [
     (PenmanError, "penman"),
     (GraphLookupError, "graph"),
     (resources_mod.ResourceFormatError, "resource"),
-    (parser_mod.ModelFormatError, "model"),
-    (parser_mod.TrainingError, "train"),
-    (parser_mod.DecodeError, "decode"),
+    (transition.ModelFormatError, "model"),
+    (transition.TrainingError, "train"),
+    (transition.DecodeError, "decode"),
     (align_mod.AlignmentInputError, "align"),
     (oracle_mod.OracleError, "oracle"),
     (oracle_mod.StatsError, "stats"),
@@ -178,6 +177,7 @@ def cmd_oracle(args):
 
 
 def _read_training_corpus(path):
+    from . import parser as parser_mod
     examples = []
     for metadata, action_lines in _read(path, corpus_mod.read_traces):
         if "tok" not in metadata:
@@ -193,6 +193,7 @@ def _read_training_corpus(path):
 
 
 def cmd_train(args):
+    from . import parser as parser_mod
     examples = _read_training_corpus(args.traces)
     lemma_table = None
     if args.lemmas:
@@ -211,6 +212,7 @@ def cmd_train(args):
 
 
 def cmd_parse(args):
+    from . import parser as parser_mod
     members = [parser_mod.load_model(path) for path in args.model]
     model = members[0] if len(members) == 1 else parser_mod.Ensemble(members)
     lemma_table = None

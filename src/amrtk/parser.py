@@ -23,9 +23,9 @@ from .graph import strip_sense
 from .resources import LemmaTable
 from . import transition
 from .transition import (
-    CONFIRM, RELATION_ACTIONS, Action, TransitionError, apply,
-    extract_graph, initial_state, is_terminal, legal_actions, new_arc,
-    parse_action,
+    CONFIRM, RELATION_ACTIONS, Action, DecodeError, ModelFormatError,
+    TrainingError, TransitionError, apply, extract_graph, initial_state,
+    is_terminal, legal_actions, new_arc, parse_action,
 )
 
 MODEL_FORMAT = "amrtk-model"
@@ -38,18 +38,6 @@ LEMMA_ACTION = "CONFIRM-LEMMA"
 HASH_DIM = 1 << 20
 HASH_SEED = 1
 STEP_FACTOR = 20
-
-
-class TrainingError(ValueError):
-    pass
-
-
-class DecodeError(ValueError):
-    pass
-
-
-class ModelFormatError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

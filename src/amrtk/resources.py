@@ -4,8 +4,8 @@ lemma table.  All tables are read-only after load."""
 
 import logging
 import math
-
-import numpy as np
+from array import array
+from operator import mul
 
 from .graph import strip_sense
 
@@ -18,10 +18,21 @@ class ResourceFormatError(ValueError):
     pass
 
 
+def _dot(v1, v2):
+    return sum(map(mul, v1, v2))
+
+
 class EmbeddingTable:
+    """Word vectors keyed by lowercase word (`load_embeddings` stores each
+    as an `array('d')`, 8 bytes a component).  The Euclidean norm of each
+    vector is computed once, when the table is built, so a cosine costs
+    one dot product."""
+
     def __init__(self, dimension, vectors):
         self.dimension = dimension
-        self.vectors = vectors  # lowercase word -> np.ndarray
+        self.vectors = vectors
+        self._norms = {word: math.sqrt(_dot(vector, vector))
+                       for word, vector in vectors.items()}
 
     def __len__(self):
         return len(self.vectors)
@@ -31,6 +42,14 @@ class EmbeddingTable:
 
     def get(self, word):
         return self.vectors.get(word.lower())
+
+    def vector_and_norm(self, word):
+        """(vector, Euclidean norm) of a word, or None when it has none."""
+        word = word.lower()
+        vector = self.vectors.get(word)
+        if vector is None:
+            return None
+        return vector, self._norms[word]
 
 
 class MorphLinkTable:
@@ -64,6 +83,12 @@ class Resources:
 
     def __init__(self, embeddings=None, morph=None, lemmas=None,
                  cosine_threshold=DEFAULT_COSINE_THRESHOLD):
+        if not math.isfinite(cosine_threshold):
+            # no cosine is greater than nan or inf and every one is
+            # greater than -inf: the embedding rule would silently never
+            # (or always) fire
+            raise ValueError("cosine threshold must be a finite number, "
+                             "not %r" % cosine_threshold)
         self.embeddings = embeddings or EmbeddingTable(0, {})
         self.morph = morph or MorphLinkTable(())
         self.lemmas = lemmas or LemmaTable()
@@ -84,7 +109,7 @@ def load_embeddings(path):
                 continue
             word = parts[0].lower()
             try:
-                values = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                values = array("d", map(float, parts[1:]))
             except ValueError as err:
                 raise ResourceFormatError(
                     "%s:%d: unparseable number (%s)" % (path, lineno, err))
@@ -97,7 +122,7 @@ def load_embeddings(path):
                 raise ResourceFormatError(
                     "%s:%d: expected %d components, found %d"
                     % (path, lineno, dimension, len(values)))
-            if not np.all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise ResourceFormatError(
                     "%s:%d: non-finite vector component" % (path, lineno))
             if word not in vectors:
@@ -142,15 +167,14 @@ def load_lemmas(path):
 def cosine(table, w1, w2):
     """Cosine similarity of two words, or None when either is missing
     or has a zero-norm vector."""
-    v1 = table.get(w1)
-    v2 = table.get(w2)
-    if v1 is None or v2 is None:
+    e1 = table.vector_and_norm(w1)
+    e2 = table.vector_and_norm(w2)
+    if e1 is None or e2 is None:
         return None
-    n1 = math.sqrt(float(np.dot(v1, v1)))
-    n2 = math.sqrt(float(np.dot(v2, v2)))
+    (v1, n1), (v2, n2) = e1, e2
     if n1 == 0.0 or n2 == 0.0:
         return None
-    return float(np.dot(v1, v2)) / (n1 * n2)
+    return _dot(v1, v2) / (n1 * n2)
 
 
 def semantic_match(table, concept_label, word,

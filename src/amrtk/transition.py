@@ -51,6 +51,20 @@ class TransitionError(ValueError):
     pass
 
 
+# the parser's errors live here, beside the transition system's, so the
+# CLI can name them without importing the parser (and numpy)
+class TrainingError(ValueError):
+    pass
+
+
+class DecodeError(ValueError):
+    pass
+
+
+class ModelFormatError(ValueError):
+    pass
+
+
 class StateError(ValueError):
     pass
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -574,6 +577,92 @@ def test_train_writes_no_model_that_parse_refuses(tmp_path, capsys, argv):
     assert err.startswith("ERR:train:")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not model.exists()
+
+
+def test_parse_refuses_an_ensemble_of_foreign_vocabularies(tmp_path, capsys):
+    # CONFIRM(feline) names a concept that is not the word: the second
+    # model's action vocabulary holds it where the first holds
+    # CONFIRM-LEMMA
+    models = []
+    for name, concept in (("a", "cat"), ("b", "feline")):
+        traces = tmp_path / ("traces-%s.txt" % name)
+        traces.write_text("# ::tok the cat\nDROP\nCONFIRM(%s)\nSHIFT\n"
+                          "REDUCE\n" % concept, encoding="utf-8")
+        model = str(tmp_path / ("model-%s.json" % name))
+        assert run_cli(capsys, "train", "--traces", str(traces),
+                       "--model", model, "--epochs", "1")[0] == 0
+        models += ["--model", model]
+    corpus = tmp_path / "in.amr"
+    corpus.write_text("# ::tok the cat\n(c / cat)\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "parse", "-i", str(corpus), *models)
+    assert (code, out) == (2, "")
+    assert err.startswith("ERR:decode:")
+
+
+@pytest.mark.parametrize("argv", [("--cosine-threshold", "nan"),
+                                  ("--cosine-threshold", "inf"),
+                                  ("--cosine-threshold=-inf",)],
+                         ids=["nan", "inf", "minus-inf"])
+def test_align_refuses_a_non_finite_cosine_threshold(tmp_path, capsys, argv):
+    # no cosine is greater than nan or inf and every one is greater than
+    # -inf: such a threshold used to turn the embedding rule off (or on)
+    # without a word (frozen-freeze is the embedding match)
+    corpus = tmp_path / "lake.amr"
+    corpus.write_text("# ::tok the lake frozen\n"
+                      "(f / freeze-01 :ARG1 (l / lake))\n", encoding="utf-8")
+    base = ("align", "-i", str(corpus), "--embeddings", RES["embeddings"])
+    code, out, _ = run_cli(capsys, *base, "--cosine-threshold", "0.7")
+    assert code == 0
+    assert "# ::alignments-0 1-2|1 2-3|0\n" in out
+    code, out, err = run_cli(capsys, *base, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("ERR:input: cosine threshold")
+
+
+# Run in a fresh interpreter: numpy stays out of sys.modules through the
+# import of amrtk.cli and the five commands that do no array math, and
+# comes in with `train`.  Writes [step, exit code, numpy loaded] rows as
+# JSON to steps.json.
+IMPORT_BOUNDARY = """
+import json, os, sys
+import amrtk.cli
+fixtures, out = sys.argv[1], sys.argv[2]
+res = os.path.join(fixtures, "resources")
+path = lambda name: os.path.join(out, name)
+steps = [("import", 0, "numpy" in sys.modules)]
+for argv in (
+        ["align", "-i", os.path.join(fixtures, "train_corpus.amr"),
+         "-o", path("aligned.amr"),
+         "--embeddings", os.path.join(res, "embeddings.txt"),
+         "--morph", os.path.join(res, "morph.tsv"),
+         "--lemmas", os.path.join(res, "lemmas.tsv")],
+        ["tune", "-i", path("aligned.amr"), "-o", path("tuned.amr")],
+        ["oracle", "-i", path("tuned.amr"), "-o", path("traces.txt")],
+        ["smatch", "--gold", path("tuned.amr"), "--pred", path("tuned.amr")],
+        ["stats", "--traces", path("traces.txt"), "-o", path("stats.tsv")],
+        ["train", "--traces", path("traces.txt"), "--model", path("m.json"),
+         "--epochs", "1"]):
+    code = amrtk.cli.main(argv)
+    steps.append((argv[0], code, "numpy" in sys.modules))
+with open(path("steps.json"), "w") as handle:
+    json.dump(steps, handle)
+"""
+
+
+def test_only_train_and_parse_import_numpy(tmp_path):
+    src = os.path.dirname(os.path.dirname(amrtk.cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY, fixture(), str(tmp_path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(read_text(str(tmp_path / "steps.json")))
+    assert [tuple(step) for step in steps] == [
+        ("import", 0, False), ("align", 0, False), ("tune", 0, False),
+        ("oracle", 0, False), ("smatch", 0, False), ("stats", 0, False),
+        ("train", 0, True)]
 
 
 def test_a_graph_lookup_error_ends_in_an_err_line(capsys, monkeypatch):

@@ -1,8 +1,11 @@
+import math
+from array import array
+
 import pytest
 
 from amrtk.resources import (
     EmbeddingTable, LemmaTable, MorphLinkTable, ResourceFormatError,
-    cosine, load_embeddings, load_lemmas, load_morphosemantic,
+    Resources, cosine, load_embeddings, load_lemmas, load_morphosemantic,
     morph_match, semantic_match,
 )
 
@@ -89,6 +92,22 @@ def test_semantic_match_boundary_is_strict():
     assert semantic_match(table, "a", "b", threshold=0.69)
 
 
+def test_cosine_matches_the_numpy_formula_up_to_rounding():
+    # the plain-Python sums add in another order than BLAS does, so the
+    # two may differ in the last bits, never by more
+    import random
+    import numpy as np
+    rng = random.Random(3)
+    vectors = {"w%d" % i: [rng.uniform(-1, 1) for _ in range(300)]
+               for i in range(20)}
+    table = EmbeddingTable(300, vectors)
+    for a, b in zip(sorted(vectors), sorted(vectors)[1:]):
+        v1, v2 = np.array(vectors[a]), np.array(vectors[b])
+        expected = float(np.dot(v1, v2)) / (
+            math.sqrt(float(np.dot(v1, v1))) * math.sqrt(float(np.dot(v2, v2))))
+        assert cosine(table, a, b) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 def test_semantic_match_missing_word_never_matches(tmp_path):
     path = write(tmp_path, "vec.txt", "run 1.0 0.0\n")
     table = load_embeddings(path)
@@ -144,3 +163,29 @@ def test_loaders_idempotent(tmp_path):
     second = load_embeddings(path2)
     assert first.dimension == second.dimension
     assert set(first.vectors) == set(second.vectors)
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+def test_load_embeddings_non_finite_component(tmp_path, component):
+    path = write(tmp_path, "vec.txt",
+                 "a 1.0 0.0\nb 0.5 %s\n" % component)
+    with pytest.raises(ResourceFormatError,
+                       match=":2: non-finite vector component"):
+        load_embeddings(path)
+
+
+def test_a_table_caches_the_norms_of_its_vectors(tmp_path):
+    table = EmbeddingTable(2, {"a": (3.0, 4.0), "z": (0.0, 0.0)})
+    assert table.vector_and_norm("A") == ((3.0, 4.0), 5.0)
+    assert table.vector_and_norm("z") == ((0.0, 0.0), 0.0)
+    assert table.vector_and_norm("missing") is None
+    loaded = load_embeddings(write(tmp_path, "vec.txt", "a 3 4\nz 0 0\n"))
+    assert loaded.get("a") == array("d", [3.0, 4.0])
+    assert loaded.vector_and_norm("a") == (array("d", [3.0, 4.0]), 5.0)
+    assert loaded.vector_and_norm("z")[1] == 0.0
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_resources_refuse_a_non_finite_cosine_threshold(threshold):
+    with pytest.raises(ValueError, match="cosine threshold"):
+        Resources(cosine_threshold=float(threshold))

@@ -6,6 +6,7 @@ concepts so that triple extraction and fragment grouping can treat every
 node uniformly.
 """
 
+import functools
 import itertools
 import logging
 import re
@@ -82,8 +83,7 @@ class AmrGraph:
         self.concepts = dict(concepts)  # id -> Concept, insertion-ordered
         self.relations = tuple(relations)
         self.root = root
-        # only the empty graph has no root
-        if root not in self.concepts and (root is not None or self.concepts):
+        if root is not None and root not in self.concepts:
             raise PenmanStructureError("root %r is not a concept" % root)
         seen = set()
         for rel in self.relations:
@@ -103,7 +103,24 @@ class AmrGraph:
         for rel in self.relations:
             self._out.setdefault(rel.source, []).append(rel)
             self._in.setdefault(rel.target, []).append(rel)
-        self._depths = None
+        # only the empty graph has no root: None names any other graph
+        # by the first of its forest roots
+        if root is None and self.concepts:
+            self.root = forest_roots(self)[0]
+
+    @functools.cached_property
+    def _forest(self):
+        """(forest roots, depth of each concept, whether a cycle was
+        walked), computed on first use."""
+        return _roots_and_depths(self)
+
+    @functools.cached_property
+    def _depths(self):
+        _, depths, cyclic = self._forest
+        if cyclic:
+            logger.warning(
+                "cycle detected; graph distance falls back to shortest path")
+        return depths
 
     def concept(self, cid):
         try:
@@ -355,71 +372,63 @@ def name_op_values(graph, name_id):
     return [value for _, value in sorted(ops)]
 
 
+def forest_roots(graph):
+    """The roots of a graph's trees, the one rule for them: the source
+    concepts (those with no incoming edge) in address order, then, in
+    address order, each concept that no earlier root reaches, such as
+    one on a cycle without a source.  The sources of an acyclic graph
+    reach every concept, so only a cyclic graph is walked."""
+    return graph._forest[0]
+
+
 def depth_to_root(graph, cid):
     """Longest directed path length to `cid` from a source concept (one
     with no incoming edge, such as the root of each tree of a forest).
 
-    Cyclic graphs (re-entrancy misuse) fall back to shortest-path depth
-    from the root, with a warning; nodes reachable only against edge
-    direction get their undirected BFS distance.
+    A cyclic graph (re-entrancy misuse) falls back, with a warning, to
+    the shortest-path distance from the first of its `forest_roots`, in
+    that order, that reaches `cid`.
     """
     if cid not in graph.concepts:
         raise GraphLookupError(cid)
-    if graph._depths is None:
-        graph._depths = _compute_depths(graph)
     return graph._depths[cid]
 
 
-def _compute_depths(graph):
-    order = _topological_order(graph)
-    if order is not None:
-        depths = {}
-        for cid in order:
-            # every edge into `cid` has been relaxed: unseen, it is a source
-            depths.setdefault(cid, 0)
-            for rel in graph.outgoing(cid):
-                cand = depths[cid] + 1
-                if depths.get(rel.target, -1) < cand:
-                    depths[rel.target] = cand
-        return depths
-    logger.warning("cycle detected; graph distance falls back to shortest path")
-    depths = bfs_depths(graph, directed=True)
-    missing = [cid for cid in graph.concepts if cid not in depths]
-    if missing:
-        undirected = bfs_depths(graph)
-        for cid in missing:
-            depths[cid] = undirected.get(cid, 0)
-    return depths
-
-
-def _topological_order(graph):
-    indeg = {cid: 0 for cid in graph.concepts}
+def _roots_and_depths(graph):
+    indeg = dict.fromkeys(graph.concepts, 0)
     for rel in graph.relations:
         indeg[rel.target] += 1
-    order = [cid for cid, d in indeg.items() if d == 0]
+    sources = [cid for cid, d in indeg.items() if not d]
+    order = list(sources)
+    depths = dict.fromkeys(sources, 0)
     for cid in order:  # a queue: each concept joins once its last edge is in
+        depth = depths[cid] + 1
         for rel in graph.outgoing(cid):
-            indeg[rel.target] -= 1
-            if indeg[rel.target] == 0:
-                order.append(rel.target)
-    if len(order) != len(graph.concepts):
-        return None
-    return order
+            target = rel.target
+            if depths.get(target, 0) < depth:
+                depths[target] = depth
+            indeg[target] -= 1
+            if not indeg[target]:
+                order.append(target)
+    if len(order) == len(graph.concepts):
+        return sources, depths, False
+    roots, depths = [], {}
+    for cid in sources + list(graph.concepts):
+        if cid not in depths:
+            roots.append(cid)
+            for node, depth in bfs_depths(graph, cid).items():
+                depths.setdefault(node, depth)
+    return roots, depths, True
 
 
-def bfs_depths(graph, directed=False, start=None):
-    """Breadth-first distance from `start` (default: the root) to every
-    concept it reaches, following edges in both directions unless
-    `directed`."""
-    start = graph.root if start is None else start
+def bfs_depths(graph, start):
+    """Breadth-first distance from `start` to every concept it reaches
+    along edge direction."""
     depths = {start: 0}
     queue = [start]
     for cid in queue:
-        neighbors = [rel.target for rel in graph.outgoing(cid)]
-        if not directed:
-            neighbors += [rel.source for rel in graph.incoming(cid)]
-        for nxt in neighbors:
-            if nxt not in depths:
-                depths[nxt] = depths[cid] + 1
-                queue.append(nxt)
+        for rel in graph.outgoing(cid):
+            if rel.target not in depths:
+                depths[rel.target] = depths[cid] + 1
+                queue.append(rel.target)
     return depths

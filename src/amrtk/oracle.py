@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import transition
 from .graph import (
-    AmrGraph, Relation, depth_to_root, extract_fragments,
+    AmrGraph, Relation, depth_to_root, extract_fragments, forest_roots,
 )
 from .smatch import smatch_score
 from .transition import BARE, Action, apply, initial_state, is_terminal
@@ -42,7 +42,7 @@ class OracleRun:
     actions: tuple
     parsed: AmrGraph
     smatch_f1: float
-    trees: int  # source concepts of the pruned graph: the trees rebuilt
+    trees: int  # forest_roots of the pruned graph: the trees rebuilt
     certified: bool  # the Smatch count reached its upper bound
 
     @property
@@ -56,8 +56,9 @@ def prune_unaligned(graph, alignment):
     A removed concept with exactly one kept parent and one kept child is
     contracted (the parent edge's label survives); every other edge of a
     removed concept is dropped.  What is left may be a forest, named by
-    the gold root if it is kept and else by its first source concept; a
-    candidate that aligns nothing leaves the empty graph (root None).
+    the gold root if it is kept and else by the first of its
+    `graph.forest_roots`; a candidate that aligns nothing leaves the
+    empty graph (root None).
     """
     fragments = extract_fragments(graph)
     frag_of = {f.head: f for f in fragments}
@@ -84,12 +85,7 @@ def prune_unaligned(graph, alignment):
                  if rel.source in kept and rel.target in kept]
 
     concepts = {cid: c for cid, c in graph.concepts.items() if cid in kept}
-    root = graph.root
-    if root not in concepts:
-        targets = {r.target for r in relations}
-        # a forest of directed cycles has no source: name its first concept
-        root = next((cid for cid in concepts if cid not in targets),
-                    next(iter(concepts), None))
+    root = graph.root if graph.root in kept else None
     return AmrGraph(concepts, relations, root)
 
 
@@ -280,8 +276,8 @@ def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
     parsed = transition.extract_graph(state)
     score = smatch_score(parsed, graph, restarts=smatch_restarts,
                          seed=smatch_seed)
-    trees = sum(1 for cid in pruned.concepts if not pruned.incoming(cid))
-    return OracleRun(state.history, parsed, score.f1, trees, score.certified)
+    return OracleRun(state.history, parsed, score.f1,
+                     len(forest_roots(pruned)), score.certified)
 
 
 def tune(tokens, graph, alignment_set, smatch_restarts=4, smatch_seed=1):

@@ -37,9 +37,6 @@ class EmbeddingTable:
     def __len__(self):
         return len(self.vectors)
 
-    def __contains__(self, word):
-        return word.lower() in self.vectors
-
     def get(self, word):
         return self.vectors.get(word.lower())
 
@@ -83,12 +80,13 @@ class Resources:
 
     def __init__(self, embeddings=None, morph=None, lemmas=None,
                  cosine_threshold=DEFAULT_COSINE_THRESHOLD):
-        if not math.isfinite(cosine_threshold):
-            # no cosine is greater than nan or inf and every one is
-            # greater than -inf: the embedding rule would silently never
-            # (or always) fire
-            raise ValueError("cosine threshold must be a finite number, "
-                             "not %r" % cosine_threshold)
+        if not -1.0 <= cosine_threshold <= 1.0:
+            # a cosine lies in [-1, 1]: no cosine is greater than a larger
+            # threshold (or nan) and every one is greater than a smaller
+            # one, so the embedding rule would silently never (or always)
+            # fire
+            raise ValueError("cosine threshold must lie in [-1, 1], not %r"
+                             % cosine_threshold)
         self.embeddings = embeddings or EmbeddingTable(0, {})
         self.morph = morph or MorphLinkTable(())
         self.lemmas = lemmas or LemmaTable()
@@ -98,8 +96,8 @@ class Resources:
 def load_embeddings(path):
     """Read a GloVe-layout text file: word then N decimals per line.
 
-    Duplicate words keep the first occurrence; dimension mismatches and
-    non-finite values are format errors."""
+    Duplicate words keep the first occurrence; a file with no vector,
+    dimension mismatches and non-finite values are format errors."""
     vectors = {}
     dimension = None
     with open(path, encoding="utf-8") as handle:
@@ -127,7 +125,9 @@ def load_embeddings(path):
                     "%s:%d: non-finite vector component" % (path, lineno))
             if word not in vectors:
                 vectors[word] = values
-    return EmbeddingTable(dimension or 0, vectors)
+    if not vectors:
+        raise ResourceFormatError("%s: no word vectors" % path)
+    return EmbeddingTable(dimension, vectors)
 
 
 def _load_tsv(path):

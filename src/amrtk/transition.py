@@ -22,7 +22,7 @@ import re
 from typing import NamedTuple
 
 from .graph import (
-    ATTRIBUTE, CONSTANT, VARIABLE, AmrGraph, Concept, Relation, bfs_depths,
+    ATTRIBUTE, CONSTANT, VARIABLE, AmrGraph, Concept, Relation, forest_roots,
 )
 from .surface import date_attributes, entity_name_pieces
 
@@ -290,11 +290,9 @@ def _built_kind(label, under_name, under_date):
 def extract_graph(state):
     """Read the derived graph out of a terminal state.
 
-    Concept i is named n<i>.  The roots are the source concepts (those
-    without incoming arcs) in creation order, then, in creation order,
-    each concept that no earlier root reaches, such as one on a cycle
-    without a source.  A single root is the graph's root; several hang
-    off a synthetic multi-sentence root.
+    Concept i is named n<i>, so address order is creation order.  The
+    roots are `graph.forest_roots`: a single root is the graph's root;
+    several hang off a synthetic multi-sentence root.
     """
     if not is_terminal(state):
         raise StateError("cannot extract a graph from a non-terminal state")
@@ -324,15 +322,8 @@ def extract_graph(state):
     relations = [Relation(ids[head], ids[dep], role)
                  for head, role, dep in state.arcs]
 
-    dependents = {dep for _, _, dep in state.arcs}
-    sources = [ids[node] for node in range(len(labels)) if node not in dependents]
-    graph = AmrGraph(concepts, relations, (sources or ids)[0])
-    roots = []
-    reached = set()
-    for node in sources + ids:
-        if node not in reached:
-            roots.append(node)
-            reached.update(bfs_depths(graph, directed=True, start=node))
+    graph = AmrGraph(concepts, relations, None)
+    roots = forest_roots(graph)
     if len(roots) == 1:
         return graph
     root = "nroot"

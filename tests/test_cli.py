@@ -292,6 +292,26 @@ def test_unaligned_root_rebuilds_forest(tmp_path, capsys):
     assert text.count("LEFT(:ARG0)") == 2
 
 
+CYCLE_BESIDE_TREE = """# ::id cycle-1
+# ::tok the boy cried , the teacher of math
+# ::alignments-0 1-2|1 2-3|2 5-6|3+4 7-8|5
+(a / and
+    :op1 (b / boy :ARG0-of (c / cry-01 :ARG0 b))
+    :op2 (p / person :ARG0-of (t / teach-01 :ARG1 (m / math))))
+"""
+
+
+def test_a_sourceless_cycle_counts_as_a_tree_of_a_forest(tmp_path, capsys):
+    # with `and` unaligned, the boy/cry cycle has no source: the rebuilt
+    # graph has two trees, and the sentence is a forest sentence
+    source = tmp_path / "aligned.amr"
+    source.write_text(CYCLE_BESIDE_TREE, encoding="utf-8")
+    report = str(tmp_path / "report")
+    assert run_cli(capsys, "tune", "-i", str(source), "-o", "-",
+                   "--report", report)[0] == 0
+    assert read_text(report).splitlines()[2] == "forest-sentences\t1"
+
+
 PERSONS = """\
 # ::id persons
 # ::tok Person and Person and Person
@@ -617,6 +637,98 @@ def test_align_refuses_a_non_finite_cosine_threshold(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *base, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("ERR:input: cosine threshold")
+
+
+LAKE = "# ::tok the lake frozen\n(f / freeze-01 :ARG1 (l / lake))\n"
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank"])
+def test_align_refuses_an_embeddings_file_with_no_vector(tmp_path, capsys,
+                                                        text):
+    # such a file used to run align without the embedding rule, silently
+    corpus = tmp_path / "lake.amr"
+    corpus.write_text(LAKE, encoding="utf-8")
+    vectors = tmp_path / "empty.txt"
+    vectors.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "align", "-i", str(corpus),
+                             "--embeddings", str(vectors))
+    assert (code, out) == (2, "")
+    assert err == "ERR:resource: %s: no word vectors\n" % vectors
+
+
+@pytest.mark.parametrize("threshold, alignments", [
+    ("2", None), ("-2", None), ("1", "1-2|1"), ("0.7", "1-2|1 2-3|0"),
+    ("-1", "1-2|1 2-3|0")])
+def test_align_takes_a_cosine_threshold_in_minus_one_to_one(
+        tmp_path, capsys, threshold, alignments):
+    # a cosine lies in [-1, 1]: 2 used to turn the embedding rule off and
+    # -2 to let every embedded word match every embedded label
+    corpus = tmp_path / "lake.amr"
+    corpus.write_text(LAKE, encoding="utf-8")
+    code, out, err = run_cli(capsys, "align", "-i", str(corpus),
+                             "--embeddings", RES["embeddings"],
+                             "--cosine-threshold=" + threshold)
+    if alignments is None:
+        assert (code, out) == (2, "")
+        assert err.startswith("ERR:input: cosine threshold must lie in")
+    else:
+        assert code == 0
+        assert "# ::alignments-0 %s\n" % alignments in out
+
+
+# one block per refusal that no other test reaches: the command, the
+# files it reads ({name} is the path of file `name`) and its one error line
+REFUSALS = {
+    "align-without-tokens": (
+        "align -i {c}", {"c": "# ::id s1\n(b / boy)\n"},
+        "ERR:corpus: document s1 has no ::tok or ::snt line"),
+    "align-without-graph": (
+        "align -i {c}", {"c": "# ::id s1\n# ::tok boy\n"},
+        "ERR:corpus: document s1 has no graph"),
+    "tune-without-candidates": (
+        "tune -i {c}", {"c": "# ::id s1\n# ::tok boy\n(b / boy)\n"},
+        "ERR:corpus: document s1 has no alignment candidates"),
+    "oracle-untuned": (
+        "oracle -i {c}", {"c": "# ::id s1\n# ::tok boy\n(b / boy)\n"},
+        "ERR:corpus: document s1 needs exactly one alignment "
+        "(run `amrtk tune`); found 0"),
+    "oracle-alignment-not-a-head": (
+        "oracle -i {c}", {"c": "# ::tok Korea\n# ::alignments 0-1|2\n"
+                               "(c / country :name (n / name :op1 Korea))\n"},
+        "ERR:corpus: address 2 is not a fragment head"),
+    "train-trace-without-tok": (
+        "train --traces {t} --model {m}",
+        {"t": "# ::id s1\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},
+        "ERR:corpus: trace block lacks ::tok"),
+    "train-pos-arity": (
+        "train --traces {t} --model {m}",
+        {"t": "# ::tok boy\n# ::pos NN VB\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},
+        "ERR:corpus: trace block ::pos arity mismatch"),
+    "smatch-count-mismatch": (
+        "smatch --gold {g} --pred {p}",
+        {"g": "(b / boy)\n\n(g / girl)\n", "p": "(b / boy)\n"},
+        "ERR:corpus: gold has 2 graphs, pred has 1"),
+    "smatch-block-without-graph": (
+        "smatch --gold {g} --pred {p}",
+        {"g": "(b / boy)\n", "p": "# ::tok boy\n"},
+        "ERR:corpus: block without a graph"),
+    "stats-without-blocks": (
+        "stats --traces {t}", {"t": ""},
+        "ERR:stats: no trace blocks found"),
+}
+
+
+@pytest.mark.parametrize("command, files, line", REFUSALS.values(),
+                         ids=list(REFUSALS))
+def test_each_refusal_ends_in_its_err_line(tmp_path, capsys, command, files,
+                                           line):
+    paths = {"m": str(tmp_path / "model.json")}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *command.format(**paths).split())
+    assert (code, out, err) == (2, "", line + "\n")
+    assert not os.path.exists(paths["m"])
 
 
 # Run in a fresh interpreter: numpy stays out of sys.modules through the

@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
 from amrtk.graph import (
     ATTRIBUTE, CONSTANT, VARIABLE,
     AmrGraph, Concept, GraphLookupError, PenmanStructureError, Relation,
     PenmanSyntaxError, SerializationError,
-    depth_to_root, extract_fragments, name_op_values, parse_penman,
-    serialize_penman, strip_sense,
+    depth_to_root, extract_fragments, forest_roots, name_op_values,
+    parse_penman, serialize_penman, strip_sense,
 )
+from helpers import random_graph
 
 FIGURE_GRAPH = """
 (f / freeze-01
@@ -227,8 +230,88 @@ def test_depth_forest_sources_are_zero():
 
 def test_only_the_empty_graph_has_no_root():
     assert AmrGraph({}, [], None).root is None
-    with pytest.raises(PenmanStructureError):
-        AmrGraph({"a": Concept("a", "a", VARIABLE)}, [], None)
+    # None names any other graph by its first forest root: the first
+    # source, or the first concept when every concept is on a cycle
+    concepts = {cid: Concept(cid, cid, VARIABLE) for cid in "abc"}
+    cycle = [Relation("a", "b", ":ARG0"), Relation("b", "a", ":ARG1")]
+    assert AmrGraph(concepts, [Relation("b", "a", ":ARG0")], None).root == "b"
+    assert AmrGraph(concepts, cycle, None).root == "c"
+    del concepts["c"]
+    assert AmrGraph(concepts, cycle, None).root == "a"
+
+
+def _reach(graph, starts):
+    """Every concept reached from `starts` along edge direction."""
+    seen = set(starts)
+    stack = list(starts)
+    while stack:
+        for rel in graph.outgoing(stack.pop()):
+            if rel.target not in seen:
+                seen.add(rel.target)
+                stack.append(rel.target)
+    return seen
+
+
+def test_forest_roots_of_random_forests():
+    # random graphs with random concepts removed, some still named by
+    # their kept root and some by the rule.  The roots reach every
+    # concept and no root is reached by an earlier one; the converse,
+    # that no root reaches an earlier one, does not hold under this rule
+    # when both sit on cycles, so it is not checked
+    rng = random.Random(11)
+    kinds = set()
+    named_below = 0  # kept roots with an incoming edge
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 7))
+        kept = [cid for cid in g.concepts if rng.random() < 0.7] or [g.root]
+        named = g.root in kept and rng.random() < 0.5
+        forest = AmrGraph(
+            {cid: g.concepts[cid] for cid in kept},
+            [r for r in g.relations if r.source in kept and r.target in kept],
+            g.root if named else None)
+        roots = forest_roots(forest)
+        if not named:
+            assert roots[0] == forest.root
+        assert _reach(forest, roots) == set(forest.concepts)
+        for i, root in enumerate(roots):
+            assert root not in _reach(forest, roots[:i])
+        acyclic = not any(cid in _reach(forest, [r.target for r in
+                                                 forest.outgoing(cid)])
+                          for cid in forest.concepts)
+        if acyclic:
+            assert roots == [cid for cid in forest.concepts
+                             if not forest.incoming(cid)]
+        kinds.add((acyclic, len(roots) > 1))
+        named_below += named and bool(forest.incoming(forest.root))
+    assert len(kinds) == 4
+    assert named_below
+
+
+def test_depth_on_a_cyclic_forest_counts_from_the_first_root_reaching():
+    # b and c point at each other beside the tree x -> y -> w -> z, and c
+    # also points at z: the roots are x, then b, and z is three steps
+    # from x, the first root that reaches it, though two from b
+    g = parse_penman("(b / boy :ARG0-of (c / cry-01 :ARG0 b))")
+    concepts = {cid: Concept(cid, cid, VARIABLE) for cid in "xywz"}
+    concepts.update(g.concepts)
+    relations = [Relation("x", "y", ":ARG0"), Relation("y", "w", ":ARG0"),
+                 Relation("w", "z", ":ARG0"), Relation("c", "z", ":ARG1"),
+                 *g.relations]
+    forest = AmrGraph(concepts, relations, None)
+    assert forest_roots(forest) == ["x", "b"]
+    assert {cid: depth_to_root(forest, cid) for cid in concepts} == \
+        {"x": 0, "y": 1, "w": 2, "z": 3, "b": 0, "c": 1}
+
+
+def test_a_cycle_warns_once_when_a_depth_is_read(caplog):
+    # naming a cyclic graph by its roots reads no depth, so it is silent
+    g = parse_penman("(b / boy :ARG0-of (c / cry-01 :ARG0 b))")
+    forest = AmrGraph(g.concepts, g.relations, None)
+    assert forest_roots(forest) == ["b"]
+    assert not caplog.records
+    assert [depth_to_root(forest, cid) for cid in "bcb"] == [0, 1, 0]
+    assert [r.getMessage() for r in caplog.records] == \
+        ["cycle detected; graph distance falls back to shortest path"]
 
 
 def test_depth_missing_concept():

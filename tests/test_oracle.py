@@ -8,7 +8,9 @@ from amrtk.align import (
     base_rule_set, enumerate_alignments, full_rule_set,
 )
 from amrtk.corpus import read_corpus
-from amrtk.graph import LITERAL_KINDS, parse_penman, serialize_penman
+from amrtk.graph import (
+    LITERAL_KINDS, depth_to_root, parse_penman, serialize_penman,
+)
 from amrtk.oracle import (
     EdgeLedger, oracle_action, oracle_run, prune_unaligned, tune,
 )
@@ -136,6 +138,28 @@ def test_prune_forest_of_cycles_names_first_concept():
     pruned = prune_unaligned(g, cand)
     assert set(pruned.concepts) == {"a", "b"}
     assert pruned.root == "a"
+    # the cycle is rebuilt as one tree
+    run = oracle_run(["x", "y"], g, cand)
+    assert run.trees == 1
+    assert run.parsed.concept(run.parsed.root).label == "aa"
+
+
+def test_a_kept_root_below_a_source_is_not_a_second_tree():
+    # with x unaligned (two kept children, so not contracted) the pruned
+    # graph is the chain z -> y -> r: one tree rooted at its source z,
+    # though the kept gold root r still names it
+    g = parse_penman("(r / rr :ARG0 (x / xx :ARG1 (y / yy :ARG2 r) "
+                     ":ARG3 (z / zz :ARG4 y)))")
+    tokens = ["rr", "yy", "zz"]
+    cand = candidate(g, tokens,
+                     {"r": (0, 1), "x": None, "y": (1, 2), "z": (2, 3)})
+    pruned = prune_unaligned(g, cand)
+    assert [(rel.source, rel.target) for rel in pruned.relations] == \
+        [("y", "r"), ("z", "y")]
+    assert pruned.root == "r"
+    run = oracle_run(tokens, g, cand)
+    assert run.trees == 1
+    assert run.parsed.concept(run.parsed.root).label == "zz"
 
 
 def test_oracle_single_token():
@@ -342,6 +366,45 @@ def test_oracle_rebuilds_forest_under_unaligned_root():
     assert is_terminal(state)
     assert serialize_penman(extract_graph(state)) == \
         serialize_penman(run.parsed)
+
+
+BOY_CRIES = "(b / boy :ARG0-of (c / cry-01 :ARG0 b))"
+TEACHER = "(p / person :ARG0-of (t / teach-01 :ARG1 (m / math)))"
+
+
+def test_a_sourceless_cycle_beside_a_tree_is_two_trees():
+    # with `and` pruned, the boy/cry cycle has no source and the teacher
+    # tree has one: the rebuilt graph joins two trees under multi-sentence
+    g = parse_penman("(a / and :op1 %s :op2 %s)" % (BOY_CRIES, TEACHER))
+    tokens = ["boy", "cry", "teacher", "math"]
+    cand = candidate(g, tokens, {"a": None, "b": (0, 1), "c": (1, 2),
+                                 "p": (2, 3), "t": (2, 3), "m": (3, 4)})
+    run = oracle_run(tokens, g, cand)
+    assert run.trees == 2
+    parsed = run.parsed
+    assert [rel.label for rel in parsed.outgoing(parsed.root)] == \
+        [":snt1", ":snt2"]
+
+
+@pytest.mark.parametrize("cycle, f1", [(BOY_CRIES, 0.7059),
+                                       ("(b / boy :ARG0-of (c / cry-01))",
+                                        0.6875)], ids=["cyclic", "acyclic"])
+def test_a_detached_tree_beside_a_cycle_keeps_its_depths(cycle, f1):
+    # the unaligned `thing` leaves person -> teach-01 -> math as a tree
+    # of its own; beside the boy/cry cycle its depths count from person,
+    # as in the acyclic twin, so teach-01 is confirmed and person built
+    # on it instead of forfeited
+    g = parse_penman("(a / and :op1 %s :op2 (x / thing :ARG0 %s :ARG1 "
+                     "(d / dog)))" % (cycle, TEACHER))
+    tokens = ["boy", "cry", "and", "teacher", "math", "dog"]
+    cand = candidate(g, tokens, {"a": (2, 3), "b": (0, 1), "c": (1, 2),
+                                 "x": None, "p": (3, 4), "t": (3, 4),
+                                 "m": (4, 5), "d": (5, 6)})
+    pruned = prune_unaligned(g, cand)
+    assert [depth_to_root(pruned, cid) for cid in "ptm"] == [0, 1, 2]
+    run = oracle_run(tokens, g, cand)
+    assert "CONFIRM(teach-01) NEW(person)" in " ".join(map(str, run.actions))
+    assert round(run.smatch_f1, 4) == f1
 
 
 def test_oracle_nothing_aligned_drops_every_word():

@@ -189,3 +189,10 @@ def test_a_table_caches_the_norms_of_its_vectors(tmp_path):
 def test_resources_refuse_a_non_finite_cosine_threshold(threshold):
     with pytest.raises(ValueError, match="cosine threshold"):
         Resources(cosine_threshold=float(threshold))
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+def test_load_embeddings_refuses_a_file_with_no_vector(tmp_path, text):
+    with pytest.raises(ResourceFormatError, match="no word vectors"):
+        load_embeddings(write(tmp_path, "vec.txt", text))
+

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import extract_fragments, name_op_values, strip_sense
+from .graph import name_op_values, strip_sense
 from .resources import Resources, morph_match, semantic_match
 from .smatch import score_counts
 from .surface import NEGATION_WORDS, date_attributes, numeric_form
@@ -314,14 +314,14 @@ def full_rule_set(resources):
 def collect_records(graph, tokens, rules, resources=None):
     """Run the matching pass and the updating fixpoint.
 
-    Returns (fragments, {head id -> set of AlignmentRecord}).
+    Returns (the graph's fragments, {head id -> set of AlignmentRecord}).
     """
-    fragments = extract_fragments(graph)
+    fragments = graph.fragments.values()
     ctx = AlignmentContext(graph, tokens, resources)
     matching = [r for r in rules if r.kind == MATCHING]
     updating = [r for r in rules if r.kind == UPDATING]
 
-    records = {f.head: set() for f in fragments}
+    records = {head: set() for head in graph.fragments}
     for rule in matching:
         for fragment in fragments:
             for width in rule.widths(fragment, ctx):
@@ -381,9 +381,8 @@ def enumerate_alignments(graph, tokens, rules, limit=DEFAULT_CANDIDATE_LIMIT,
         raise AlignmentInputError("token list may not be empty")
     if limit is not None and limit < 1:
         raise AlignmentInputError("candidate limit must be at least 1")
-    fragments, records = collect_records(graph, tokens, rules, resources)
-    order = [f.head for f in fragments]
-    heads = [h for h in order if records[h]]
+    _, records = collect_records(graph, tokens, rules, resources)
+    heads = [h for h in graph.fragments if records[h]]
     by_span = {h: {} for h in heads}         # span -> records, spans ascending
     dependents = {h: set() for h in heads}   # heads with a record triggered here
     covering = [set() for _ in tokens]       # heads with a span over the token
@@ -432,7 +431,7 @@ def enumerate_alignments(graph, tokens, rules, limit=DEFAULT_CANDIDATE_LIMIT,
     domains = {h: list(spans) for h, spans in by_span.items()}  # spans still open
     legal = search(domains, 0) if propagate(domains, list(heads)) else ()
     found = list(itertools.islice(legal, None if limit is None else limit + 1))
-    unaligned = dict.fromkeys(order)
+    unaligned = dict.fromkeys(graph.fragments)
     candidates = [
         CandidateAlignment(graph, tokens, {**unaligned, **dict(zip(heads, combo))})
         for combo in found[:limit] or [()]]

@@ -176,13 +176,18 @@ def cmd_oracle(args):
     return 0
 
 
+def _trace_tokens(metadata):
+    """The tokens of a trace block, which must have a ::tok line."""
+    if "tok" not in metadata:
+        raise corpus_mod.CorpusFormatError("trace block lacks ::tok")
+    return tuple(metadata["tok"].split())
+
+
 def _read_training_corpus(path):
     from . import parser as parser_mod
     examples = []
     for metadata, action_lines in _read(path, corpus_mod.read_traces):
-        if "tok" not in metadata:
-            raise corpus_mod.CorpusFormatError("trace block lacks ::tok")
-        tokens = tuple(metadata["tok"].split())
+        tokens = _trace_tokens(metadata)
         pos = tuple(metadata["pos"].split()) if "pos" in metadata else None
         if pos is not None and len(pos) != len(tokens):
             raise corpus_mod.CorpusFormatError(
@@ -270,12 +275,12 @@ def cmd_stats(args):
         blocks.extend(_read(path, corpus_mod.read_traces))
     if not blocks:
         raise oracle_mod.StatsError("no trace blocks found")
-    total = 0
+    rows = [(len(_trace_tokens(metadata)), len(actions))
+            for metadata, actions in blocks]
     with _open_output(args.output) as out:
-        for metadata, actions in blocks:
-            n_tokens = len(metadata.get("tok", "").split())
-            out.write("%d\t%d\n" % (n_tokens, len(actions)))
-            total += len(actions)
+        for row in rows:
+            out.write("%d\t%d\n" % row)
+    total = sum(n_actions for _, n_actions in rows)
     sys.stderr.write("mean-actions\t%.2f\n" % (total / len(blocks)))
     return 0
 

@@ -11,7 +11,7 @@ import io
 import re
 
 from .align import CandidateAlignment, Span
-from .graph import extract_fragments, parse_penman
+from .graph import parse_penman
 
 _META_RE = re.compile(r"^# ::(\S+) ?(.*)$")
 _ALIGN_K_RE = re.compile(r"^alignments-(\d+)$")
@@ -98,7 +98,6 @@ def format_alignment(candidate):
 
 def parse_alignment(text, graph, tokens):
     order = list(graph.concepts)
-    fragment_heads = {f.head for f in extract_fragments(graph)}
     choices = {}
     for item in text.split():
         match = _ITEM_RE.match(item)
@@ -112,10 +111,10 @@ def parse_alignment(text, graph, tokens):
             if index >= len(order):
                 raise CorpusFormatError("alignment address %s out of range" % addr)
             head = order[index]
-            if head not in fragment_heads:
+            if head not in graph.fragments:
                 raise CorpusFormatError("address %s is not a fragment head" % addr)
             choices[head] = Span(start, end)
-    for head in fragment_heads:
+    for head in graph.fragments:
         choices.setdefault(head, None)
     return CandidateAlignment(graph, tokens, choices)
 

@@ -8,12 +8,9 @@ node uniformly.
 
 import functools
 import itertools
-import logging
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
-
-logger = logging.getLogger(__name__)
 
 # concept kinds
 VARIABLE = "variable"          # the concept of a variable
@@ -110,17 +107,33 @@ class AmrGraph:
 
     @functools.cached_property
     def _forest(self):
-        """(forest roots, depth of each concept, whether a cycle was
-        walked), computed on first use."""
+        """(forest roots, depth of each concept), computed on first use."""
         return _roots_and_depths(self)
 
     @functools.cached_property
-    def _depths(self):
-        _, depths, cyclic = self._forest
-        if cyclic:
-            logger.warning(
-                "cycle detected; graph distance falls back to shortest path")
-        return depths
+    def fragments(self):
+        """Head id -> `Fragment`, the alignable units, in address order.
+
+        `name` concepts group with their :opN literal children and
+        `date-entity` concepts with their literal attribute children;
+        every other concept is a singleton fragment.  Computed on first
+        use; every caller shares the one map, which none may change."""
+        fragments = {}
+        claimed = set()
+        for cid, concept in self.concepts.items():
+            if cid in claimed:
+                continue
+            internal = ()
+            if concept.label in ("name", "date-entity"):
+                internal = tuple(
+                    rel for rel in self.outgoing(cid)
+                    if self.is_literal(rel.target)
+                    and (concept.label == "date-entity"
+                         or _OP_ROLE_RE.match(rel.label)))
+            members = (cid,) + tuple(rel.target for rel in internal)
+            claimed.update(members)
+            fragments[cid] = Fragment(cid, members, internal)
+        return fragments
 
     def concept(self, cid):
         try:
@@ -162,18 +175,13 @@ class Fragment:
 
 
 def tokenize_penman(text):
+    """(token, offset) pairs: every character but whitespace starts or
+    continues a token, so only whitespace lies between them."""
     tokens = []
-    pos = 0
     for match in _TOKEN_RE.finditer(text):
-        between = text[pos:match.start()]
-        if between.strip():
-            raise PenmanSyntaxError("unexpected character %r" % between.strip()[0], pos)
         if match.group().startswith('"') and not match.group("quoted"):
             raise PenmanSyntaxError("unterminated quote", match.start())
         tokens.append((match.group(), match.start()))
-        pos = match.end()
-    if text[pos:].strip():
-        raise PenmanSyntaxError("unexpected trailing text", pos)
     return tokens
 
 
@@ -332,36 +340,6 @@ def serialize_penman(graph):
     return text
 
 
-def extract_fragments(graph):
-    """Partition the concept set into alignable fragments.
-
-    `name` concepts group with their :opN literal children and
-    `date-entity` concepts with their literal attribute children; every
-    other concept is a singleton fragment.
-    """
-    claimed = set()
-    fragments = []
-    for cid, concept in graph.concepts.items():
-        if cid in claimed:
-            continue
-        members = [cid]
-        internal = []
-        if concept.label == "name":
-            for rel in graph.outgoing(cid):
-                if _OP_ROLE_RE.match(rel.label) and graph.is_literal(rel.target):
-                    members.append(rel.target)
-                    internal.append(rel)
-        elif concept.label == "date-entity":
-            for rel in graph.outgoing(cid):
-                if graph.is_literal(rel.target):
-                    members.append(rel.target)
-                    internal.append(rel)
-        claimed.update(members)
-        fragments.append(Fragment(cid, tuple(members), tuple(internal)))
-    # leftover literals claimed by nothing become singletons in order
-    return fragments
-
-
 def name_op_values(graph, name_id):
     """Values of :op1..:opN under a name concept, in numerical order."""
     ops = []
@@ -376,8 +354,10 @@ def forest_roots(graph):
     """The roots of a graph's trees, the one rule for them: the source
     concepts (those with no incoming edge) in address order, then, in
     address order, each concept that no earlier root reaches, such as
-    one on a cycle without a source.  The sources of an acyclic graph
-    reach every concept, so only a cyclic graph is walked."""
+    one on a cycle without a source.  Such a root takes the place of
+    each earlier root it reaches, so no root reaches another.  The
+    sources of an acyclic graph reach every concept, so only a cyclic
+    graph is walked."""
     return graph._forest[0]
 
 
@@ -385,13 +365,13 @@ def depth_to_root(graph, cid):
     """Longest directed path length to `cid` from a source concept (one
     with no incoming edge, such as the root of each tree of a forest).
 
-    A cyclic graph (re-entrancy misuse) falls back, with a warning, to
-    the shortest-path distance from the first of its `forest_roots`, in
-    that order, that reaches `cid`.
+    A cyclic graph (re-entrancy misuse) has no longest path: there the
+    depth is the shortest-path distance from the first of its
+    `forest_roots`, in that order, that reaches `cid`.
     """
     if cid not in graph.concepts:
         raise GraphLookupError(cid)
-    return graph._depths[cid]
+    return graph._forest[1][cid]
 
 
 def _roots_and_depths(graph):
@@ -411,14 +391,20 @@ def _roots_and_depths(graph):
             if not indeg[target]:
                 order.append(target)
     if len(order) == len(graph.concepts):
-        return sources, depths, False
-    roots, depths = [], {}
+        return sources, depths
+    walks = {}  # root -> breadth-first depths of what it reaches
+    reached = set()
     for cid in sources + list(graph.concepts):
-        if cid not in depths:
-            roots.append(cid)
-            for node, depth in bfs_depths(graph, cid).items():
-                depths.setdefault(node, depth)
-    return roots, depths, True
+        if cid not in reached:
+            walk = bfs_depths(graph, cid)
+            walks = {root: w for root, w in walks.items() if root not in walk}
+            walks[cid] = walk
+            reached.update(walk)
+    depths = {}
+    for walk in walks.values():
+        for node, depth in walk.items():
+            depths.setdefault(node, depth)
+    return list(walks), depths
 
 
 def bfs_depths(graph, start):

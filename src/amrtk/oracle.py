@@ -18,9 +18,7 @@ import logging
 from dataclasses import dataclass
 
 from . import transition
-from .graph import (
-    AmrGraph, Relation, depth_to_root, extract_fragments, forest_roots,
-)
+from .graph import AmrGraph, Relation, depth_to_root, forest_roots
 from .smatch import smatch_score
 from .transition import BARE, Action, apply, initial_state, is_terminal
 
@@ -60,12 +58,11 @@ def prune_unaligned(graph, alignment):
     `graph.forest_roots`; a candidate that aligns nothing leaves the
     empty graph (root None).
     """
-    fragments = extract_fragments(graph)
-    frag_of = {f.head: f for f in fragments}
+    fragments = graph.fragments
     kept = set()
     for head in alignment.aligned_heads():
-        if head in frag_of:
-            kept.update(frag_of[head].members)
+        if head in fragments:
+            kept.update(fragments[head].members)
     if len(kept) == len(graph.concepts):
         return graph
 
@@ -106,9 +103,8 @@ class EdgeLedger:
         self.graph = pruned
         self.open_edges = set(pruned.relations)
         self.state_to_gold = {}
-        self.frag_of = {f.head: f for f in extract_fragments(pruned)}
         self.span_of = {head: span for head, span in alignment.choices.items()
-                        if span is not None and head in self.frag_of}
+                        if span is not None and head in pruned.fragments}
         self.pending = {}
         self.span_at = {}
         for head in pruned.concepts:  # address order
@@ -208,7 +204,7 @@ def oracle_action(state, ledger):
             raise OracleError(
                 "aligned span %s has no pending concept (state: %r)"
                 % (span, state.history[-3:]))
-        entity_heads = [h for h in pending if len(ledger.frag_of[h]) > 1]
+        entity_heads = [h for h in pending if len(pruned.fragments[h]) > 1]
         if len(entity_heads) == 1:
             entity = entity_heads[0]
             wrapper = ledger.entity_wrapper(entity, pending)
@@ -223,7 +219,7 @@ def oracle_action(state, ledger):
                 # the name node lives inside the entity fragment and never
                 # reaches the stack or buffer; edges into it are unbuildable
                 ledger.close_edges(entity)
-            ledger.open_edges.difference_update(ledger.frag_of[entity].relations)
+            ledger.open_edges.difference_update(pruned.fragments[entity].relations)
             ledger.forfeit_outside_chain(top, span)
             return Action(transition.ENTITY, label)
         # pending is in address order: the first deepest head is chosen

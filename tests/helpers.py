@@ -1,15 +1,16 @@
 """Shared test utilities: random graph pairs, fixture paths, a generator
 of hard sentences, a model that decodes until the step guard, the
-reference Smatch hill-climbing and search, the reference matching-rule
-pass, the reference updating fixpoint, the brute-force candidate list and
-the reference action scorer and trainer and the reference legality
-rule."""
+reference Smatch hill-climbing and search, the reference fragment
+grouping, the reference matching-rule pass, the reference updating
+fixpoint, the brute-force candidate list and the reference action scorer
+and trainer and the reference legality rule."""
 
 import importlib.util
 import itertools
 import math
 import os
 import random
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from amrtk.align import (
     AlignmentRecord, CandidateAlignment, Span, collect_records, is_legal,
 )
 from amrtk.graph import (
-    ATTRIBUTE, VARIABLE, AmrGraph, Concept, Relation, extract_fragments,
+    ATTRIBUTE, VARIABLE, AmrGraph, Concept, Fragment, Relation,
     name_op_values, strip_sense,
 )
 from amrtk.parser import (
@@ -289,6 +290,30 @@ def reference_smatch_counts(a, b, restarts=4, seed=1):
     return best, triple_count(ta), triple_count(tb)
 
 
+def reference_fragments(graph):
+    """The fragments of `graph` as a list in address order, by a separate
+    walk: `name` concepts group with their :opN literal children,
+    `date-entity` concepts with their literal children, and every
+    concept a group does not claim is a singleton fragment."""
+    claimed = set()
+    fragments = []
+    for cid, concept in graph.concepts.items():
+        if cid in claimed:
+            continue
+        members = [cid]
+        internal = []
+        for rel in graph.outgoing(cid):
+            if not graph.is_literal(rel.target):
+                continue
+            if (concept.label == "name" and re.match(r"^:op\d+$", rel.label)) \
+                    or concept.label == "date-entity":
+                members.append(rel.target)
+                internal.append(rel)
+        claimed.update(members)
+        fragments.append(Fragment(cid, tuple(members), tuple(internal)))
+    return fragments
+
+
 # ---------------------------------------------------------------------------
 # The guarded matching predicates and the all-spans walk that the
 # token-test-on-a-fragment-shape rules of `amrtk.align` replaced: every rule
@@ -395,7 +420,7 @@ def reference_matching_records(graph, tokens, resources=None, extended=False):
     """{head id -> set of AlignmentRecord} of the base matching rules, and
     of the rich-resource ones too if `extended`, by asking each guarded
     predicate about every (span, fragment) pair."""
-    fragments = extract_fragments(graph)
+    fragments = graph.fragments.values()
     ctx = AlignmentContext(graph, tokens, resources)
     predicates = [_exact_concept, _named_entity_exact, _date_entity,
                   _fuzzy_prefix, _named_entity_nocase]
@@ -461,7 +486,7 @@ def reference_updating_records(graph, tokens, records, rules, resources=None):
     under the updating `rules` by the all-pairs fixpoint.  A built-in rule
     is asked through the pair predicate its triggers replaced; any other
     rule through whether its triggers name the pair's trigger."""
-    fragments = extract_fragments(graph)
+    fragments = graph.fragments.values()
     ctx = AlignmentContext(graph, tokens, resources)
     records = {head: set(recs) for head, recs in records.items()}
     updating = [(PAIR_PREDICATES.get(rule.name) or (

@@ -8,14 +8,15 @@ import amrtk.align
 import amrtk.cli
 from amrtk.align import (
     MATCHING, UPDATING, AlignmentContext, AlignmentInputError,
-    AlignmentRecord, CandidateAlignment, Rule, Span, alignment_f1,
+    AlignmentRecord, AlignmentSet, CandidateAlignment, Rule, Span,
+    alignment_f1,
     base_rule_set, collect_records, enumerate_alignments, extended_rule_set,
     full_rule_set, is_legal,
 )
 from amrtk.corpus import read_corpus
 from amrtk.graph import (
-    ATTRIBUTE, VARIABLE, AmrGraph, Concept, Relation, extract_fragments,
-    parse_penman, strip_sense,
+    ATTRIBUTE, VARIABLE, AmrGraph, Concept, Relation, parse_penman,
+    strip_sense,
 )
 from amrtk.resources import (
     EmbeddingTable, LemmaTable, MorphLinkTable, Resources, load_embeddings,
@@ -407,6 +408,16 @@ def test_limit_below_one_rejected(limit):
         enumerate_alignments(g, ["boy", "boy"], base_rule_set(), limit=limit)
 
 
+def test_enumeration_needs_tokens_and_a_set_needs_a_candidate():
+    g = parse_penman("(b / boy)")
+    with pytest.raises(AlignmentInputError,
+                       match=r"^token list may not be empty$"):
+        enumerate_alignments(g, [], base_rule_set())
+    with pytest.raises(AlignmentInputError,
+                       match=r"^candidate list may not be empty$"):
+        AlignmentSet(g, ["boy"], [])
+
+
 def test_rule_monotonicity():
     g = parse_penman(FIGURE_TEXT)
     res = figure_resources()
@@ -492,7 +503,7 @@ def every_span_records(graph, tokens, rules):
     return {f.head: {AlignmentRecord(span) for rule in rules
                      if rule.kind == MATCHING for span in spans
                      if rule.match(f, span, ctx)}
-            for f in extract_fragments(graph)}
+            for f in graph.fragments.values()}
 
 
 def updating_reference_cases():

@@ -31,6 +31,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_interpreter(*argv):
+    """Run `python -c` with `argv` in a new interpreter that imports this
+    amrtk; returns the finished process, its output captured as text."""
+    src = os.path.dirname(os.path.dirname(amrtk.cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 def align_tune(tmp_path, capsys, source=None):
     source = source or fixture("train_corpus.amr")
     aligned = str(tmp_path / "aligned.amr")
@@ -310,6 +321,19 @@ def test_a_sourceless_cycle_counts_as_a_tree_of_a_forest(tmp_path, capsys):
     assert run_cli(capsys, "tune", "-i", str(source), "-o", "-",
                    "--report", report)[0] == 0
     assert read_text(report).splitlines()[2] == "forest-sentences\t1"
+
+
+def test_tune_on_a_cyclic_graph_writes_only_its_report(tmp_path):
+    # a new interpreter has no log handler but logging's last resort,
+    # which would print any warning to stderr ahead of the report
+    source = tmp_path / "aligned.amr"
+    source.write_text(CYCLE_BESIDE_TREE, encoding="utf-8")
+    done = fresh_interpreter(
+        "import sys, amrtk.cli; sys.exit(amrtk.cli.main(sys.argv[1:]))",
+        "tune", "-i", str(source), "-o", str(tmp_path / "tuned.amr"))
+    assert (done.returncode, done.stdout) == (0, "")
+    assert done.stderr == ("mean-oracle-smatch\t0.6923\nmean-actions\t23.00\n"
+                           "forest-sentences\t1\ncertified-sentences\t1\n")
 
 
 PERSONS = """\
@@ -715,6 +739,10 @@ REFUSALS = {
     "stats-without-blocks": (
         "stats --traces {t}", {"t": ""},
         "ERR:stats: no trace blocks found"),
+    "stats-trace-without-tok": (
+        "stats --traces {t}",
+        {"t": "# ::tok boy\nCONFIRM(boy)\n\n# ::id s2\nSHIFT\nREDUCE\n"},
+        "ERR:corpus: trace block lacks ::tok"),
 }
 
 
@@ -762,13 +790,7 @@ with open(path("steps.json"), "w") as handle:
 
 
 def test_only_train_and_parse_import_numpy(tmp_path):
-    src = os.path.dirname(os.path.dirname(amrtk.cli.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_BOUNDARY, fixture(), str(tmp_path)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    done = fresh_interpreter(IMPORT_BOUNDARY, fixture(), str(tmp_path))
     assert done.returncode == 0, done.stderr
     steps = json.loads(read_text(str(tmp_path / "steps.json")))
     assert [tuple(step) for step in steps] == [

@@ -47,6 +47,17 @@ def test_read_corpus_fixture_files():
     assert len(docs2) == 18
 
 
+def test_tokens_come_from_snt_without_tok():
+    doc = read_corpus("# ::snt The boy  sleeps\n(s / sleep-01)\n")[0]
+    assert doc.tokens == ["The", "boy", "sleeps"]
+
+
+def test_candidates_of_a_block_without_a_graph_are_refused():
+    doc = read_corpus("# ::id s1\n# ::tok boy\n# ::alignments 0-1|0\n")[0]
+    with pytest.raises(CorpusFormatError, match=r"^document s1 has no graph$"):
+        doc.alignment_candidates()
+
+
 def test_pos_arity_mismatch():
     doc = read_corpus("# ::tok a b\n# ::pos X\n(c / cat)\n")[0]
     with pytest.raises(CorpusFormatError):

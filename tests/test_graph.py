@@ -6,10 +6,10 @@ from amrtk.graph import (
     ATTRIBUTE, CONSTANT, VARIABLE,
     AmrGraph, Concept, GraphLookupError, PenmanStructureError, Relation,
     PenmanSyntaxError, SerializationError,
-    depth_to_root, extract_fragments, forest_roots, name_op_values,
-    parse_penman, serialize_penman, strip_sense,
+    depth_to_root, forest_roots, name_op_values, parse_penman,
+    serialize_penman, strip_sense, tokenize_penman,
 )
-from helpers import random_graph
+from helpers import fixture, hard_corpus, random_graph, reference_fragments
 
 FIGURE_GRAPH = """
 (f / freeze-01
@@ -155,6 +155,49 @@ def test_unterminated_quote_is_syntax_error(text):
     assert err.value.position == text.index('"')
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("(a / b) c", "trailing token 'c'", 8),
+    ("(a b)", "expected '/', found 'b'", 3),
+    ("( / b)", "expected a variable, found '/'", 2),
+    ("(a / ( b))", "expected a concept label, found '('", 5),
+    ("(a / b c)", "expected a role or ')', found 'c'", 7),
+    ("(a / b :ARG0 )", "missing value for role :ARG0", 13),
+])
+def test_syntax_errors_name_the_token_and_its_offset(text, message, position):
+    with pytest.raises(PenmanSyntaxError) as err:
+        parse_penman(text)
+    assert str(err.value) == "%s (at offset %d)" % (message, position)
+    assert err.value.position == position
+
+
+def test_tokens_leave_out_only_whitespace():
+    # the alphabet mixes Penman punctuation, ASCII and Unicode whitespace
+    # and a zero-width space, which is no whitespace
+    alphabet = '()/":\\a1- \t\n\x0b\x85\xa0\u2003\u3000\u200b'
+    rng = random.Random(5)
+    tokenized = 0
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        try:
+            tokens = tokenize_penman(text)
+        except PenmanSyntaxError as err:
+            assert str(err).startswith("unterminated quote")
+            assert text[err.position] == '"'
+            continue
+        tokenized += 1
+        rest = list(text)
+        end = 0
+        for token, pos in tokens:
+            assert pos >= end and text.startswith(token, pos)
+            rest[pos:pos + len(token)] = " " * len(token)
+            end = pos + len(token)
+        assert not "".join(rest).strip()
+        if '"' not in text:
+            assert "".join(token for token, _ in tokens) == \
+                "".join(text.split())
+    assert tokenized > 1000
+
+
 def test_literal_ids_skip_defined_variable_names():
     g = parse_penman('(_lit0 / a :ARG0 "x" :ARG1 (_lit1 / b :mod 5))')
     assert list(g.concepts) == ["_lit0", "_lit2", "_lit1", "_lit3"]
@@ -178,7 +221,7 @@ def test_serialize_disconnected_fails():
 
 def test_fragments_group_name_ops():
     g = parse_penman(FIGURE_GRAPH)
-    frags = {f.head: f for f in extract_fragments(g)}
+    frags = g.fragments
     name_frag = frags["n"]
     assert len(name_frag.members) == 3
     assert len(name_frag.relations) == 2
@@ -190,15 +233,34 @@ def test_fragments_group_name_ops():
 
 def test_fragments_singleton():
     g = parse_penman("(c / country)")
-    frags = extract_fragments(g)
-    assert len(frags) == 1 and len(frags[0].members) == 1
+    assert list(g.fragments) == ["c"] and len(g.fragments["c"].members) == 1
 
 
 def test_fragments_date_entity():
     g = parse_penman("(d / date-entity :year 2002)")
-    frags = extract_fragments(g)
-    assert len(frags) == 1
-    assert len(frags[0].members) == 2
+    assert list(g.fragments) == ["d"]
+    assert len(g.fragments["d"].members) == 2
+
+
+def test_fragments_follow_the_reference_grouping():
+    # every fixture graph and a hard corpus, plus a literal labeled
+    # `name` that a name and a date-entity both point at: each group
+    # takes it in
+    from amrtk.corpus import read_corpus
+    graphs = [doc.graph for name in ("graphs.amr", "oracle_corpus.amr",
+                                     "train_corpus.amr")
+              for doc in read_corpus(fixture(name))]
+    graphs += [doc.graph for doc in read_corpus(hard_corpus(3, 12))]
+    shared = {"n": Concept("n", "name", VARIABLE),
+              "d": Concept("d", "date-entity", VARIABLE),
+              "l": Concept("l", "name", CONSTANT)}
+    graphs.append(AmrGraph(shared, [Relation("n", "l", ":op1"),
+                                    Relation("d", "l", ":year")], "n"))
+    for g in graphs:
+        assert list(g.fragments.values()) == reference_fragments(g)
+        assert g.fragments is g.fragments  # computed once
+    assert [f.members for f in graphs[-1].fragments.values()] == \
+        [("n", "l"), ("d", "l")]
 
 
 def test_depth_root_is_zero():
@@ -255,9 +317,8 @@ def _reach(graph, starts):
 def test_forest_roots_of_random_forests():
     # random graphs with random concepts removed, some still named by
     # their kept root and some by the rule.  The roots reach every
-    # concept and no root is reached by an earlier one; the converse,
-    # that no root reaches an earlier one, does not hold under this rule
-    # when both sit on cycles, so it is not checked
+    # concept, no root reaches another, and an acyclic graph's roots are
+    # its sources
     rng = random.Random(11)
     kinds = set()
     named_below = 0  # kept roots with an incoming edge
@@ -273,8 +334,8 @@ def test_forest_roots_of_random_forests():
         if not named:
             assert roots[0] == forest.root
         assert _reach(forest, roots) == set(forest.concepts)
-        for i, root in enumerate(roots):
-            assert root not in _reach(forest, roots[:i])
+        for root in roots:
+            assert not _reach(forest, [root]) & set(roots) - {root}
         acyclic = not any(cid in _reach(forest, [r.target for r in
                                                  forest.outgoing(cid)])
                           for cid in forest.concepts)
@@ -303,15 +364,26 @@ def test_depth_on_a_cyclic_forest_counts_from_the_first_root_reaching():
         {"x": 0, "y": 1, "w": 2, "z": 3, "b": 0, "c": 1}
 
 
-def test_a_cycle_warns_once_when_a_depth_is_read(caplog):
-    # naming a cyclic graph by its roots reads no depth, so it is silent
+def test_a_later_root_takes_the_place_of_an_earlier_root_it_reaches():
+    # a <-> b and c <-> d, with d -> a: a is the first root, but c, the
+    # next concept a does not reach, reaches a, so c is the one root
+    concepts = {cid: Concept(cid, cid, VARIABLE) for cid in "abcd"}
+    relations = [Relation("a", "b", ":ARG0"), Relation("b", "a", ":ARG0"),
+                 Relation("c", "d", ":ARG0"), Relation("d", "c", ":ARG0"),
+                 Relation("d", "a", ":ARG1")]
+    g = AmrGraph(concepts, relations, None)
+    assert forest_roots(g) == ["c"]
+    assert g.root == "c"
+    assert {cid: depth_to_root(g, cid) for cid in "abcd"} == \
+        {"a": 2, "b": 3, "c": 0, "d": 1}
+
+
+def test_depths_on_a_cyclic_graph_log_nothing(caplog):
     g = parse_penman("(b / boy :ARG0-of (c / cry-01 :ARG0 b))")
     forest = AmrGraph(g.concepts, g.relations, None)
     assert forest_roots(forest) == ["b"]
-    assert not caplog.records
     assert [depth_to_root(forest, cid) for cid in "bcb"] == [0, 1, 0]
-    assert [r.getMessage() for r in caplog.records] == \
-        ["cycle detected; graph distance falls back to shortest path"]
+    assert not caplog.records
 
 
 def test_depth_missing_concept():

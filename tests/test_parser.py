@@ -223,6 +223,11 @@ def test_ensemble_same_model_twice():
     assert one.actions == two.actions
 
 
+def test_ensemble_needs_a_member():
+    with pytest.raises(DecodeError, match=r"^ensemble needs at least one member$"):
+        Ensemble([])
+
+
 def test_ensemble_requires_shared_vocabulary():
     model_a = ActionScorer(["DROP"])
     model_b = ActionScorer(["SHIFT"])

@@ -191,6 +191,11 @@ def test_resources_refuse_a_non_finite_cosine_threshold(threshold):
         Resources(cosine_threshold=float(threshold))
 
 
+def test_load_embeddings_refuses_a_word_without_numbers(tmp_path):
+    with pytest.raises(ResourceFormatError, match=r":2: no vector components$"):
+        load_embeddings(write(tmp_path, "vec.txt", "\nboy\ngirl 1.0\n"))
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
 def test_load_embeddings_refuses_a_file_with_no_vector(tmp_path, text):
     with pytest.raises(ResourceFormatError, match="no word vectors"):

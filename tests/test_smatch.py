@@ -78,6 +78,12 @@ def test_subset_gives_perfect_precision():
     assert score.recall < 1.0
 
 
+def test_search_needs_a_restart():
+    g = parse_penman("(b / boy)")
+    with pytest.raises(ValueError, match=r"^restarts must be >= 1$"):
+        search_counts(g, g, restarts=0)
+
+
 def test_exhaustive_guard():
     rng = random.Random(7)
     big = random_graph(rng, 10)

@@ -55,6 +55,13 @@ def test_action_validation():
         Action("WIBBLE")
 
 
+@pytest.mark.parametrize("text", ["left(:ARG0)", "SHIFT(", ""])
+def test_parse_action_refuses_text_that_is_no_action(text):
+    with pytest.raises(TransitionError) as err:
+        parse_action(text)
+    assert str(err.value) == "cannot parse action %r" % text
+
+
 def test_actions_are_values():
     left = Action(LEFT, ":ARG0")
     assert left == Action(LEFT, label=":ARG0")
@@ -278,7 +285,8 @@ def test_extract_roots_a_sourceless_cycle_beside_a_tree():
 
 def test_extract_writes_a_literal_label_heading_arcs_as_a_variable():
     # `1` and `-` are literal labels, but here each heads an arc; no node
-    # is a source, so the roots are n0, then n4, which n0 does not reach
+    # is a source, so n0 is the first root, but n4, which n0 does not
+    # reach, reaches n0 and is the one root
     actions = "ENTITY(1) NEW(-) NEW(person) SHIFT RIGHT(:ARG1) LEFT(:ARG1) " \
               "REDUCE SHIFT RIGHT(:ARG0) REDUCE SHIFT REDUCE"
     s = run(initial_state(["North-Korea"]),
@@ -287,15 +295,13 @@ def test_extract_writes_a_literal_label_heading_arcs_as_a_variable():
     g = extract_graph(s)
     text = serialize_penman(g)
     assert text == (
-        "(c0 / multi-sentence\n"
-        "    :snt1 (c1 / 1\n"
-        "        :name (c2 / name\n"
+        "(c0 / -\n"
+        "    :ARG1 (c1 / person\n"
+        "        :ARG1 c0)\n"
+        "    :ARG0 (c2 / 1\n"
+        "        :name (c3 / name\n"
         "            :op1 \"North\"\n"
-        "            :op2 \"Korea\"))\n"
-        "    :snt2 (c3 / -\n"
-        "        :ARG1 (c4 / person\n"
-        "            :ARG1 c3)\n"
-        "        :ARG0 c1))")
+        "            :op2 \"Korea\")))")
     assert len(parse_penman(text).relations) == len(g.relations)
 
 

@@ -23,9 +23,9 @@ from .graph import strip_sense
 from .resources import LemmaTable
 from . import transition
 from .transition import (
-    CONFIRM, RELATION_ACTIONS, Action, DecodeError, ModelFormatError,
+    CONFIRM, LEFT, RELATION_ACTIONS, Action, DecodeError, ModelFormatError,
     TrainingError, TransitionError, apply, extract_graph, initial_state,
-    is_terminal, legal_actions, new_arc, parse_action,
+    is_terminal, legal_actions, parse_action,
 )
 
 MODEL_FORMAT = "amrtk-model"
@@ -56,61 +56,62 @@ class DecodeResult:
 
 def encode_state(state, pos_tags=None):
     """Deterministic sparse feature strings for a state: identity of the
-    stack top two, deque front, buffer front two, the last three actions
-    and arc-count buckets."""
-    # unpacking reads a named tuple's fields faster than its attributes
+    stack top two, deque front, buffer front three, the last three actions
+    and arc-count buckets.  One scan of the arcs counts the incident arcs
+    of every slot's concept."""
+    # unpacking and indexing read a named tuple's fields faster than its
+    # attributes: item[2] is an item's node, action[0] an action's tag
     sigma, delta, beta, arcs, labels, _, history = state
-
-    def describe(item):
+    slots = (
+        ("s0", sigma[-1] if sigma else None),
+        ("s1", sigma[-2] if len(sigma) > 1 else None),
+        ("d0", delta[0] if delta else None),
+        ("b0", beta[0] if beta else None),
+        ("b1", beta[1] if len(beta) > 1 else None),
+        ("b2", beta[2] if len(beta) > 2 else None),
+    )
+    incident = {item[2]: 0 for _, item in slots
+                if item is not None and item[2] is not None}
+    if incident:
+        for head, _, dep in arcs:
+            if head in incident:
+                incident[head] += 1
+            if dep != head and dep in incident:
+                incident[dep] += 1
+    n_tags = 0 if pos_tags is None else len(pos_tags)
+    feats = ["bias"]
+    described = []
+    for name, item in slots:
         if item is None:
-            return None, None, None
+            feats.append(f"{name}.none")
+            described.append(None)
+            continue
         (start, _), surface, node = item
         word = surface.lower()
         label = word if node is None else labels[node]
-        tag = None
-        if pos_tags is not None and start < len(pos_tags):
-            tag = pos_tags[start]
-        return label, word, tag
-
-    slots = {
-        "s0": sigma[-1] if sigma else None,
-        "s1": sigma[-2] if len(sigma) > 1 else None,
-        "d0": delta[0] if delta else None,
-        "b0": beta[0] if beta else None,
-        "b1": beta[1] if len(beta) > 1 else None,
-        "b2": beta[2] if len(beta) > 2 else None,
-    }
-    feats = ["bias"]
-    described = {}
-    for name, item in slots.items():
-        label, word, tag = describe(item)
-        described[name] = label
-        if label is None:
-            feats.append("%s.none" % name)
-            continue
-        feats.append("%s.c=%s" % (name, label))
-        feats.append("%s.w=%s" % (name, word))
-        if tag is not None:
-            feats.append("%s.t=%s" % (name, tag))
-        node = item.node
+        described.append(label)
+        feats.append(f"{name}.c={label}")
+        feats.append(f"{name}.w={word}")
+        if start < n_tags and pos_tags[start] is not None:
+            feats.append(f"{name}.t={pos_tags[start]}")
         if node is not None:
-            incident = sum(1 for head, _, dep in arcs if node in (head, dep))
-            feats.append("%s.na=%d" % (name, min(incident, 3)))
-    feats.append("s0b0.c=%s|%s" % (described["s0"], described["b0"]))
-    feats.append("s0b1.c=%s|%s" % (described["s0"], described["b1"]))
-    feats.append("d0b0.c=%s|%s" % (described["d0"], described["b0"]))
+            feats.append(f"{name}.na={min(incident[node], 3)}")
+    s0, _, d0, b0, b1, _ = described
+    feats.append(f"s0b0.c={s0}|{b0}")
+    feats.append(f"s0b1.c={s0}|{b1}")
+    feats.append(f"d0b0.c={d0}|{b0}")
     for back in (1, 2, 3):
         if len(history) >= back:
-            feats.append("h%d=%s" % (back, history[-back].tag))
+            feats.append(f"h{back}={history[-back][0]}")
         else:
-            feats.append("h%d=_" % back)
+            feats.append(f"h{back}=_")
     if history:
-        feats.append("h1f=%s" % str(history[-1]))
+        feats.append(f"h1f={history[-1]}")
     if len(history) >= 2:
-        feats.append("h12=%s|%s" % (history[-1].tag, history[-2].tag))
-    feats.append("nsig=%d" % min(len(sigma), 5))
-    feats.append("ndel=%d" % min(len(delta), 5))
-    feats.append("nbet=%d" % min(len(beta), 5))
+        feats.append(f"h12={history[-1][0]}|{history[-2][0]}")
+    feats.append(f"nsig={min(len(sigma), 5)}")
+    feats.append(f"ndel={min(len(delta), 5)}")
+    feats.append(f"nbet={min(len(beta), 5)}")
     return feats
 
 
@@ -325,14 +326,28 @@ def parse_vocabulary(names):
 
 def legal_action_names(model, state):
     """Vocabulary entries whose tag pattern matches the state, in
-    vocabulary order, with duplicate-arc label filtering for Left/Right."""
-    return [name for name, arc in model.tagged_names(legal_actions(state))
-            if arc is None or new_arc(state, arc) is not None]
+    vocabulary order, less each LEFT or RIGHT that would build an arc the
+    state already has (`transition.built_relations`, one scan of the
+    arcs per state)."""
+    tags = legal_actions(state)
+    built = transition.built_relations(state) if LEFT in tags else ()
+    return [name for name, action in model.tagged_names(tags)
+            if action is None or action not in built]
 
 
 def best_action(model, probs, legal):
-    """argmax with ties broken by the vocabulary's tie-break key"""
-    return min(legal, key=lambda a: (-probs[a],) + model.vocabulary[a][1])
+    """The legal name of the highest probability; among names that tie
+    exactly, the first by the vocabulary's tie-break key.  When no
+    probability is a number (an overflowed logit makes every one NaN),
+    the first legal name."""
+    top = max(probs.values())
+    best = [name for name in legal if probs[name] == top]
+    if len(best) == 1:
+        return best[0]
+    if not best:
+        return legal[0]
+    vocabulary = model.vocabulary
+    return min(best, key=lambda name: vocabulary[name][1])
 
 
 def materialize(model, name, state, lemma_table):

@@ -1,10 +1,12 @@
 """The list-based transition system: states, action legality and action
 application.
 
-A state is (sigma, delta, beta, arcs): a stack of processed items, a
-deque of stack items set aside to be pushed back, a buffer of unprocessed
-items and the growing arc set.  The first five actions derive concepts
-from words; Left/Right build arcs; Cache/Shift/Reduce move items.
+A state is (sigma, delta, beta, arcs, labels, tokens, history): a stack
+of processed items, a deque of stack items set aside to be pushed back, a
+buffer of unprocessed items, the growing arc set, the concept labels, the
+sentence's tokens and the actions applied so far.  The first five actions
+derive concepts from words; Left/Right build arcs; Cache/Shift/Reduce move
+items.
 
 Each concept is its creation index: `labels[i]` is the label of concept
 i, an item holds the index of its concept in `node` (None for a word),
@@ -236,13 +238,30 @@ def apply(state, action):
                        state.history + (action,))
 
 
+def built_relations(state):
+    """The set of LEFT and RIGHT actions that would build an arc the
+    state already has between s0 and b0, as (tag, role) pairs, which an
+    `Action` equals: LEFT(r) for an arc b0 -r-> s0, RIGHT(r) for
+    s0 -r-> b0.  No such action is legal, so an arc is never built twice.
+    One scan of the arcs answers for every role."""
+    s0, b0 = state.sigma[-1].node, state.beta[0].node
+    built = set()
+    for head, role, dep in state.arcs:
+        if head == b0 and dep == s0:
+            built.add((LEFT, role))
+        elif head == s0 and dep == b0:
+            built.add((RIGHT, role))
+    return built
+
+
 def new_arc(state, action):
     """The (head, role, dependent) arc a LEFT or RIGHT action adds, or None
-    when the state already has it: an arc is never built twice."""
-    s0, b0 = state.s0, state.b0
-    arc = (b0.node, action.label, s0.node) if action.tag == LEFT \
-        else (s0.node, action.label, b0.node)
-    return None if arc in state.arcs else arc
+    when the state already has it (`built_relations`)."""
+    if action in built_relations(state):
+        return None
+    s0, b0 = state.sigma[-1].node, state.beta[0].node
+    return (b0, action.label, s0) if action.tag == LEFT \
+        else (s0, action.label, b0)
 
 
 def _apply_entity(state, head_label):

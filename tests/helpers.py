@@ -2,8 +2,9 @@
 of hard sentences, a model that decodes until the step guard, the
 reference Smatch hill-climbing and search, the reference fragment
 grouping, the reference matching-rule pass, the reference updating
-fixpoint, the brute-force candidate list and the reference action scorer
-and trainer and the reference legality rule."""
+fixpoint, the brute-force candidate list, the reference action scorer
+and trainer, the reference legality rule and the reference decode step
+(state encoding, legal names and argmax)."""
 
 import importlib.util
 import itertools
@@ -23,8 +24,8 @@ from amrtk.graph import (
     name_op_values, strip_sense,
 )
 from amrtk.parser import (
-    ActionScorer, TrainingError, _replay, best_action, legal_action_names,
-    score_actions,
+    ActionScorer, TrainingError, _replay, best_action, encode_state,
+    legal_action_names, score_actions,
 )
 from amrtk.resources import LemmaTable, morph_match, semantic_match
 from amrtk.smatch import (
@@ -543,8 +544,9 @@ class ReferenceScorer:
 # The per-instance trainer that the compiled instances of
 # `amrtk.parser.train` replaced: each SGD step looks its feature rows up in
 # `ActionScorer.rows`, and each epoch's accuracy pass scores every instance
-# through `score_actions` and `best_action`, one at a time.  Kept verbatim
-# as the test oracle for the trained model and its log.
+# through `score_actions` and `reference_best_action`, one at a time.  Kept
+# verbatim, with the reference legal names and argmax, as the test oracle
+# for the trained model and its log.
 
 def reference_train(corpus, epochs=30, learning_rate=0.5, seed=1,
                     dev_fraction=0.0, lemma_table=None, log=None):
@@ -582,7 +584,8 @@ def reference_train(corpus, epochs=30, learning_rate=0.5, seed=1,
         # `apply` and `legal_action_names` share one legality rule, so the
         # replay has already checked that each gold name is legal here
         for encoding, state, gold_name in steps:
-            bucket.append((encoding, legal_action_names(model, state),
+            bucket.append((encoding,
+                           reference_legal_action_names(model, state),
                            gold_name))
     del replays  # the states were kept only to find the legal names
     if not train_instances:
@@ -594,7 +597,7 @@ def reference_train(corpus, epochs=30, learning_rate=0.5, seed=1,
         hits = 0
         for encoding, legal, gold in instances:
             probs = score_actions(model, encoding, legal)
-            hits += best_action(model, probs, legal) == gold
+            hits += reference_best_action(model, probs, legal) == gold
         return hits / len(instances)
 
     for epoch in range(epochs):
@@ -676,3 +679,121 @@ def assert_apply_refuses_every_illegal_tag(state):
             action = Action(tag) if tag in BARE_ACTIONS else Action(tag, "x")
             with pytest.raises(TransitionError, match="is illegal in state"):
                 apply(state, action)
+
+
+# ---------------------------------------------------------------------------
+# The decode step that one scan of the arcs per state and an argmax over
+# exact ties replaced: `encode_state` counting each slot's incident arcs by
+# a scan of its own, `legal_action_names` asking `new_arc` about each
+# LEFT/RIGHT name (the arc rebuilt and looked up in the state's arcs), and
+# `best_action` as a `min` over every legal name.  Kept verbatim as the
+# test oracle for the decode step.
+
+def reference_encode_state(state, pos_tags=None):
+    """Deterministic sparse feature strings for a state: identity of the
+    stack top two, deque front, buffer front three, the last three actions
+    and arc-count buckets."""
+    sigma, delta, beta, arcs, labels, _, history = state
+
+    def describe(item):
+        if item is None:
+            return None, None, None
+        (start, _), surface, node = item
+        word = surface.lower()
+        label = word if node is None else labels[node]
+        tag = None
+        if pos_tags is not None and start < len(pos_tags):
+            tag = pos_tags[start]
+        return label, word, tag
+
+    slots = {
+        "s0": sigma[-1] if sigma else None,
+        "s1": sigma[-2] if len(sigma) > 1 else None,
+        "d0": delta[0] if delta else None,
+        "b0": beta[0] if beta else None,
+        "b1": beta[1] if len(beta) > 1 else None,
+        "b2": beta[2] if len(beta) > 2 else None,
+    }
+    feats = ["bias"]
+    described = {}
+    for name, item in slots.items():
+        label, word, tag = describe(item)
+        described[name] = label
+        if label is None:
+            feats.append("%s.none" % name)
+            continue
+        feats.append("%s.c=%s" % (name, label))
+        feats.append("%s.w=%s" % (name, word))
+        if tag is not None:
+            feats.append("%s.t=%s" % (name, tag))
+        node = item.node
+        if node is not None:
+            incident = sum(1 for head, _, dep in arcs if node in (head, dep))
+            feats.append("%s.na=%d" % (name, min(incident, 3)))
+    feats.append("s0b0.c=%s|%s" % (described["s0"], described["b0"]))
+    feats.append("s0b1.c=%s|%s" % (described["s0"], described["b1"]))
+    feats.append("d0b0.c=%s|%s" % (described["d0"], described["b0"]))
+    for back in (1, 2, 3):
+        if len(history) >= back:
+            feats.append("h%d=%s" % (back, history[-back].tag))
+        else:
+            feats.append("h%d=_" % back)
+    if history:
+        feats.append("h1f=%s" % str(history[-1]))
+    if len(history) >= 2:
+        feats.append("h12=%s|%s" % (history[-1].tag, history[-2].tag))
+    feats.append("nsig=%d" % min(len(sigma), 5))
+    feats.append("ndel=%d" % min(len(delta), 5))
+    feats.append("nbet=%d" % min(len(beta), 5))
+    return feats
+
+
+def reference_new_arc(state, action):
+    """The (head, role, dependent) arc a LEFT or RIGHT action adds, or None
+    when the state already has it: an arc is never built twice."""
+    s0, b0 = state.s0, state.b0
+    arc = (b0.node, action.label, s0.node) if action.tag == LEFT \
+        else (s0.node, action.label, b0.node)
+    return None if arc in state.arcs else arc
+
+
+def reference_legal_action_names(model, state):
+    """Vocabulary entries whose tag pattern matches the state, in
+    vocabulary order, with duplicate-arc label filtering for Left/Right."""
+    return [name for name, arc in model.tagged_names(legal_actions(state))
+            if arc is None or reference_new_arc(state, arc) is not None]
+
+
+def reference_best_action(model, probs, legal):
+    """argmax with ties broken by the vocabulary's tie-break key"""
+    return min(legal, key=lambda a: (-probs[a],) + model.vocabulary[a][1])
+
+
+# the probabilities `assert_decode_step_matches_reference` draws from: two
+# of them tie
+STEP_PROBS = (0.1, 0.25, 0.25, 0.4)
+
+
+def assert_decode_step_matches_reference(model, state, pos_tags, rng):
+    """The decode step of `state` under `model` equals its reference: the
+    encoding, the legal names and the argmax of random probabilities over
+    them, which tie often and are all NaN one time in 20.  Returns whether
+    the duplicate-arc rule dropped a legal name and whether an arc count
+    was capped at 3."""
+    assert encode_state(state, pos_tags) == \
+        reference_encode_state(state, pos_tags)
+    legal = legal_action_names(model, state)
+    assert legal == reference_legal_action_names(model, state)
+    if legal:
+        if rng.random() < 0.05:
+            probs = dict.fromkeys(legal, math.nan)
+        else:
+            probs = dict(zip(legal, rng.choices(STEP_PROBS, k=len(legal))))
+        assert best_action(model, probs, legal) == \
+            reference_best_action(model, probs, legal)
+    dropped = len(legal) < len(model.tagged_names(legal_actions(state)))
+    slots = state.sigma[-2:] + state.delta[:1] + state.beta[:3]
+    capped = any(
+        sum(1 for head, _, dep in state.arcs if item.node in (head, dep)) > 3
+        for item in slots if item.node is not None)
+    return dropped, capped

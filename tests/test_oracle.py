@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import random
 
 import pytest
 
@@ -14,16 +15,19 @@ from amrtk.graph import (
 from amrtk.oracle import (
     EdgeLedger, oracle_action, oracle_run, prune_unaligned, tune,
 )
+from amrtk.parser import ActionScorer
 from amrtk.resources import (
     LemmaTable, MorphLinkTable, Resources, load_embeddings, load_lemmas,
     load_morphosemantic,
 )
 from amrtk.smatch import smatch_score
 from amrtk.transition import (
-    apply, extract_graph, initial_state, is_terminal, legal_actions,
+    LEFT, RIGHT, apply, extract_graph, initial_state, is_terminal,
+    legal_actions,
 )
 from helpers import (
-    assert_apply_refuses_every_illegal_tag, bench_module, fixture, hard_corpus,
+    assert_apply_refuses_every_illegal_tag,
+    assert_decode_step_matches_reference, bench_module, fixture, hard_corpus,
     reference_legal_actions,
 )
 
@@ -513,14 +517,26 @@ def test_ledger_maps_every_built_variable_to_its_gold_concept(rule_set):
 def test_every_oracle_state_has_the_reference_legal_tags():
     # every state of every candidate's oracle run, under both rule sets:
     # the interned tag set of its shape equals the set the rule builds
-    # from the state, and `apply` refuses each tag outside it
+    # from the state, and `apply` refuses each tag outside it; the decode
+    # step's encoding, legal names and argmax equal their references under
+    # a model that names every role of the gold graphs as LEFT and RIGHT
     resources = fixture_resources()
     documents = (read_corpus(hard_corpus(1, 24))
                  + read_corpus(fixture("train_corpus.amr"))
                  + read_corpus(fixture("oracle_corpus.amr")))
-    states = 0
+    roles = sorted({rel.label for doc in documents
+                    for rel in doc.graph.relations})
+    model = ActionScorer(
+        ["DROP", "MERGE", "CONFIRM-LEMMA", "NEW(thing)", "ENTITY(person)"]
+        + ["%s(%s)" % (tag, role) for role in roles for tag in (LEFT, RIGHT)]
+        + ["CACHE", "SHIFT", "REDUCE"])
+    rng = random.Random(1)
+    states = dropped = capped = 0
     for rules in (base_rule_set(), full_rule_set(resources)):
         for doc in documents:
+            # the last token has no tag, and every fifth tag is None
+            pos = tuple(None if i % 5 == 4 else "T%d" % (len(token) % 3)
+                        for i, token in enumerate(doc.tokens[:-1]))
             for cand in enumerate_alignments(doc.graph, doc.tokens, rules,
                                              resources=resources):
                 ledger = EdgeLedger(prune_unaligned(doc.graph, cand), cand)
@@ -529,11 +545,17 @@ def test_every_oracle_state_has_the_reference_legal_tags():
                     assert legal_actions(state) == \
                         reference_legal_actions(state)
                     assert_apply_refuses_every_illegal_tag(state)
+                    step_dropped, step_capped = \
+                        assert_decode_step_matches_reference(
+                            model, state, pos, rng)
+                    dropped += step_dropped
+                    capped += step_capped
                     states += 1
                     if is_terminal(state):
                         break
                     state = apply(state, oracle_action(state, ledger))
     assert states > 30000
+    assert dropped and capped
 
 
 def test_name_under_a_date_entity_wrapper_is_settled_unbuilt():

@@ -17,8 +17,8 @@ from amrtk.cli import _read_training_corpus, main
 from amrtk.parser import (
     ActionScorer, CompiledInstances, DecodeError, Ensemble, TrainingError,
     TrainingExample, averaged_scores, best_action, decode, encode,
-    encode_state, lemma_label, legal_action_names, load_model, save_model,
-    score_actions, train,
+    encode_state, hash_features, lemma_label, legal_action_names, load_model,
+    save_model, score_actions, train,
 )
 from amrtk.resources import LemmaTable, load_lemmas
 from amrtk.smatch import smatch_score
@@ -302,6 +302,39 @@ def test_argmax_invariant_to_constant_logit_shift():
     a = averaged_scores(model, encode(state), ["DROP", "SHIFT"])
     b = averaged_scores(shifted, encode(state), ["DROP", "SHIFT"])
     assert max(a, key=a.get) == max(b, key=b.get)
+
+
+def test_all_nan_probabilities_pick_the_first_legal_name():
+    model = ActionScorer(["SHIFT", "DROP", "REDUCE"])
+    legal = ["SHIFT", "DROP", "REDUCE"]
+    assert best_action(model, dict.fromkeys(legal, math.nan), legal) == \
+        "SHIFT"
+
+
+def test_an_exact_probability_tie_goes_to_the_lower_vocabulary_key():
+    # the vocabulary's tie-break key puts DROP before SHIFT, whatever the
+    # order of the legal names
+    model = ActionScorer(["SHIFT", "DROP", "REDUCE"])
+    legal = ["SHIFT", "DROP", "REDUCE"]
+    probs = {"SHIFT": .5, "DROP": .5, "REDUCE": 0}
+    assert best_action(model, probs, legal) == "DROP"
+    probs = {"SHIFT": .5, "DROP": .5 - 1e-12, "REDUCE": 0}
+    assert best_action(model, probs, legal) == "SHIFT"
+
+
+def test_overflowed_logits_decode_the_first_legal_name_at_each_step():
+    # bias plus the `bias` feature's row overflow every logit to inf, so
+    # every probability is NaN and each step takes the first legal name
+    bias_feature = hash_features(["bias"])[0]
+    model = ActionScorer(["DROP", "CONFIRM(boy)", "SHIFT"],
+                         features=[bias_feature])
+    model.table[0] = 1e308
+    model.table[model.rows[bias_feature]] = 1e308
+    with pytest.warns(RuntimeWarning):
+        result = decode(model, ["boy", "runs"])
+    assert [str(a) for a in result.actions] == ["DROP", "DROP"]
+    assert result.warning is None
+    assert result.graph.concept(result.graph.root).label == "amr-empty"
 
 
 def test_model_save_load_roundtrip(tmp_path):

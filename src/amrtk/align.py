@@ -119,18 +119,75 @@ class AlignmentSet:
 
 
 class AlignmentContext:
-    """Everything a rule predicate may look at."""
+    """Everything a rule predicate may look at, normalized once per
+    sentence: a rule's `match` reads each token's lowercase form, lemma
+    set and numeral, each label's base and each fragment's values from
+    here instead of working them out per span.  A context serves one
+    `collect_records` call, so nothing it caches outlives the call."""
 
     def __init__(self, graph, tokens, resources):
         self.graph = graph
         self.tokens = tuple(tokens)
         self.resources = resources or Resources()
+        lemmas = self.resources.lemmas.lemmas
+        self.lowered = tuple(token.lower() for token in self.tokens)
+        self.lemma_sets = tuple(lemmas(token) for token in self.tokens)
+        self.numerals = tuple(numeric_form(token) for token in self.tokens)
+        self._bases = {}
+        self._rows = {}
+        self._name_values = {}
+        self._attributes = {}
+        self._negation_spans = None
 
     def span_tokens(self, span):
         return self.tokens[span.start:span.end]
 
-    def lemmas(self, token):
-        return self.resources.lemmas.lemmas(token)
+    def base(self, label):
+        """The sense-stripped lowercase form of a concept label."""
+        base = self._bases.get(label)
+        if base is None:
+            base = self._bases[label] = strip_sense(label).lower()
+        return base
+
+    def spans(self, width):
+        """Every span of `width` tokens, left to right."""
+        row = self._rows.get(width)
+        if row is None:
+            row = self._rows[width] = tuple(
+                Span(start, start + width)
+                for start in range(len(self.tokens) - width + 1))
+        return row
+
+    def name_values(self, fragment):
+        """The `:opN` values of a `name` fragment in numerical order;
+        empty for a fragment of any other shape."""
+        values = self._name_values.get(fragment.head)
+        if values is None:
+            values = ()
+            if (self.graph.concepts[fragment.head].label == "name"
+                    and len(fragment) > 1):
+                values = tuple(name_op_values(self.graph, fragment.head))
+            self._name_values[fragment.head] = values
+        return values
+
+    def attributes(self, fragment):
+        """The sorted (role, value) pairs of a fragment's grouped literal
+        children, such as a `date-entity`'s date attributes."""
+        pairs = self._attributes.get(fragment.head)
+        if pairs is None:
+            pairs = self._attributes[fragment.head] = sorted(
+                (rel.label, self.graph.concepts[rel.target].label)
+                for rel in fragment.relations)
+        return pairs
+
+    def negation_spans(self):
+        """The one-token spans of the negation words."""
+        if self._negation_spans is None:
+            row = self.spans(1)
+            self._negation_spans = tuple(
+                row[index] for index, token in enumerate(self.lowered)
+                if token in NEGATION_WORDS)
+        return self._negation_spans
 
 
 @dataclass(frozen=True)
@@ -157,50 +214,42 @@ class Rule:
 # matching rules: a token test on a fragment shape
 
 def _concept_rule(name, same):
-    """The matching rule that tests `same(label, token, ctx)` on the label
+    """The matching rule that tests `same(label, index, ctx)` on the label
     of a single-concept fragment and the token of a one-token span."""
     def widths(fragment, ctx):
         return (1,) if len(fragment) == 1 else ()
 
     def match(fragment, span, ctx):
-        return same(ctx.graph.concept(fragment.head).label,
-                    ctx.tokens[span.start], ctx)
+        return same(ctx.graph.concepts[fragment.head].label, span.start, ctx)
     return Rule(name, MATCHING, widths=widths, match=match)
 
 
 def _name_rule(name, same):
-    """The matching rule that tests `same(value, token, ctx)` on each
+    """The matching rule that tests `same(value, index, ctx)` on each
     `:opN` value of a `name` fragment and the token in its place in a span
     as wide as the values."""
-    def values(fragment, ctx):
-        if ctx.graph.concept(fragment.head).label != "name" or len(fragment) < 2:
-            return []
-        return name_op_values(ctx.graph, fragment.head)
-
     def widths(fragment, ctx):
-        width = len(values(fragment, ctx))
+        width = len(ctx.name_values(fragment))
         return (width,) if width else ()
 
     def match(fragment, span, ctx):
-        return all(same(value, token, ctx) for value, token
-                   in zip(values(fragment, ctx), ctx.span_tokens(span)))
+        return all(same(value, index, ctx) for value, index
+                   in zip(ctx.name_values(fragment), range(span.start, span.end)))
     return Rule(name, MATCHING, widths=widths, match=match)
 
 
-def _exact_concept(label, token, ctx):
-    label = strip_sense(label).lower()
-    if label == token.lower() or label in ctx.lemmas(token):
-        return True
-    num = numeric_form(token)
-    return num is not None and label == num
+def _exact_concept(label, index, ctx):
+    # a token's lemma set holds its own lowercase form
+    base = ctx.base(label)
+    return base in ctx.lemma_sets[index] or base == ctx.numerals[index]
 
 
-def _same_text(value, token, ctx):
-    return value == token
+def _same_text(value, index, ctx):
+    return value == ctx.tokens[index]
 
 
-def _same_nocase(value, token, ctx):
-    return value.lower() == token.lower()
+def _same_nocase(value, index, ctx):
+    return value.lower() == ctx.lowered[index]
 
 
 def _date_widths(fragment, ctx):
@@ -213,19 +262,16 @@ def _date_widths(fragment, ctx):
 
 
 def _date_entity(fragment, span, ctx):
-    gold = sorted((rel.label, ctx.graph.concept(rel.target).label)
-                  for rel in fragment.relations)
-    return gold == sorted(date_attributes(ctx.span_tokens(span)))
+    return ctx.attributes(fragment) == sorted(
+        date_attributes(ctx.span_tokens(span)))
 
 
-def _fuzzy_prefix(label, token, ctx):
-    label = strip_sense(label).lower()
-    prefix = 0
-    for a, b in zip(label, token.lower()):
-        if a != b:
-            break
-        prefix += 1
-    return prefix >= FUZZY_PREFIX_LEN
+def _fuzzy_prefix(label, index, ctx):
+    """The sense-stripped label and the token share their first
+    FUZZY_PREFIX_LEN characters, ignoring case."""
+    prefix = ctx.base(label)[:FUZZY_PREFIX_LEN]
+    return (len(prefix) == FUZZY_PREFIX_LEN
+            and prefix == ctx.lowered[index][:FUZZY_PREFIX_LEN])
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +298,7 @@ def _minus_polarity_triggers(fragment, ctx):
 
 
 def _negation_spans(fragment, record, ctx):
-    return [Span(i, i + 1) for i, token in enumerate(ctx.tokens)
-            if token.lower() in NEGATION_WORDS]
+    return ctx.negation_spans()
 
 
 def _quantity_triggers(fragment, ctx):
@@ -291,12 +336,13 @@ def extended_rule_set(resources):
     """The four rich-resource matching rules: the embedding and the
     morphological token tests, each on the named-entity and the
     single-concept shape."""
-    def semantic(value, token, ctx):
-        return semantic_match(resources.embeddings, value, token,
+    def semantic(value, index, ctx):
+        return semantic_match(resources.embeddings, value, ctx.tokens[index],
                               resources.cosine_threshold)
 
-    def morph(value, token, ctx):
-        return morph_match(resources.morph, resources.lemmas, value, token)
+    def morph(value, index, ctx):
+        return morph_match(resources.morph, resources.lemmas, value,
+                           ctx.tokens[index])
 
     return [
         _name_rule("semantic-named-entity", semantic),
@@ -325,8 +371,7 @@ def collect_records(graph, tokens, rules, resources=None):
     for rule in matching:
         for fragment in fragments:
             for width in rule.widths(fragment, ctx):
-                for start in range(len(tokens) - width + 1):
-                    span = Span(start, start + width)
+                for span in ctx.spans(width):
                     if rule.match(fragment, span, ctx):
                         records[fragment.head].add(AlignmentRecord(span))
 

@@ -556,25 +556,33 @@ class CompiledInstances:
 
 def decode(model, tokens, pos=None, lemma_table=None):
     """Greedy decode to a terminal state; a step guard plus a drop/reduce
-    drain guarantee a graph comes back even for a badly-scored model."""
+    drain guarantee a graph comes back even for a badly-scored model.
+    The warning names the drain and counts the steps at which no score
+    was a number, where decoding took the first legal name."""
     lemma_table = lemma_table or LemmaTable()
     state = initial_state(tokens)
     limit = STEP_FACTOR * len(tokens)
     memo = {}  # feature string -> id, for this sentence only
-    warning = None
+    warnings = []
     steps = 0
+    unscored = 0
     while not is_terminal(state):
         legal = legal_action_names(model, state)
         if not legal or steps >= limit:
-            warning = "fallback drain after %d steps" % steps
+            warnings.append("fallback drain after %d steps" % steps)
             state = _drain(state)
             break
         probs = averaged_scores(model, encode(state, pos, memo), legal)
-        action = materialize(model, best_action(model, probs, legal), state,
-                             lemma_table)
-        state = apply(state, action)
+        name = best_action(model, probs, legal)
+        # NaN only when best_action found no number among the scores
+        unscored += probs[name] != probs[name]
+        state = apply(state, materialize(model, name, state, lemma_table))
         steps += 1
-    return DecodeResult(extract_graph(state), state.history, warning)
+    if unscored:
+        warnings.append("no score was a number at %d of %d steps"
+                        % (unscored, steps))
+    return DecodeResult(extract_graph(state), state.history,
+                        "; ".join(warnings) or None)
 
 
 def _drain(state):

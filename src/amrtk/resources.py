@@ -37,9 +37,6 @@ class EmbeddingTable:
     def __len__(self):
         return len(self.vectors)
 
-    def get(self, word):
-        return self.vectors.get(word.lower())
-
     def vector_and_norm(self, word):
         """(vector, Euclidean norm) of a word, or None when it has none."""
         word = word.lower()
@@ -65,6 +62,8 @@ class LemmaTable:
     def __init__(self, entries=None, skipped=0):
         self.entries = {k: frozenset(v) for k, v in (entries or {}).items()}
         self.skipped = skipped
+        # each entry's lemmas with the form itself, built once
+        self._forms = {k: v | {k} for k, v in self.entries.items()}
 
     def __len__(self):
         return len(self.entries)
@@ -72,7 +71,8 @@ class LemmaTable:
     def lemmas(self, word):
         """Lemmas of a form; every word is a lemma of itself."""
         word = word.lower()
-        return self.entries.get(word, frozenset()) | {word}
+        forms = self._forms.get(word)
+        return frozenset((word,)) if forms is None else forms
 
 
 class Resources:
@@ -180,8 +180,11 @@ def cosine(table, w1, w2):
 def semantic_match(table, concept_label, word,
                    threshold=DEFAULT_COSINE_THRESHOLD):
     """Strictly-greater cosine test between the sense-stripped concept
-    label and the word.  Missing embeddings never match."""
-    sim = cosine(table, strip_sense(concept_label).lower(), word.lower())
+    label and the word.  Missing embeddings never match, so a word
+    without a vector is refused before the label is looked at."""
+    if table.vector_and_norm(word) is None:
+        return False
+    sim = cosine(table, strip_sense(concept_label).lower(), word)
     return sim is not None and sim > threshold
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities: random graph pairs, fixture paths, a generator
-of hard sentences, a model that decodes until the step guard, the
+of hard sentences, a model that decodes until the step guard and one
+whose logits overflow, the
 reference Smatch hill-climbing and search, the reference fragment
 grouping, the reference matching-rule pass, the reference updating
 fixpoint, the brute-force candidate list, the reference action scorer
@@ -25,9 +26,11 @@ from amrtk.graph import (
 )
 from amrtk.parser import (
     ActionScorer, TrainingError, _replay, best_action, encode_state,
-    legal_action_names, score_actions,
+    hash_features, legal_action_names, score_actions,
 )
-from amrtk.resources import LemmaTable, morph_match, semantic_match
+from amrtk.resources import (
+    DEFAULT_COSINE_THRESHOLD, LemmaTable, Resources, cosine,
+)
 from amrtk.smatch import (
     _held, _label_init, _match_count, _move_gain, _random_init, _swap_gain,
     _weight_table, to_triples, triple_count,
@@ -102,6 +105,17 @@ def looping_model():
     it builds new concepts until decode's step guard stops it."""
     model = ActionScorer(["CONFIRM(x)", "NEW(y)"])
     model.table[0] = [1.0, 2.0]
+    return model
+
+
+def overflowing_model():
+    """A model whose bias plus the `bias` feature's row overflow every
+    logit to inf, so every probability of every step is NaN."""
+    bias_feature = hash_features(["bias"])[0]
+    model = ActionScorer(["DROP", "CONFIRM(boy)", "SHIFT"],
+                         features=[bias_feature])
+    model.table[0] = 1e308
+    model.table[model.rows[bias_feature]] = 1e308
     return model
 
 
@@ -316,10 +330,60 @@ def reference_fragments(graph):
 
 
 # ---------------------------------------------------------------------------
+# The resource lookups as they were before `LemmaTable` kept each entry's
+# form set and `semantic_match` looked the word up first.  Kept verbatim as
+# the test oracle's own lookups.
+
+def reference_lemmas(table, word):
+    """Lemmas of a form; every word is a lemma of itself."""
+    word = word.lower()
+    return table.entries.get(word, frozenset()) | {word}
+
+
+def reference_semantic_match(table, concept_label, word,
+                             threshold=DEFAULT_COSINE_THRESHOLD):
+    """Strictly-greater cosine test between the sense-stripped concept
+    label and the word.  Missing embeddings never match."""
+    sim = cosine(table, strip_sense(concept_label).lower(), word.lower())
+    return sim is not None and sim > threshold
+
+
+def reference_morph_match(morph, lemmas, concept_label, word):
+    """True when a derivational link connects the word (or one of its
+    lemmas) to the sense-stripped concept label, or when a lemma of the
+    word equals the label itself."""
+    base = strip_sense(concept_label).lower()
+    for form in reference_lemmas(lemmas, word):
+        if (form, base) in morph:
+            return True
+        if form == base:
+            return True
+    return False
+
+
+class ReferenceContext:
+    """What the guarded predicates below read: the graph, the tokens and
+    each token's lemmas, looked up on every call."""
+
+    def __init__(self, graph, tokens, resources):
+        self.graph = graph
+        self.tokens = tuple(tokens)
+        self.resources = resources or Resources()
+
+    def span_tokens(self, span):
+        return self.tokens[span.start:span.end]
+
+    def lemmas(self, token):
+        return reference_lemmas(self.resources.lemmas, token)
+
+
+# ---------------------------------------------------------------------------
 # The guarded matching predicates and the all-spans walk that the
 # token-test-on-a-fragment-shape rules of `amrtk.align` replaced: every rule
 # is asked about every span and rejects the widths it cannot match.  Kept
-# verbatim as the test oracle for the rules' widths.
+# verbatim, but for the reference lookups above, as the test oracle for the
+# rules' widths and for the per-sentence normalization of
+# `AlignmentContext`.
 
 def _exact_concept(fragment, span, ctx):
     if len(fragment) != 1 or span.end - span.start != 1:
@@ -383,7 +447,8 @@ def _extended_predicates(resources):
         if ops is None or span.end - span.start != len(ops):
             return False
         return all(
-            semantic_match(resources.embeddings, op, token, threshold)
+            reference_semantic_match(resources.embeddings, op, token,
+                                     threshold)
             for op, token in zip(ops, ctx.span_tokens(span)))
 
     def morph_ne(fragment, span, ctx):
@@ -391,22 +456,23 @@ def _extended_predicates(resources):
         if ops is None or span.end - span.start != len(ops):
             return False
         return all(
-            morph_match(resources.morph, resources.lemmas, op, token)
+            reference_morph_match(resources.morph, resources.lemmas, op,
+                                  token)
             for op, token in zip(ops, ctx.span_tokens(span)))
 
     def semantic_concept(fragment, span, ctx):
         if len(fragment) != 1 or span.end - span.start != 1:
             return False
         label = ctx.graph.concept(fragment.head).label
-        return semantic_match(resources.embeddings, label,
-                              ctx.tokens[span.start], threshold)
+        return reference_semantic_match(resources.embeddings, label,
+                                        ctx.tokens[span.start], threshold)
 
     def morph_concept(fragment, span, ctx):
         if len(fragment) != 1 or span.end - span.start != 1:
             return False
         label = ctx.graph.concept(fragment.head).label
-        return morph_match(resources.morph, resources.lemmas, label,
-                           ctx.tokens[span.start])
+        return reference_morph_match(resources.morph, resources.lemmas, label,
+                                     ctx.tokens[span.start])
 
     return [semantic_ne, morph_ne, semantic_concept, morph_concept]
 
@@ -422,7 +488,7 @@ def reference_matching_records(graph, tokens, resources=None, extended=False):
     of the rich-resource ones too if `extended`, by asking each guarded
     predicate about every (span, fragment) pair."""
     fragments = graph.fragments.values()
-    ctx = AlignmentContext(graph, tokens, resources)
+    ctx = ReferenceContext(graph, tokens, resources)
     predicates = [_exact_concept, _named_entity_exact, _date_entity,
                   _fuzzy_prefix, _named_entity_nocase]
     if extended:

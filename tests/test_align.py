@@ -23,8 +23,8 @@ from amrtk.resources import (
     load_lemmas, load_morphosemantic,
 )
 from helpers import (
-    bench_module, brute_force_candidates, fixture, reference_matching_records,
-    reference_updating_records,
+    bench_module, brute_force_candidates, fixture, hard_corpus,
+    reference_matching_records, reference_updating_records,
 )
 
 FIGURE_TEXT = """
@@ -429,16 +429,19 @@ def test_rule_monotonicity():
 
 
 def rule_shape_cases():
-    """(graph, tokens) pairs: every sentence of the fixture corpora and of
-    the benchmark's composed corpora at seed 1 (the sentence-free graph
-    fixtures take their sense-stripped labels as tokens), then names wider
-    than the sentence, one-token sentences, dates at the bounds of their
-    widths and graphs with edges the updating rules must not follow."""
+    """(graph, tokens) pairs: every sentence of the fixture corpora, of
+    the benchmark's composed corpora at seed 1 and of the hard corpus (the
+    sentence-free graph fixtures take their sense-stripped labels as
+    tokens), then names wider than the sentence, one-token sentences,
+    dates at the bounds of their widths, graphs with edges the updating
+    rules must not follow, and the token and label forms that the context
+    normalizes: case, number words, sense suffixes and hyphenated names."""
     docs = read_corpus(fixture("train_corpus.amr")) + \
         read_corpus(fixture("oracle_corpus.amr"))
     corpus_gen = bench_module("corpus_gen")
     for workload in ("compose-long", "compose-short"):
         docs += read_corpus(corpus_gen.generate(workload, 1))
+    docs += read_corpus(hard_corpus(1, 24))
     cases = [(doc.graph, doc.tokens) for doc in docs]
     for doc in read_corpus(fixture("graphs.amr")):
         cases.append((doc.graph, [strip_sense(c.label)
@@ -481,6 +484,20 @@ def rule_shape_cases():
                       [Relation("q", "l", ":quant"), Relation("n", "l", ":op1"),
                        Relation("q", "n", ":mod")], "q")
     cases.append((shared, ["5"]))
+    for text, tokens in [
+            # mixed case, number words and a zero-padded numeral
+            ("(q / monetary-quantity :quant 7 :mod (b / Boy) :mod (t / two)"
+             " :mod (d / dog))",
+             ["SEVEN", "007", "Boys", "Two", "2", "DOGS", "Monetary", "BOY"]),
+            # sense suffixes, one of Unicode digits, on concepts and names
+            ("(f / freeze-\u0663 :ARG1 (k / Korea-01) :ARG2 (d / dog-01-02))",
+             ["Frozen", "KOREAN", "froze", "Freeze", "korea", "dog-01", "Dog"]),
+            ('(c / country :name (n / name :op1 "North-\u0663" :op2 "Korea"))',
+             ["north", "KOREA", "North-\u0663", "Korea", "NORTH"]),
+            # a hyphenated name value, which the rich rules sense-strip
+            ('(a / aircraft :name (n / name :op1 "F-16"))',
+             ["The", "F-16", "f", "F", "f-16", "jets"])]:
+        cases.append((parse_penman(text), tokens))
     return cases
 
 
@@ -493,6 +510,24 @@ def test_rule_widths_give_the_guarded_reference_records(extended):
         _, records = collect_records(graph, tokens, matching, res)
         assert records == reference_matching_records(
             graph, tokens, res, extended), tokens
+
+
+def test_each_call_normalizes_with_its_own_resources():
+    graph = parse_penman("(f / freeze-01 :ARG1 (l / lake))")
+    tokens = ["the", "lake", "froze"]
+    froze = {AlignmentRecord(Span(2, 3))}
+    lemmas = Resources(lemmas=LemmaTable({"froze": {"freeze"}}))
+    for rules in (base_rule_set(), full_rule_set(Resources())):
+        found = [collect_records(graph, tokens, rules, res)[1]["f"]
+                 for res in (lemmas, Resources(), lemmas)]
+        assert found == [froze, set(), froze]
+    embeddings = load_embeddings(fixture("resources", "embeddings.txt"))
+    found = []
+    for threshold in (0.7, 0.9, 0.7):
+        res = Resources(embeddings=embeddings, cosine_threshold=threshold)
+        found.append(collect_records(graph, ["the", "lake", "frozen"],
+                                     full_rule_set(res), res)[1]["f"])
+    assert found == [froze, set(), froze]
 
 
 def every_span_records(graph, tokens, rules):

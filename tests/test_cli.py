@@ -11,7 +11,7 @@ import amrtk.cli
 from amrtk import parser as parser_mod
 from amrtk.cli import main
 from amrtk.graph import GraphLookupError
-from helpers import bench_module, fixture, looping_model
+from helpers import bench_module, fixture, looping_model, overflowing_model
 
 RES = dict(
     embeddings=fixture("resources", "embeddings.txt"),
@@ -417,6 +417,18 @@ def test_parse_writes_the_drain_warning(tmp_path, capsys):
                            "--model", path)
     assert code == 0
     assert "# ::parse-warning fallback drain after 20 steps\n" in out
+
+
+def test_parse_writes_the_unscored_steps_warning(tmp_path, capsys):
+    path = str(tmp_path / "model.json")
+    parser_mod.save_model(overflowing_model(), path)
+    corpus = tmp_path / "c.amr"
+    corpus.write_text("# ::tok boy runs\n(b / boy)\n")
+    with pytest.warns(RuntimeWarning):
+        code, out, _ = run_cli(capsys, "parse", "-i", str(corpus), "-o", "-",
+                               "--model", path)
+    assert code == 0
+    assert "# ::parse-warning no score was a number at 2 of 2 steps\n" in out
 
 
 def test_smatch_identical_files(capsys):

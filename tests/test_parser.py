@@ -17,14 +17,15 @@ from amrtk.cli import _read_training_corpus, main
 from amrtk.parser import (
     ActionScorer, CompiledInstances, DecodeError, Ensemble, TrainingError,
     TrainingExample, averaged_scores, best_action, decode, encode,
-    encode_state, hash_features, lemma_label, legal_action_names, load_model,
+    encode_state, lemma_label, legal_action_names, load_model,
     save_model, score_actions, train,
 )
 from amrtk.resources import LemmaTable, load_lemmas
 from amrtk.smatch import smatch_score
 from amrtk.transition import Action, TransitionError, apply, initial_state
 from helpers import (
-    ReferenceScorer, bench_module, fixture, looping_model, reference_train,
+    ReferenceScorer, bench_module, fixture, looping_model, overflowing_model,
+    reference_train,
 )
 
 
@@ -324,16 +325,12 @@ def test_an_exact_probability_tie_goes_to_the_lower_vocabulary_key():
 
 def test_overflowed_logits_decode_the_first_legal_name_at_each_step():
     # bias plus the `bias` feature's row overflow every logit to inf, so
-    # every probability is NaN and each step takes the first legal name
-    bias_feature = hash_features(["bias"])[0]
-    model = ActionScorer(["DROP", "CONFIRM(boy)", "SHIFT"],
-                         features=[bias_feature])
-    model.table[0] = 1e308
-    model.table[model.rows[bias_feature]] = 1e308
+    # every probability is NaN, each step takes the first legal name and
+    # the warning counts those steps
     with pytest.warns(RuntimeWarning):
-        result = decode(model, ["boy", "runs"])
+        result = decode(overflowing_model(), ["boy", "runs"])
     assert [str(a) for a in result.actions] == ["DROP", "DROP"]
-    assert result.warning is None
+    assert result.warning == "no score was a number at 2 of 2 steps"
     assert result.graph.concept(result.graph.root).label == "amr-empty"
 
 

@@ -21,7 +21,8 @@ def test_load_embeddings_small(tmp_path):
     table = load_embeddings(path)
     assert table.dimension == 3
     assert len(table) == 2
-    assert list(table.get("the")) == [1.0, 0.0, 0.0]
+    vector, norm = table.vector_and_norm("the")
+    assert list(vector) == [1.0, 0.0, 0.0] and norm == 1.0
 
 
 def test_load_embeddings_dimension_mismatch(tmp_path):
@@ -40,7 +41,7 @@ def test_load_embeddings_bad_number(tmp_path):
 def test_load_embeddings_duplicates_keep_first(tmp_path):
     path = write(tmp_path, "vec.txt", "a 1.0 0.0\na 0.0 1.0\n")
     table = load_embeddings(path)
-    assert list(table.get("a")) == [1.0, 0.0]
+    assert list(table.vector_and_norm("a")[0]) == [1.0, 0.0]
 
 
 def test_cosine_identity_and_orthogonal(tmp_path):
@@ -180,7 +181,6 @@ def test_a_table_caches_the_norms_of_its_vectors(tmp_path):
     assert table.vector_and_norm("z") == ((0.0, 0.0), 0.0)
     assert table.vector_and_norm("missing") is None
     loaded = load_embeddings(write(tmp_path, "vec.txt", "a 3 4\nz 0 0\n"))
-    assert loaded.get("a") == array("d", [3.0, 4.0])
     assert loaded.vector_and_norm("a") == (array("d", [3.0, 4.0]), 5.0)
     assert loaded.vector_and_norm("z")[1] == 0.0
 

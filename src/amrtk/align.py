@@ -122,8 +122,10 @@ class AlignmentContext:
     """Everything a rule predicate may look at, normalized once per
     sentence: a rule's `match` reads each token's lowercase form, lemma
     set and numeral, each label's base and each fragment's values from
-    here instead of working them out per span.  A context serves one
-    `collect_records` call, so nothing it caches outlives the call."""
+    here instead of working them out per span.  `base` is the aligner's
+    one sense-strip, and every rule reads a token's lemma forms from
+    `lemma_sets`.  A context serves one `collect_records` call, so nothing
+    it caches outlives the call."""
 
     def __init__(self, graph, tokens, resources):
         self.graph = graph
@@ -214,20 +216,22 @@ class Rule:
 # matching rules: a token test on a fragment shape
 
 def _concept_rule(name, same):
-    """The matching rule that tests `same(label, index, ctx)` on the label
-    of a single-concept fragment and the token of a one-token span."""
+    """The matching rule that tests `same(base, index, ctx)` on the base
+    of a single-concept fragment's label (`ctx.base`, the one sense-strip
+    of the aligner) and the token of a one-token span."""
     def widths(fragment, ctx):
         return (1,) if len(fragment) == 1 else ()
 
     def match(fragment, span, ctx):
-        return same(ctx.graph.concepts[fragment.head].label, span.start, ctx)
+        return same(ctx.base(ctx.graph.concepts[fragment.head].label),
+                    span.start, ctx)
     return Rule(name, MATCHING, widths=widths, match=match)
 
 
 def _name_rule(name, same):
     """The matching rule that tests `same(value, index, ctx)` on each
-    `:opN` value of a `name` fragment and the token in its place in a span
-    as wide as the values."""
+    `:opN` value of a `name` fragment, as written, and the token in its
+    place in a span as wide as the values."""
     def widths(fragment, ctx):
         width = len(ctx.name_values(fragment))
         return (width,) if width else ()
@@ -238,9 +242,8 @@ def _name_rule(name, same):
     return Rule(name, MATCHING, widths=widths, match=match)
 
 
-def _exact_concept(label, index, ctx):
+def _exact_concept(base, index, ctx):
     # a token's lemma set holds its own lowercase form
-    base = ctx.base(label)
     return base in ctx.lemma_sets[index] or base == ctx.numerals[index]
 
 
@@ -266,10 +269,10 @@ def _date_entity(fragment, span, ctx):
         date_attributes(ctx.span_tokens(span)))
 
 
-def _fuzzy_prefix(label, index, ctx):
-    """The sense-stripped label and the token share their first
-    FUZZY_PREFIX_LEN characters, ignoring case."""
-    prefix = ctx.base(label)[:FUZZY_PREFIX_LEN]
+def _fuzzy_prefix(base, index, ctx):
+    """The label's base and the token share their first FUZZY_PREFIX_LEN
+    characters, ignoring case."""
+    prefix = base[:FUZZY_PREFIX_LEN]
     return (len(prefix) == FUZZY_PREFIX_LEN
             and prefix == ctx.lowered[index][:FUZZY_PREFIX_LEN])
 
@@ -335,14 +338,15 @@ def base_rule_set():
 def extended_rule_set(resources):
     """The four rich-resource matching rules: the embedding and the
     morphological token tests, each on the named-entity and the
-    single-concept shape."""
-    def semantic(value, index, ctx):
-        return semantic_match(resources.embeddings, value, ctx.tokens[index],
-                              resources.cosine_threshold)
+    single-concept shape.  A token's lemma forms come from the context,
+    the rest from `resources`; a name value is lowercased here."""
+    def semantic(form, index, ctx):
+        return semantic_match(resources.embeddings, form.lower(),
+                              ctx.lowered[index], resources.cosine_threshold)
 
-    def morph(value, index, ctx):
-        return morph_match(resources.morph, resources.lemmas, value,
-                           ctx.tokens[index])
+    def morph(form, index, ctx):
+        return morph_match(resources.morph, ctx.lemma_sets[index],
+                           form.lower())
 
     return [
         _name_rule("semantic-named-entity", semantic),

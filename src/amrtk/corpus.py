@@ -71,15 +71,17 @@ class CorpusDocument:
                                     self.graph, self.tokens)]
         return []
 
-    def set_candidates(self, candidates):
+    def _strip_alignments(self):
         self.metadata = {k: v for k, v in self.metadata.items()
                          if not _ALIGN_K_RE.match(k) and k != "alignments"}
+
+    def set_candidates(self, candidates):
+        self._strip_alignments()
         for k, candidate in enumerate(candidates):
             self.metadata["alignments-%d" % k] = format_alignment(candidate)
 
     def set_alignment(self, candidate):
-        self.metadata = {k: v for k, v in self.metadata.items()
-                         if not _ALIGN_K_RE.match(k) and k != "alignments"}
+        self._strip_alignments()
         self.metadata["alignments"] = format_alignment(candidate)
 
 
@@ -113,6 +115,8 @@ def parse_alignment(text, graph, tokens):
             head = order[index]
             if head not in graph.fragments:
                 raise CorpusFormatError("address %s is not a fragment head" % addr)
+            if head in choices:
+                raise CorpusFormatError("address %s is aligned twice" % addr)
             choices[head] = Span(start, end)
     for head in graph.fragments:
         choices.setdefault(head, None)

@@ -7,8 +7,6 @@ import math
 from array import array
 from operator import mul
 
-from .graph import strip_sense
-
 logger = logging.getLogger(__name__)
 
 DEFAULT_COSINE_THRESHOLD = 0.7
@@ -164,38 +162,30 @@ def load_lemmas(path):
     return LemmaTable(entries, skipped=skipped)
 
 
+def _cosine(e1, e2):
+    """Cosine of two (vector, norm) pairs, or None when either is None
+    or has a zero norm."""
+    if e1 is None or e2 is None or e1[1] == 0.0 or e2[1] == 0.0:
+        return None
+    return _dot(e1[0], e2[0]) / (e1[1] * e2[1])
+
+
 def cosine(table, w1, w2):
     """Cosine similarity of two words, or None when either is missing
     or has a zero-norm vector."""
-    e1 = table.vector_and_norm(w1)
-    e2 = table.vector_and_norm(w2)
-    if e1 is None or e2 is None:
-        return None
-    (v1, n1), (v2, n2) = e1, e2
-    if n1 == 0.0 or n2 == 0.0:
-        return None
-    return _dot(v1, v2) / (n1 * n2)
+    return _cosine(table.vector_and_norm(w1), table.vector_and_norm(w2))
 
 
-def semantic_match(table, concept_label, word,
-                   threshold=DEFAULT_COSINE_THRESHOLD):
-    """Strictly-greater cosine test between the sense-stripped concept
-    label and the word.  Missing embeddings never match, so a word
-    without a vector is refused before the label is looked at."""
-    if table.vector_and_norm(word) is None:
-        return False
-    sim = cosine(table, strip_sense(concept_label).lower(), word)
+def semantic_match(table, form, word, threshold=DEFAULT_COSINE_THRESHOLD):
+    """Strictly-greater cosine test between two forms, compared as given.
+    Missing embeddings never match, so a word without a vector is refused
+    before the form is looked up."""
+    found = table.vector_and_norm(word)
+    sim = None if found is None else _cosine(table.vector_and_norm(form), found)
     return sim is not None and sim > threshold
 
 
-def morph_match(morph, lemmas, concept_label, word):
-    """True when a derivational link connects the word (or one of its
-    lemmas) to the sense-stripped concept label, or when a lemma of the
-    word equals the label itself."""
-    base = strip_sense(concept_label).lower()
-    for form in lemmas.lemmas(word):
-        if (form, base) in morph:
-            return True
-        if form == base:
-            return True
-    return False
+def morph_match(morph, forms, base):
+    """True when one of a token's lemma forms (its lowercase form among
+    them) equals the lowercase `base` or has a derivational link to it."""
+    return base in forms or any((form, base) in morph for form in forms)

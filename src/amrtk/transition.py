@@ -223,11 +223,12 @@ def apply(state, action):
         beta = (StackItem(b0.span, b0.surface, len(labels)),) + beta[1:]
         arcs, labels = _apply_entity(state, action.label)
     elif tag in RELATION_ACTIONS:
-        arc = new_arc(state, action)
-        if arc is None:
+        if action in built_relations(state):
             raise TransitionError(
                 "%s duplicates an arc of the state" % (action,))
-        arcs = arcs + (arc,)
+        s0 = sigma[-1].node
+        arcs = arcs + ((b0.node, action.label, s0) if tag == LEFT
+                       else (s0, action.label, b0.node),)
     elif tag == CACHE:
         sigma, delta = sigma[:-1], (sigma[-1],) + delta
     elif tag == SHIFT:
@@ -252,16 +253,6 @@ def built_relations(state):
         elif head == s0 and dep == b0:
             built.add((RIGHT, role))
     return built
-
-
-def new_arc(state, action):
-    """The (head, role, dependent) arc a LEFT or RIGHT action adds, or None
-    when the state already has it (`built_relations`)."""
-    if action in built_relations(state):
-        return None
-    s0, b0 = state.sigma[-1].node, state.beta[0].node
-    return (b0, action.label, s0) if action.tag == LEFT \
-        else (s0, action.label, b0)
 
 
 def _apply_entity(state, head_label):

@@ -361,6 +361,20 @@ def reference_morph_match(morph, lemmas, concept_label, word):
     return False
 
 
+# A `name`'s `:opN` values are compared as written, but for case: the two
+# lookups above, less the sense-strip.
+
+def reference_name_semantic_match(table, value, word, threshold):
+    sim = cosine(table, value.lower(), word.lower())
+    return sim is not None and sim > threshold
+
+
+def reference_name_morph_match(morph, lemmas, value, word):
+    base = value.lower()
+    return any(form == base or (form, base) in morph
+               for form in reference_lemmas(lemmas, word))
+
+
 class ReferenceContext:
     """What the guarded predicates below read: the graph, the tokens and
     each token's lemmas, looked up on every call."""
@@ -447,8 +461,8 @@ def _extended_predicates(resources):
         if ops is None or span.end - span.start != len(ops):
             return False
         return all(
-            reference_semantic_match(resources.embeddings, op, token,
-                                     threshold)
+            reference_name_semantic_match(resources.embeddings, op, token,
+                                          threshold)
             for op, token in zip(ops, ctx.span_tokens(span)))
 
     def morph_ne(fragment, span, ctx):
@@ -456,8 +470,8 @@ def _extended_predicates(resources):
         if ops is None or span.end - span.start != len(ops):
             return False
         return all(
-            reference_morph_match(resources.morph, resources.lemmas, op,
-                                  token)
+            reference_name_morph_match(resources.morph, resources.lemmas, op,
+                                       token)
             for op, token in zip(ops, ctx.span_tokens(span)))
 
     def semantic_concept(fragment, span, ctx):

@@ -494,7 +494,7 @@ def rule_shape_cases():
              ["Frozen", "KOREAN", "froze", "Freeze", "korea", "dog-01", "Dog"]),
             ('(c / country :name (n / name :op1 "North-\u0663" :op2 "Korea"))',
              ["north", "KOREA", "North-\u0663", "Korea", "NORTH"]),
-            # a hyphenated name value, which the rich rules sense-strip
+            # a hyphenated name value, which every rule compares as written
             ('(a / aircraft :name (n / name :op1 "F-16"))',
              ["The", "F-16", "f", "F", "f-16", "jets"])]:
         cases.append((parse_penman(text), tokens))
@@ -528,6 +528,30 @@ def test_each_call_normalizes_with_its_own_resources():
         found.append(collect_records(graph, ["the", "lake", "frozen"],
                                      full_rule_set(res), res)[1]["f"])
     assert found == [froze, set(), froze]
+
+
+def test_rich_rules_compare_name_values_as_written():
+    # the value keeps its suffix, so a lone "f" or "north" is no match
+    res = Resources()
+    rules = extended_rule_set(res)
+    cases = [('(a / aircraft :name (n / name :op1 "F-16"))',
+              ["The", "F-16", "f", "F", "f-16", "jets"], [(1, 2), (4, 5)]),
+             ('(c / country :name (n / name :op1 "North-\u0663" :op2 "Korea"))',
+              ["north", "KOREA", "North-\u0663", "Korea", "NORTH"], [(2, 4)])]
+    for text, tokens, spans in cases:
+        _, records = collect_records(parse_penman(text), tokens, rules, res)
+        assert records["n"] == {AlignmentRecord(Span(*s)) for s in spans}
+
+
+def test_morph_rules_read_the_lemmas_handed_to_collect_records():
+    graph = parse_penman("(a / act-01)")
+    rules = extended_rule_set(Resources(morph=MorphLinkTable({("action", "act")})))
+    lemmas = Resources(lemmas=LemmaTable({"actions": {"action"}}))
+    # "actions" reaches the link only through its lemma "action"
+    _, records = collect_records(graph, ["actions"], rules, lemmas)
+    assert records["a"] == {AlignmentRecord(Span(0, 1))}
+    _, records = collect_records(graph, ["actions"], rules)
+    assert records["a"] == set()
 
 
 def every_span_records(graph, tokens, rules):

@@ -732,6 +732,10 @@ REFUSALS = {
         "oracle -i {c}", {"c": "# ::tok Korea\n# ::alignments 0-1|2\n"
                                "(c / country :name (n / name :op1 Korea))\n"},
         "ERR:corpus: address 2 is not a fragment head"),
+    "oracle-alignment-twice": (
+        "oracle -i {c}", {"c": "# ::tok the boy\n# ::alignments 0-1|0 1-2|0\n"
+                               "(b / boy)\n"},
+        "ERR:corpus: address 0 is aligned twice"),
     "train-trace-without-tok": (
         "train --traces {t} --model {m}",
         {"t": "# ::id s1\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},

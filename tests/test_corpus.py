@@ -128,6 +128,15 @@ def test_alignment_bad_item():
         parse_alignment("0-1|7", doc.graph, doc.tokens)
 
 
+@pytest.mark.parametrize("line", ["0-1|0 1-2|0", "0-1|0+0", "0-1|0+1 0-1|1"])
+def test_alignment_giving_a_fragment_two_spans_is_refused(line):
+    # no span is kept silently over another; amrtk's writer lists each
+    # fragment once, so only a hand-written line can do this
+    doc = read_corpus("# ::tok the boy\n(b / boy :mod (t / tall))\n")[0]
+    with pytest.raises(CorpusFormatError, match="aligned twice"):
+        parse_alignment(line, doc.graph, doc.tokens)
+
+
 def test_candidates_round_trip():
     docs = read_corpus(SAMPLE)
     doc = docs[0]

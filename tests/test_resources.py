@@ -3,6 +3,8 @@ from array import array
 
 import pytest
 
+from amrtk.align import AlignmentRecord, Span, collect_records, extended_rule_set
+from amrtk.graph import parse_penman
 from amrtk.resources import (
     EmbeddingTable, LemmaTable, MorphLinkTable, ResourceFormatError,
     Resources, cosine, load_embeddings, load_lemmas, load_morphosemantic,
@@ -71,13 +73,20 @@ def test_cosine_zero_norm_absent(tmp_path):
     assert cosine(table, "z", "a") is None
 
 
-def test_semantic_match_strips_sense(tmp_path):
+def rich_records(text, tokens, resources):
+    """The records of the rich-resource rules on the graph's root."""
+    graph = parse_penman(text)
+    _, records = collect_records(graph, tokens, extended_rule_set(resources),
+                                 resources)
+    return records[graph.root]
+
+
+def test_semantic_concept_rule_strips_sense(tmp_path):
     path = write(tmp_path, "vec.txt", "run 1.0 0.0\nsprint 0.9 0.2\n")
-    table = load_embeddings(path)
-    assert semantic_match(table, "run-01", "run")
-    assert semantic_match(table, "run-01", "sprint")
-    assert semantic_match(table, "run-99", "sprint") == semantic_match(
-        table, "run-01", "sprint")
+    res = Resources(embeddings=load_embeddings(path))
+    both = {AlignmentRecord(Span(0, 1)), AlignmentRecord(Span(1, 2))}
+    assert rich_records("(r / run-01)", ["run", "sprint"], res) == both
+    assert rich_records("(r / run-99)", ["Run", "SPRINT"], res) == both
 
 
 def test_semantic_match_boundary_is_strict():
@@ -112,26 +121,32 @@ def test_cosine_matches_the_numpy_formula_up_to_rounding():
 def test_semantic_match_missing_word_never_matches(tmp_path):
     path = write(tmp_path, "vec.txt", "run 1.0 0.0\n")
     table = load_embeddings(path)
-    assert not semantic_match(table, "run-01", "jog")
+    assert not semantic_match(table, "run", "jog")
 
 
 def test_morph_match_link():
     morph = MorphLinkTable({("example", "exemplify")})
-    lemmas = LemmaTable()
-    assert morph_match(morph, lemmas, "exemplify-01", "example")
-    assert not morph_match(morph, lemmas, "exemplify-01", "sample")
+    assert morph_match(morph, frozenset({"example"}), "exemplify")
+    assert not morph_match(morph, frozenset({"sample"}), "exemplify")
+    # the concept rule hands the matcher the label's sense-stripped base
+    res = Resources(morph=morph)
+    assert rich_records("(e / exemplify-01)", ["a", "sample", "Example"],
+                        res) == {AlignmentRecord(Span(2, 3))}
 
 
 def test_morph_match_via_lemma():
     morph = MorphLinkTable({("action", "act")})
     lemmas = LemmaTable({"actions": {"action"}})
-    assert morph_match(morph, lemmas, "act-01", "actions")
+    assert morph_match(morph, lemmas.lemmas("actions"), "act")
+    res = Resources(morph=morph, lemmas=lemmas)
+    assert rich_records("(a / act-01)", ["ACTIONS", "acts"],
+                        res) == {AlignmentRecord(Span(0, 1))}
 
 
 def test_morph_match_empty_tables():
     morph = MorphLinkTable(set())
-    lemmas = LemmaTable()
-    assert not morph_match(morph, lemmas, "exemplify-01", "example")
+    assert not morph_match(morph, LemmaTable().lemmas("example"), "exemplify")
+    assert not rich_records("(e / exemplify-01)", ["example"], Resources())
 
 
 def test_load_morphosemantic(tmp_path):

@@ -11,8 +11,8 @@ from amrtk.smatch import smatch_score
 from amrtk.transition import (
     BARE_ACTIONS, CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE, NEW, REDUCE,
     RELATION_ACTIONS, RIGHT, SHIFT, Action, ParserState, StackItem,
-    StateError, TransitionError, apply, extract_graph, initial_state,
-    is_terminal, legal_actions, new_arc, parse_action,
+    StateError, TransitionError, apply, built_relations, extract_graph,
+    initial_state, is_terminal, legal_actions, parse_action,
 )
 from helpers import (
     assert_apply_refuses_every_illegal_tag, reference_legal_actions,
@@ -165,10 +165,11 @@ def test_duplicate_arc_rejected():
             Action(LEFT, ":ARG0"))
     with pytest.raises(TransitionError):
         apply(s, Action(LEFT, ":ARG0"))
-    assert new_arc(s, Action(LEFT, ":ARG0")) is None
+    assert built_relations(s) == {Action(LEFT, ":ARG0")}
     # a different label or direction is still fine
     apply(s, Action(LEFT, ":ARG1"))
-    assert new_arc(s, Action(RIGHT, ":ARG0")) == (s.s0.node, ":ARG0", s.b0.node)
+    right = apply(s, Action(RIGHT, ":ARG0"))
+    assert right.arcs[-1] == (s.s0.node, ":ARG0", s.b0.node)
 
 
 def test_cache_then_shift_restores_stack_order():
@@ -384,8 +385,9 @@ def random_walk(rng, max_steps=30):
     while not is_terminal(state) and len(walk) <= max_steps:
         tag = rng.choice(sorted(legal_actions(state)))
         if tag in RELATION_ACTIONS:
+            built = built_relations(state)
             roles = [role for role in WALK_ROLES
-                     if new_arc(state, Action(tag, role)) is not None]
+                     if Action(tag, role) not in built]
             if not roles:
                 continue
             action = Action(tag, rng.choice(roles))

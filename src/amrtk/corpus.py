@@ -3,8 +3,9 @@ metadata headers followed by one Penman graph.
 
 Alignment lines use the span|heads item format: `s-e|h1+h2` aligns the
 token span [s, e) to the fragments whose head concepts sit at addresses
-h1 and h2 in the graph's first-appearance order.  Multiple candidates are
-carried as repeated `::alignments-k` lines.
+h1 and h2 in the graph's first-appearance order.  Distinct spans may
+not overlap; identical ones stack.  Multiple candidates are carried as
+repeated `::alignments-k` lines.
 """
 
 import io
@@ -118,6 +119,14 @@ def parse_alignment(text, graph, tokens):
             if head in choices:
                 raise CorpusFormatError("address %s is aligned twice" % addr)
             choices[head] = Span(start, end)
+    # sorted, two distinct spans overlap only if neighbours do, and a
+    # neighbour overlaps when it starts before its predecessor ends
+    spans = sorted(set(choices.values()))
+    for (start, end), (next_start, next_end) in zip(spans, spans[1:]):
+        if next_start < end:
+            raise CorpusFormatError(
+                "alignment spans %d-%d and %d-%d overlap"
+                % (start, end, next_start, next_end))
     for head in graph.fragments:
         choices.setdefault(head, None)
     return CandidateAlignment(graph, tokens, choices)

@@ -10,16 +10,19 @@ stands for; each fact has one home there, and a concept's edges are read
 from the graph's own adjacency lists, so a step looks facts up instead of
 scanning for them.  A concept is its creation index, so the oracle
 records the node an action creates, and the edge it builds, when it
-picks the action.  The tuner runs the oracle over every candidate and
-keeps the highest-scoring one, breaking ties by the smaller action count.
+picks the action.  The tuner runs the oracle over every candidate,
+Smatch-searches only those that can win and keeps the highest-scoring
+one, breaking ties by the smaller action count, then by candidate order.
 """
 
 import logging
-from dataclasses import dataclass
+from functools import cached_property
 
 from . import transition
 from .graph import AmrGraph, Relation, depth_to_root, forest_roots
-from .smatch import smatch_score
+from .smatch import (
+    score_counts, smatch_score, to_triples, triple_count, upper_bound,
+)
 from .transition import BARE, Action, apply, initial_state, is_terminal
 
 logger = logging.getLogger(__name__)
@@ -35,17 +38,45 @@ class StatsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class OracleRun:
-    actions: tuple
-    parsed: AmrGraph
-    smatch_f1: float
-    trees: int  # forest_roots of the pruned graph: the trees rebuilt
-    certified: bool  # the Smatch count reached its upper bound
+    """One oracle run: its `actions`, the number of `trees` it rebuilt
+    (`forest_roots` of the pruned graph) and, read on first use, the
+    rebuilt graph `parsed` and its Smatch against the gold graph:
+    `smatch_f1`, and `certified` when the matched count reached its upper
+    bound.  Deferring the graph and its score lets `tune` drop a run that
+    cannot win before paying for either; once read, the run lets go of
+    the terminal state and the gold graph."""
+
+    def __init__(self, state, trees, gold, smatch_restarts, smatch_seed):
+        self.actions = state.history
+        self.trees = trees
+        self._state = state
+        self._gold = gold
+        self._smatch_args = {"restarts": smatch_restarts, "seed": smatch_seed}
 
     @property
     def action_count(self):
         return len(self.actions)
+
+    @cached_property
+    def parsed(self):
+        parsed = transition.extract_graph(self._state)
+        del self._state
+        return parsed
+
+    @cached_property
+    def _score(self):
+        score = smatch_score(self.parsed, self._gold, **self._smatch_args)
+        del self._gold, self._smatch_args
+        return score
+
+    @property
+    def smatch_f1(self):
+        return self._score.f1
+
+    @property
+    def certified(self):
+        return self._score.certified
 
 
 def prune_unaligned(graph, alignment):
@@ -256,8 +287,8 @@ def oracle_action(state, ledger):
 
 
 def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
-    """Run the oracle to termination and score the rebuilt graph against
-    the original gold graph."""
+    """Run the oracle to termination; the run scores the rebuilt graph
+    against the original gold graph when its score is first read."""
     pruned = prune_unaligned(graph, alignment)
     ledger = EdgeLedger(pruned, alignment)
     state = initial_state(tokens)
@@ -269,28 +300,42 @@ def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
         steps += 1
         if steps > limit:
             raise OracleError("oracle exceeded %d steps" % limit)
-    parsed = transition.extract_graph(state)
-    score = smatch_score(parsed, graph, restarts=smatch_restarts,
-                         seed=smatch_seed)
-    return OracleRun(state.history, parsed, score.f1,
-                     len(forest_roots(pruned)), score.certified)
+    return OracleRun(state, len(forest_roots(pruned)), graph,
+                     smatch_restarts, smatch_seed)
 
 
 def tune(tokens, graph, alignment_set, smatch_restarts=4, smatch_seed=1):
-    """Oracle-score every candidate; return (best candidate, its run).
+    """Run the oracle over every candidate, Smatch-search only the runs
+    that can still win and return (best candidate, its run).
 
-    The best candidate maximizes Smatch F1, then minimizes the action
-    count; remaining ties keep the earlier candidate.
+    The best candidate maximizes the key (Smatch F1, -action count);
+    remaining ties keep the earlier candidate, so a later run wins only
+    on a strictly higher key.  A run is not searched when even its best
+    possible key, (F1 of the `upper_bound` count, -action count), cannot
+    beat the best key so far: F1 does not fall as the matched count
+    rises.  No F1 exceeds 1.0, so once the best run scores 1.0 a run with
+    no fewer actions is dropped before its graph is extracted.  Each
+    search is seeded alone, so the result equals scoring every candidate.
     """
-    best = None
-    best_run = None
+    gold = None  # the gold graph's triples, built when a bound first needs them
+    best = best_run = best_key = None
     for candidate in alignment_set:
         run = oracle_run(tokens, graph, candidate,
                          smatch_restarts=smatch_restarts,
                          smatch_seed=smatch_seed)
-        if best_run is None or (run.smatch_f1, -run.action_count) > \
-                (best_run.smatch_f1, -best_run.action_count):
-            best = candidate
-            best_run = run
+        if best_key is not None:
+            # the best key any run can reach needs no graph
+            if (1.0, -run.action_count) <= best_key:
+                continue
+            if gold is None:
+                gold = to_triples(graph)
+            triples = to_triples(run.parsed)
+            bound = score_counts(upper_bound(triples, gold),
+                                 triple_count(triples), triple_count(gold),
+                                 True).f1
+            if (bound, -run.action_count) <= best_key:
+                continue
+        key = (run.smatch_f1, -run.action_count)
+        if best_key is None or key > best_key:
+            best, best_run, best_key = candidate, run, key
     return best, best_run
-

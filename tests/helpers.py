@@ -3,9 +3,10 @@ of hard sentences, a model that decodes until the step guard and one
 whose logits overflow, the
 reference Smatch hill-climbing and search, the reference fragment
 grouping, the reference matching-rule pass, the reference updating
-fixpoint, the brute-force candidate list, the reference action scorer
-and trainer, the reference legality rule and the reference decode step
-(state encoding, legal names and argmax)."""
+fixpoint, the brute-force candidate list, the reference tuner that scores every
+candidate, the reference action scorer and trainer, the reference
+legality rule and the reference decode step (state encoding, legal
+names and argmax)."""
 
 import importlib.util
 import itertools
@@ -24,6 +25,7 @@ from amrtk.graph import (
     ATTRIBUTE, VARIABLE, AmrGraph, Concept, Fragment, Relation,
     name_op_values, strip_sense,
 )
+from amrtk.oracle import oracle_run
 from amrtk.parser import (
     ActionScorer, TrainingError, _replay, best_action, encode_state,
     hash_features, legal_action_names, score_actions,
@@ -722,6 +724,23 @@ def brute_force_candidates(graph, tokens, rules, resources=None):
                 h: rec.span if rec else None for h, rec in choices.items()})
             out.setdefault(cand, cand)
     return list(out) or [CandidateAlignment(graph, tokens, dict.fromkeys(order))]
+
+
+def reference_tune(tokens, graph, alignment_set, smatch_restarts=4,
+                   smatch_seed=1):
+    """`oracle.tune` as it was before bound pruning: every candidate's run
+    is Smatch-scored."""
+    best = None
+    best_run = None
+    for candidate in alignment_set:
+        run = oracle_run(tokens, graph, candidate,
+                         smatch_restarts=smatch_restarts,
+                         smatch_seed=smatch_seed)
+        if best_run is None or (run.smatch_f1, -run.action_count) > \
+                (best_run.smatch_f1, -best_run.action_count):
+            best = candidate
+            best_run = run
+    return best, best_run
 
 
 def reference_legal_actions(state):

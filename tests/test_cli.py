@@ -736,6 +736,11 @@ REFUSALS = {
         "oracle -i {c}", {"c": "# ::tok the boy\n# ::alignments 0-1|0 1-2|0\n"
                                "(b / boy)\n"},
         "ERR:corpus: address 0 is aligned twice"),
+    "oracle-alignment-overlap": (
+        "oracle -i {c}", {"c": "# ::tok the tall boy\n"
+                               "# ::alignments 0-2|0 1-3|1\n"
+                               "(b / boy :mod (t / tall))\n"},
+        "ERR:corpus: alignment spans 0-2 and 1-3 overlap"),
     "train-trace-without-tok": (
         "train --traces {t} --model {m}",
         {"t": "# ::id s1\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},

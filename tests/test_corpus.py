@@ -137,6 +137,23 @@ def test_alignment_giving_a_fragment_two_spans_is_refused(line):
         parse_alignment(line, doc.graph, doc.tokens)
 
 
+@pytest.mark.parametrize("line", ["0-2|0 1-3|1", "1-3|1 0-2|0",
+                                  "0-3|0 1-2|1", "0-1|0 0-2|1"])
+def test_alignment_with_overlapping_spans_is_refused(line):
+    # `align.is_legal` forbids distinct spans that overlap, so no aligner
+    # candidate has them; the oracle would merge across the spans
+    doc = read_corpus("# ::tok the tall boy\n(b / boy :mod (t / tall))\n")[0]
+    with pytest.raises(CorpusFormatError, match="overlap"):
+        parse_alignment(line, doc.graph, doc.tokens)
+
+
+@pytest.mark.parametrize("line", ["1-3|0+1", "1-3|0 1-3|1", "0-1|0 1-3|1"])
+def test_alignment_with_stacked_or_adjacent_spans_is_read(line):
+    doc = read_corpus("# ::tok the tall boy\n(b / boy :mod (t / tall))\n")[0]
+    cand = parse_alignment(line, doc.graph, doc.tokens)
+    assert all(span is not None for span in cand.choices.values())
+
+
 def test_candidates_round_trip():
     docs = read_corpus(SAMPLE)
     doc = docs[0]

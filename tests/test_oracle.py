@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import amrtk.oracle
+import amrtk.transition
 from amrtk.align import (
     AlignmentSet, CandidateAlignment, Span,
     base_rule_set, enumerate_alignments, full_rule_set,
@@ -28,7 +30,7 @@ from amrtk.transition import (
 from helpers import (
     assert_apply_refuses_every_illegal_tag,
     assert_decode_step_matches_reference, bench_module, fixture, hard_corpus,
-    reference_legal_actions,
+    reference_legal_actions, reference_tune,
 )
 
 FIGURE_TEXT = """
@@ -294,20 +296,45 @@ def test_ledger_conservation():
     assert arcs == len(pruned.relations) - entity_internal
 
 
-def test_tuner_prefers_fewer_actions_on_tie():
+def nuclear_pair(drop=None):
+    """The figure's coherent and crossed `nucleus` candidates, with the
+    concept `drop` left unaligned in both."""
     g, aset = figure_alignments()
-    runs = {}
+    pair = {}
     for cand in aset:
         s2, s3 = cand.span_of("n2"), cand.span_of("n3")
         if {s2, s3} == {Span(4, 5), Span(10, 11)}:
-            runs[(s2.start, s3.start)] = oracle_run(FIGURE_TOKENS, g, cand)
-    coherent = runs[(4, 10)]
-    crossed = runs[(10, 4)]
-    assert coherent.smatch_f1 == pytest.approx(1.0)
-    assert crossed.smatch_f1 == pytest.approx(1.0)
-    assert coherent.action_count < crossed.action_count
+            choices = dict(cand.choices)
+            if drop is not None:
+                choices[drop] = None
+            pair[s2.start, s3.start] = CandidateAlignment(g, FIGURE_TOKENS,
+                                                          choices)
+    return g, pair[4, 10], pair[10, 4]
+
+
+def test_tuner_prefers_fewer_actions_on_tie():
+    g, coherent, crossed = nuclear_pair()
+    coherent_run = oracle_run(FIGURE_TOKENS, g, coherent)
+    crossed_run = oracle_run(FIGURE_TOKENS, g, crossed)
+    assert coherent_run.smatch_f1 == crossed_run.smatch_f1 == 1.0
+    assert coherent_run.action_count < crossed_run.action_count
     cache = lambda run: sum(1 for a in run.actions if a.tag == "CACHE")
-    assert cache(coherent) < cache(crossed)
+    assert cache(coherent_run) < cache(crossed_run)
+    for order in ([coherent, crossed], [crossed, coherent]):
+        best, run = tune(FIGURE_TOKENS, g,
+                         AlignmentSet(g, FIGURE_TOKENS, order))
+        assert best is coherent
+        assert run.actions == coherent_run.actions
+
+
+def test_a_read_run_lets_go_of_its_state_and_gold_graph():
+    # `tune` keeps every winning run of a corpus, so a run whose score has
+    # been read holds only its actions, tree count, graph and score
+    g, coherent, _ = nuclear_pair()
+    run = oracle_run(FIGURE_TOKENS, g, coherent)
+    assert {"_state", "_gold"} <= set(vars(run))
+    assert run.smatch_f1 == 1.0
+    assert not {"_state", "_gold", "_smatch_args"} & set(vars(run))
 
 
 def test_tuner_prefers_higher_f1():
@@ -575,3 +602,150 @@ def test_name_under_a_date_entity_wrapper_is_settled_unbuilt():
     while not is_terminal(state):
         state = apply(state, oracle_action(state, ledger))
     assert ledger.state_to_gold == {0: "d"}
+
+
+def run_fields(run):
+    parsed = run.parsed
+    return (run.actions, (parsed.concepts, parsed.relations, parsed.root),
+            run.smatch_f1, run.trees, run.certified)
+
+
+def assert_tunes_as_reference(tokens, graph, aset):
+    best, run = tune(tokens, graph, aset)
+    reference_best, reference_run = reference_tune(tokens, graph, aset)
+    assert best.choices == reference_best.choices
+    assert run_fields(run) == run_fields(reference_run)
+    return run
+
+
+def tune_corpus(text, rules):
+    """Tune every sentence of a corpus under the fixture resources, checked
+    against the reference tuner; returns the winning runs."""
+    resources = fixture_resources()
+    return [assert_tunes_as_reference(
+                doc.tokens, doc.graph,
+                enumerate_alignments(doc.graph, doc.tokens, rules,
+                                     resources=resources))
+            for doc in read_corpus(text)]
+
+
+@pytest.mark.parametrize("name", ["train_corpus", "oracle_corpus"])
+def test_tune_equals_scoring_every_candidate_on_fixtures(name):
+    for rules in (base_rule_set(), full_rule_set(fixture_resources())):
+        tune_corpus(fixture(name + ".amr"), rules)
+
+
+@pytest.mark.parametrize("workload", ["compose-long", "compose-short"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tune_equals_scoring_every_candidate_on_compose(workload, seed):
+    corpus_gen = bench_module("corpus_gen")
+    tune_corpus(corpus_gen.generate(workload, seed),
+                full_rule_set(fixture_resources()))
+
+
+# mean winning F1 and forest count of `amrtk tune` (full rules) per seed
+HARD_TUNE_REPORTS = {1: ("0.8551", 10), 2: ("0.8207", 11), 3: ("0.8517", 9)}
+
+
+@pytest.mark.parametrize("seed", sorted(HARD_TUNE_REPORTS))
+def test_tune_equals_scoring_every_candidate_on_hard_corpus(seed):
+    text = hard_corpus(seed, 24)
+    tune_corpus(text, base_rule_set())
+    runs = tune_corpus(text, full_rule_set(fixture_resources()))
+    assert ("%.4f" % (sum(r.smatch_f1 for r in runs) / len(runs)),
+            sum(r.trees > 1 for r in runs)) == HARD_TUNE_REPORTS[seed]
+
+
+def test_tune_equals_scoring_every_candidate_on_five_boys():
+    # ROADMAP item 4: every candidate stacks boys on one span
+    graph = parse_penman("(a / and %s)" % " ".join(
+        ":op%d (b%d / boy)" % (i, i) for i in range(1, 6)))
+    tokens = "the boy and".split() * 5
+    aset = enumerate_alignments(graph, tokens, base_rule_set())
+    run = assert_tunes_as_reference(tokens, graph, aset)
+    assert round(run.smatch_f1, 4) == 0.9091
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls made through `module.name` from here on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+BOY_TWICE = ["boy", "boy"]
+
+
+@pytest.mark.parametrize("text, f1, searches", [
+    ("(b / boy)", 1.0, 1),  # dropped by its action count alone
+    ("(s / sleep-01 :ARG0 (b / boy))", 1 / 3, 1),  # dropped by its bound
+], ids=["perfect", "partial"])
+def test_tune_tie_on_f1_and_actions_keeps_the_earlier(monkeypatch, text, f1,
+                                                      searches):
+    g = parse_penman(text)
+    spans = {cid: None for cid in g.fragments}
+    first = candidate(g, BOY_TWICE, dict(spans, b=(0, 1)))
+    second = candidate(g, BOY_TWICE, dict(spans, b=(1, 2)))
+    runs = [oracle_run(BOY_TWICE, g, c) for c in (first, second)]
+    assert [(r.smatch_f1, r.action_count) for r in runs] == [(f1, 4)] * 2
+    for order in ([first, second], [second, first]):
+        searched = counting(monkeypatch, amrtk.oracle, "smatch_score")
+        extracted = counting(monkeypatch, amrtk.transition, "extract_graph")
+        best, run = tune(BOY_TWICE, g, AlignmentSet(g, BOY_TWICE, order))
+        assert best is order[0]
+        assert len(searched) == searches
+        # a run dropped by its action count is never extracted
+        assert len(extracted) == (1 if f1 == 1.0 else 2)
+
+
+def test_tune_drops_a_run_with_more_actions_than_a_perfect_best(monkeypatch):
+    # the coherent run scores 1.0 first; the crossed run, with more
+    # actions, is dropped before its graph is extracted
+    g, coherent, crossed = nuclear_pair()
+    searched = counting(monkeypatch, amrtk.oracle, "smatch_score")
+    extracted = counting(monkeypatch, amrtk.transition, "extract_graph")
+    best, _ = tune(FIGURE_TOKENS, g,
+                   AlignmentSet(g, FIGURE_TOKENS, [coherent, crossed]))
+    assert best is coherent
+    assert (len(searched), len(extracted)) == (1, 1)
+
+
+@pytest.mark.parametrize("drop, f1", [(None, 1.0), ("f", 0.7692)],
+                         ids=["perfect", "bound-equals-best"])
+def test_tune_searches_a_later_run_with_fewer_actions(monkeypatch, drop, f1):
+    # the crossed run comes first; the coherent run ties its F1 with fewer
+    # actions, and with `freeze-01` unaligned its bound only equals the
+    # best F1, yet it must be searched to win
+    g, coherent, crossed = nuclear_pair(drop)
+    aset = AlignmentSet(g, FIGURE_TOKENS, [crossed, coherent])
+    searched = counting(monkeypatch, amrtk.oracle, "smatch_score")
+    best, run = tune(FIGURE_TOKENS, g, aset)
+    assert best is coherent
+    assert round(run.smatch_f1, 4) == f1
+    assert len(searched) == 2
+    assert_tunes_as_reference(FIGURE_TOKENS, g, aset)
+
+
+@pytest.mark.parametrize("name, searches, candidates", [
+    ("compose-long", 15, 63), ("hard", 73, 425)])
+def test_tune_searches_only_runs_that_can_win(monkeypatch, name, searches,
+                                              candidates):
+    if name == "hard":
+        text = hard_corpus(1, 24)
+    else:
+        text = bench_module("corpus_gen").generate(name, 1)
+    resources = fixture_resources()
+    rules = full_rule_set(resources)
+    searched = counting(monkeypatch, amrtk.oracle, "smatch_score")
+    total = 0
+    for doc in read_corpus(text):
+        aset = enumerate_alignments(doc.graph, doc.tokens, rules,
+                                    resources=resources)
+        total += len(aset)
+        tune(doc.tokens, doc.graph, aset)
+    assert (len(searched), total) == (searches, candidates)

@@ -9,8 +9,8 @@ from amrtk.graph import ATTRIBUTE, AmrGraph, Concept, parse_penman
 from amrtk.smatch import (
     SmatchSizeError, TripleSet, _held, _hill_climb, _label_init, _match_count,
     _move_gain, _random_init, _swap_gain, _weight_table, exhaustive_counts,
-    exhaustive_smatch, search_counts, smatch_counts, smatch_score, to_triples,
-    triple_count, upper_bound,
+    exhaustive_smatch, score_counts, search_counts, smatch_counts,
+    smatch_score, to_triples, triple_count, upper_bound,
 )
 from helpers import (
     fixture, perturbed_pair, random_graph, random_graph_pair,
@@ -209,6 +209,18 @@ def test_upper_bound_bounds_exhaustive_and_certifies_it():
             certified += 1
             assert found.matched == exact
     assert certified >= 50
+
+
+def test_f1_never_falls_as_the_matched_count_rises():
+    # the premise of `oracle.tune`'s skips: the F1 of the `upper_bound`
+    # count bounds the F1 of every count below it, and no F1 exceeds 1.0
+    for n_a in range(31):
+        for n_b in range(31):
+            f1s = [score_counts(matched, n_a, n_b, False).f1
+                   for matched in range(min(n_a, n_b) + 1)]
+            assert f1s == sorted(f1s)
+            assert f1s[-1] <= 1.0
+            assert (f1s[-1] == 1.0) == (n_a == n_b > 0)
 
 
 def test_certified_pair_builds_no_weight_table(monkeypatch):

@@ -5,7 +5,7 @@ space and scored by a linear multiclass model (softmax over the legal
 actions) whose weights are one dense table over the features the model
 has seen; the model is trained on oracle action traces.  An ensemble
 decodes with the per-step average of its members' action distributions,
-all scoring the same encoding of each state.
+all scoring the same encoding of each state from one stacked table.
 """
 
 import itertools
@@ -37,6 +37,8 @@ LEMMA_ACTION = "CONFIRM-LEMMA"
 # buckets, salted with HASH_SEED
 HASH_DIM = 1 << 20
 HASH_SEED = 1
+# the CRC of the salt, which `hash_features` continues over each feature
+_SALT_CRC = zlib.crc32(b"%d|" % HASH_SEED)
 STEP_FACTOR = 20
 
 
@@ -116,8 +118,9 @@ def encode_state(state, pos_tags=None):
 
 
 def hash_features(feats):
-    return [zlib.crc32(("%d|%s" % (HASH_SEED, f)).encode("utf-8")) % HASH_DIM
-            for f in feats]
+    """The CRC-32 of each feature's UTF-8 bytes after the salt
+    `HASH_SEED|`, folded into HASH_DIM buckets"""
+    return [zlib.crc32(f.encode(), _SALT_CRC) % HASH_DIM for f in feats]
 
 
 def encode(state, pos_tags=None, memo=None):
@@ -130,7 +133,7 @@ def encode(state, pos_tags=None, memo=None):
     missing = [f for f in feats if f not in memo]
     if missing:
         memo.update(zip(missing, hash_features(missing)))
-    return [memo[f] for f in feats]
+    return list(map(memo.__getitem__, feats))
 
 
 class ActionScorer:
@@ -227,17 +230,33 @@ def _softmax(logits):
 
 def score_actions(model, encoding, legal):
     """Probability distribution over the legal actions (softmax with all
-    illegal actions masked out)."""
+    illegal actions masked out).  An ensemble's is the average of its
+    members' distributions, added in member order; a lone model's is its
+    own, which averaging over one member would leave bit for bit."""
     legal = list(legal)
     if not legal:
         raise DecodeError("no legal actions to score")
-    probs = _softmax(model.logits(
-        encoding, [model.action_index[a] for a in legal]))
-    return dict(zip(legal, probs))
+    logits = model.logits(encoding, [model.action_index[a] for a in legal])
+    n = len(legal)
+    if len(logits) == n:
+        return dict(zip(legal, _softmax(logits)))
+    total = [0.0] * n
+    for start in range(0, len(logits), n):
+        probs = _softmax(logits[start:start + n])
+        total = [t + p for t, p in zip(total, probs)]
+    members = len(logits) // n
+    return dict(zip(legal, [t / members for t in total]))
 
 
 class Ensemble:
-    """Decodes with the average of the members' action distributions."""
+    """Decodes with the average of the members' action distributions.
+
+    The members' tables are stacked into one when the ensemble is made:
+    its rows are the union of the members' feature rows after the bias
+    row, column block k holds member k's table, and a member's cells of a
+    feature it has no row for are zero.  So one gather per step reads
+    every member's logits; the zero cells add +0.0, which changes no sum
+    but the sign of a zero logit, and no probability."""
 
     def __init__(self, members):
         if not members:
@@ -246,30 +265,30 @@ class Ensemble:
         for member in members[1:]:
             if member.actions != first.actions:
                 raise DecodeError("ensemble members must share an action vocabulary")
+            if member.predicate_lemmas != first.predicate_lemmas:
+                raise DecodeError(
+                    "ensemble members must share their predicate lemmas")
         self.members = list(members)
+        self.actions, self.action_index = first.actions, first.action_index
+        self.vocabulary = first.vocabulary
+        self.predicate_lemmas = first.predicate_lemmas
+        self.tagged_names = first.tagged_names
+        self.rows = {feat: row for row, feat in enumerate(dict.fromkeys(
+            feat for member in members for feat in member.rows), start=1)}
+        width = len(self.actions)
+        self.offsets = range(0, width * len(members), width)
+        self.table = np.zeros((len(self.rows) + 1, width * len(members)))
+        for offset, member in zip(self.offsets, members):
+            block = self.table[:, offset:offset + width]
+            block[0] = member.table[0]
+            block[[self.rows[f] for f in member.rows]] = \
+                member.table[list(member.rows.values())]
 
-    @property
-    def vocabulary(self):
-        return self.members[0].vocabulary
-
-    @property
-    def predicate_lemmas(self):
-        return self.members[0].predicate_lemmas
-
-    def tagged_names(self, tags):
-        return self.members[0].tagged_names(tags)
-
-
-def averaged_scores(model, encoding, legal):
-    """The members' distributions over the legal actions of one encoded
-    state, averaged."""
-    members = model.members if isinstance(model, Ensemble) else [model]
-    total = {a: 0.0 for a in legal}
-    for member in members:
-        for action, prob in score_actions(member, encoding, legal).items():
-            total[action] += prob
-    n = len(members)
-    return {a: p / n for a, p in total.items()}
+    def logits(self, encoding, columns):
+        """Each member's logits of the action columns, member after member,
+        from one gather of the stacked table (see `ActionScorer.logits`)"""
+        return ActionScorer.logits(self, encoding, [
+            offset + col for offset in self.offsets for col in columns])
 
 
 def lemma_label(surface, lemma_table, predicate_lemmas):
@@ -572,7 +591,7 @@ def decode(model, tokens, pos=None, lemma_table=None):
             warnings.append("fallback drain after %d steps" % steps)
             state = _drain(state)
             break
-        probs = averaged_scores(model, encode(state, pos, memo), legal)
+        probs = score_actions(model, encode(state, pos, memo), legal)
         name = best_action(model, probs, legal)
         # NaN only when best_action found no number among the scores
         unscored += probs[name] != probs[name]

@@ -5,8 +5,8 @@ reference Smatch hill-climbing and search, the reference fragment
 grouping, the reference matching-rule pass, the reference updating
 fixpoint, the brute-force candidate list, the reference tuner that scores every
 candidate, the reference action scorer and trainer, the reference
-legality rule and the reference decode step (state encoding, legal
-names and argmax)."""
+legality rule, the reference decode step (state encoding, legal
+names and argmax) and the reference ensemble scoring and feature hash."""
 
 import importlib.util
 import itertools
@@ -14,6 +14,7 @@ import math
 import os
 import random
 import re
+import zlib
 
 import pytest
 
@@ -27,8 +28,9 @@ from amrtk.graph import (
 )
 from amrtk.oracle import oracle_run
 from amrtk.parser import (
-    ActionScorer, TrainingError, _replay, best_action, encode_state,
-    hash_features, legal_action_names, score_actions,
+    HASH_DIM, HASH_SEED, ActionScorer, Ensemble, TrainingError, _replay,
+    best_action, encode_state, hash_features, legal_action_names,
+    score_actions,
 )
 from amrtk.resources import (
     DEFAULT_COSINE_THRESHOLD, LemmaTable, Resources, cosine,
@@ -896,3 +898,27 @@ def assert_decode_step_matches_reference(model, state, pos_tags, rng):
         sum(1 for head, _, dep in state.arcs if item.node in (head, dep)) > 3
         for item in slots if item.node is not None)
     return dropped, capped
+
+
+# ---------------------------------------------------------------------------
+# The ensemble scoring that one gather of a stacked table replaced: each
+# member gathers its own rows through `score_actions`, and a lone model's
+# distribution is averaged over one member too; and the feature hash that
+# formatted the salt into each feature string.  Kept verbatim as the test
+# oracle for `score_actions` and `hash_features`.
+
+def reference_averaged_scores(model, encoding, legal):
+    """The members' distributions over the legal actions of one encoded
+    state, averaged."""
+    members = model.members if isinstance(model, Ensemble) else [model]
+    total = {a: 0.0 for a in legal}
+    for member in members:
+        for action, prob in score_actions(member, encoding, legal).items():
+            total[action] += prob
+    n = len(members)
+    return {a: p / n for a, p in total.items()}
+
+
+def reference_hash_features(feats):
+    return [zlib.crc32(("%d|%s" % (HASH_SEED, f)).encode("utf-8")) % HASH_DIM
+            for f in feats]

@@ -15,8 +15,8 @@ from amrtk.corpus import read_corpus
 from amrtk.graph import parse_penman, serialize_penman
 from amrtk.oracle import oracle_run, tune
 from amrtk.parser import (
-    Ensemble, TrainingExample, averaged_scores, decode, encode,
-    legal_action_names, train,
+    Ensemble, TrainingExample, decode, encode, legal_action_names,
+    score_actions, train,
 )
 from amrtk.resources import load_lemmas, load_morphosemantic, Resources
 from amrtk.smatch import exhaustive_smatch, smatch_score
@@ -220,7 +220,7 @@ def test_criterion_7_ensemble_properties():
         state = initial_state(example.tokens)
         for action in wrapped.actions:
             legal = legal_action_names(pair, state)
-            probs = averaged_scores(pair, encode(state, example.pos), legal)
+            probs = score_actions(pair, encode(state, example.pos), legal)
             assert abs(sum(probs.values()) - 1.0) <= 1e-9
             assert all(p >= 0.0 for p in probs.values())
             state = apply(state, action)

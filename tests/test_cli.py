@@ -655,6 +655,30 @@ def test_parse_refuses_an_ensemble_of_foreign_vocabularies(tmp_path, capsys):
     assert err.startswith("ERR:decode:")
 
 
+def test_parse_refuses_an_ensemble_of_foreign_predicate_lemmas(tmp_path,
+                                                              capsys):
+    # both vocabularies name CONFIRM(run-01) and CONFIRM(run) CONFIRM-LEMMA,
+    # but only the first model has seen `run` as a predicate: the ensemble
+    # used to decide by its first member whether `run` becomes run-01
+    models = []
+    for name, concept in (("a", "run-01"), ("b", "run")):
+        traces = tmp_path / ("traces-%s.txt" % name)
+        traces.write_text("# ::tok run\nCONFIRM(%s)\nSHIFT\nREDUCE\n"
+                          % concept, encoding="utf-8")
+        model = str(tmp_path / ("model-%s.json" % name))
+        assert run_cli(capsys, "train", "--traces", str(traces),
+                       "--model", model, "--epochs", "1")[0] == 0
+        models.append(model)
+    corpus = tmp_path / "in.amr"
+    corpus.write_text("# ::tok run\n(r / run-01)\n", encoding="utf-8")
+    for first, second in (models, models[::-1]):
+        code, out, err = run_cli(capsys, "parse", "-i", str(corpus),
+                                 "--model", first, "--model", second)
+        assert (code, out) == (2, "")
+        assert err == "ERR:decode: ensemble members must share their " \
+            "predicate lemmas\n"
+
+
 @pytest.mark.parametrize("argv", [("--cosine-threshold", "nan"),
                                   ("--cosine-threshold", "inf"),
                                   ("--cosine-threshold=-inf",)],

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import struct
 import tracemalloc
 import warnings
 
@@ -16,16 +17,16 @@ import helpers
 from amrtk.cli import _read_training_corpus, main
 from amrtk.parser import (
     ActionScorer, CompiledInstances, DecodeError, Ensemble, TrainingError,
-    TrainingExample, averaged_scores, best_action, decode, encode,
-    encode_state, lemma_label, legal_action_names, load_model,
-    save_model, score_actions, train,
+    TrainingExample, best_action, decode, encode, encode_state,
+    hash_features, lemma_label, legal_action_names, load_model, save_model,
+    score_actions, train,
 )
 from amrtk.resources import LemmaTable, load_lemmas
 from amrtk.smatch import smatch_score
 from amrtk.transition import Action, TransitionError, apply, initial_state
 from helpers import (
     ReferenceScorer, bench_module, fixture, looping_model, overflowing_model,
-    reference_train,
+    reference_averaged_scores, reference_hash_features, reference_train,
 )
 
 
@@ -242,8 +243,8 @@ def test_ensemble_averaging_hand_computed():
     model_b = ActionScorer(["DROP", "SHIFT"])
     model_b.table[0] = [0.0, 1.0]
     state = initial_state(["x"])
-    merged = averaged_scores(Ensemble([model_a, model_b]), encode(state),
-                             ["DROP", "SHIFT"])
+    merged = score_actions(Ensemble([model_a, model_b]), encode(state),
+                           ["DROP", "SHIFT"])
     pa = math.e / (math.e + 1.0)
     assert merged["DROP"] == pytest.approx((pa + (1 - pa)) / 2, abs=1e-9)
     assert sum(merged.values()) == pytest.approx(1.0, abs=1e-9)
@@ -254,7 +255,7 @@ def test_averaged_distribution_sums_to_one():
     model = train(examples, epochs=5, seed=1)
     state = initial_state(examples[0].tokens)
     legal = legal_action_names(model, state)
-    probs = averaged_scores(Ensemble([model, model]), encode(state), legal)
+    probs = score_actions(Ensemble([model, model]), encode(state), legal)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -300,8 +301,8 @@ def test_argmax_invariant_to_constant_logit_shift():
     shifted = ActionScorer(["DROP", "SHIFT"])
     shifted.table[0] = [10.4, 10.1]
     state = initial_state(["x"])
-    a = averaged_scores(model, encode(state), ["DROP", "SHIFT"])
-    b = averaged_scores(shifted, encode(state), ["DROP", "SHIFT"])
+    a = score_actions(model, encode(state), ["DROP", "SHIFT"])
+    b = score_actions(shifted, encode(state), ["DROP", "SHIFT"])
     assert max(a, key=a.get) == max(b, key=b.get)
 
 
@@ -423,6 +424,114 @@ def test_ensemble_encodes_each_state_once(monkeypatch):
     # one encoding per state an action was chosen in, not one per member
     assert result.warning is None
     assert len(calls) == len(result.actions)
+
+
+def bits(probs):
+    """(name, the bytes of its probability) of each scored name, in order"""
+    return [(name, struct.pack(">d", p)) for name, p in probs.items()]
+
+
+def random_scorer(rng, actions, features):
+    """A model with a row of each feature, its cells random and one in
+    four left zero"""
+    model = ActionScorer(actions, features=features)
+    model.table[:model.zero_row] = [
+        [rng.gauss(0.0, 3.0) if rng.random() < 0.75 else 0.0
+         for _ in actions] for _ in range(model.zero_row)]
+    return model
+
+
+def test_stacked_scoring_matches_the_reference_bit_for_bit():
+    rng = random.Random(11)
+    actions = ["CONFIRM(c%d)" % i for i in range(8)]
+    ids = rng.sample(range(amrtk.parser.HASH_DIM), 90)
+    for _ in range(40):
+        n_a, n_b = rng.randint(0, 30), rng.randint(0, 30)
+        # the members' feature rows are disjoint
+        a = random_scorer(rng, actions, ids[:n_a])
+        b = random_scorer(rng, actions, ids[n_a:n_a + n_b])
+        for model in (Ensemble([a, b]), Ensemble([a, b, b]), Ensemble([a]),
+                      a):
+            for _ in range(10):
+                encoding = [rng.choice(ids)
+                            for _ in range(rng.randint(0, 25))]
+                legal = rng.sample(actions, rng.randint(1, len(actions)))
+                assert bits(score_actions(model, encoding, legal)) == \
+                    bits(reference_averaged_scores(model, encoding, legal))
+
+
+def test_a_negative_zero_weight_scores_as_the_reference(tmp_path):
+    # member b's +0.0 cell of feature 9 turns member a's -0.0 logit of DROP
+    # into +0.0 in the stacked table; no probability changes
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "format": "amrtk-model", "version": 1,
+        "hash_dim": amrtk.parser.HASH_DIM, "hash_seed": amrtk.parser.HASH_SEED,
+        "actions": ["DROP", "SHIFT"], "bias": [-0.0, 0.5],
+        "weights": [{"7": -0.0}, {"7": 1.0}], "predicate_lemmas": []}))
+    a = load_model(str(path))
+    b = ActionScorer(["DROP", "SHIFT"], features=[9])
+    b.table[b.rows[9]] = [0.0, 2.0]
+    ensemble = Ensemble([a, b])
+    encoding = [7, 9]
+    assert math.copysign(1.0, a.logits(encoding, [0])[0]) == -1.0
+    assert math.copysign(1.0, ensemble.logits(encoding, [0])[0]) == 1.0
+    for legal in (["DROP"], ["DROP", "SHIFT"], ["SHIFT", "DROP"]):
+        for model in (ensemble, Ensemble([b, a]), Ensemble([a]), a):
+            assert bits(score_actions(model, encoding, legal)) == \
+                bits(reference_averaged_scores(model, encoding, legal))
+
+
+def test_an_overflowing_member_decodes_as_the_reference(monkeypatch):
+    # every logit of the overflowing member is inf, so every averaged
+    # probability is NaN and each step takes the first legal name
+    overflowing = overflowing_model()
+    other = random_scorer(random.Random(2), overflowing.actions,
+                          overflowing.rows)
+    tokens = ["boy", "runs"]
+    for ensemble in (Ensemble([other, overflowing]), Ensemble([overflowing])):
+        legal = legal_action_names(ensemble, initial_state(tokens))
+        encoding = encode(initial_state(tokens))
+        with pytest.warns(RuntimeWarning):
+            probs = score_actions(ensemble, encoding, legal)
+        with pytest.warns(RuntimeWarning):
+            want = reference_averaged_scores(ensemble, encoding, legal)
+        assert all(math.isnan(p) for p in probs.values())
+        assert bits(probs) == bits(want)
+        with pytest.warns(RuntimeWarning):
+            result = decode(ensemble, tokens)
+        with monkeypatch.context() as patched:
+            patched.setattr(amrtk.parser, "score_actions",
+                            reference_averaged_scores)
+            with pytest.warns(RuntimeWarning):
+                reference = decode(ensemble, tokens)
+        assert result.actions == reference.actions
+        assert result.warning == reference.warning == \
+            "no score was a number at 2 of 2 steps"
+
+
+def test_hash_features_matches_the_reference():
+    rng = random.Random(3)
+    alphabets = ["abcxyz019=.|-_ ", "éüßñçø", "中文字のカ", "\U0001F600"
+                 "\U0001D518\U00010348\U000E0041"]
+    feats = ["", "bias"]
+    for _ in range(400):
+        alphabet = rng.choice(alphabets)
+        feats.append("".join(rng.choice(alphabet)
+                             for _ in range(rng.randint(1, 12))))
+    # any code point but a surrogate, which has no UTF-8 form
+    feats += ["b0.w=" + "".join(chr(rng.choice([
+        rng.randrange(0xD800), rng.randrange(0xE000, 0x110000)]))
+        for _ in range(rng.randint(1, 6))) for _ in range(200)]
+    assert hash_features(feats) == reference_hash_features(feats)
+
+
+def test_model_file_hash_ids_are_pinned():
+    # the weight keys of every saved model are these ids: another hash
+    # would read every model file's weights as other features'
+    assert hash_features(["bias", "s0.c=want-01", "b0.w=café",
+                          "b0.w=\U0001F600"]) == [
+        380194, 386571, 677813, 250798]
 
 
 def test_table_matches_reference_scorer_bit_for_bit():

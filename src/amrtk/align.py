@@ -5,9 +5,9 @@ Matching rules compare a fragment directly with a token span and are
 asked only about spans of the widths they declare for the fragment.
 Updating rules align a fragment based on an already-aligned related
 fragment, which they read off the fragment's own graph edges, and record
-that dependency.  All rule hits are kept per fragment; a candidate gives
-each fragment one span (or none), and the candidates are the best-ranked
-legal span assignments, found by a depth-first search.
+that dependency.  All rule hits are kept per fragment; a candidate maps each
+fragment head to one span (or None), and the candidates are the
+best-ranked legal span maps, found by a depth-first search.
 """
 
 import itertools
@@ -68,38 +68,9 @@ class AlignmentRecord:
     trigger_span: Span = None
 
 
-class CandidateAlignment:
-    """One span per fragment head (None when the fragment is unaligned)."""
-
-    def __init__(self, graph, tokens, choices):
-        self.graph = graph
-        self.tokens = tuple(tokens)
-        self.choices = dict(choices)  # head id -> Span or None
-
-    def span_of(self, head):
-        return self.choices.get(head)
-
-    def aligned_heads(self):
-        return [h for h, span in self.choices.items() if span is not None]
-
-    def pairs(self):
-        """(head, span) pairs for scoring."""
-        return {(h, span) for h, span in self.choices.items() if span is not None}
-
-    def __eq__(self, other):
-        return (isinstance(other, CandidateAlignment)
-                and self.choices == other.choices)
-
-    def __hash__(self):
-        return hash(frozenset(self.choices.items()))
-
-    def __repr__(self):
-        items = ", ".join("%s->%d-%d" % (h, span.start, span.end)
-                          for h, span in self.choices.items() if span is not None)
-        return "CandidateAlignment(%s)" % items
-
-
 class AlignmentSet:
+    """A sentence's candidates, each a span map over every fragment head."""
+
     def __init__(self, graph, tokens, candidates, truncated=False):
         if not candidates:
             raise AlignmentInputError("candidate list may not be empty")
@@ -364,7 +335,7 @@ def full_rule_set(resources):
 def collect_records(graph, tokens, rules, resources=None):
     """Run the matching pass and the updating fixpoint.
 
-    Returns (the graph's fragments, {head id -> set of AlignmentRecord}).
+    Returns {head id -> set of AlignmentRecord}.
     """
     fragments = graph.fragments.values()
     ctx = AlignmentContext(graph, tokens, resources)
@@ -394,7 +365,7 @@ def collect_records(graph, tokens, rules, resources=None):
                     if new not in records[fragment.head]:
                         records[fragment.head].add(new)
                         changed = True
-    return fragments, records
+    return records
 
 
 def is_legal(choices):
@@ -422,15 +393,16 @@ def enumerate_alignments(graph, tokens, rules, limit=DEFAULT_CANDIDATE_LIMIT,
     updating record whose trigger fragment keeps the trigger span; distinct
     chosen spans may not partially overlap.  A depth-first search places
     those fragments in order, each on its spans in ascending order, and
-    stops at `limit` + 1 candidates; `truncated` means more exist.  With no
-    legal assignment the one candidate leaves every fragment unaligned.
+    stops at `limit` + 1 candidates; `truncated` means more exist.  Each
+    candidate is a span map over every fragment head, in fragment order;
+    with no legal assignment the one candidate leaves every head unaligned.
     `per_fragment_cap` is accepted for older callers and ignored.
     """
     if not tokens:
         raise AlignmentInputError("token list may not be empty")
     if limit is not None and limit < 1:
         raise AlignmentInputError("candidate limit must be at least 1")
-    _, records = collect_records(graph, tokens, rules, resources)
+    records = collect_records(graph, tokens, rules, resources)
     heads = [h for h in graph.fragments if records[h]]
     by_span = {h: {} for h in heads}         # span -> records, spans ascending
     dependents = {h: set() for h in heads}   # heads with a record triggered here
@@ -481,19 +453,18 @@ def enumerate_alignments(graph, tokens, rules, limit=DEFAULT_CANDIDATE_LIMIT,
     legal = search(domains, 0) if propagate(domains, list(heads)) else ()
     found = list(itertools.islice(legal, None if limit is None else limit + 1))
     unaligned = dict.fromkeys(graph.fragments)
-    candidates = [
-        CandidateAlignment(graph, tokens, {**unaligned, **dict(zip(heads, combo))})
-        for combo in found[:limit] or [()]]
+    candidates = [{**unaligned, **dict(zip(heads, combo))}
+                  for combo in found[:limit] or [()]]
     return AlignmentSet(graph, tokens, candidates,
                         truncated=limit is not None and len(found) > limit)
 
 
 def alignment_f1(pred, gold):
-    """Precision/recall/F1 over (fragment head, span) pairs."""
-    if set(pred.graph.concepts) != set(gold.graph.concepts) \
-            or pred.tokens != gold.tokens:
-        raise AlignmentInputError("alignments refer to different graphs or tokens")
-    pred_pairs = pred.pairs()
-    gold_pairs = gold.pairs()
+    """Precision/recall/F1 over the (fragment head, span) pairs of two
+    candidates of one graph."""
+    if pred.keys() != gold.keys():
+        raise AlignmentInputError("alignments cover different fragment heads")
+    pred_pairs = {(h, span) for h, span in pred.items() if span is not None}
+    gold_pairs = {(h, span) for h, span in gold.items() if span is not None}
     return score_counts(len(pred_pairs & gold_pairs), len(pred_pairs),
                         len(gold_pairs), False)[:3]

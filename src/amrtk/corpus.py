@@ -11,7 +11,7 @@ repeated `::alignments-k` lines.
 import io
 import re
 
-from .align import CandidateAlignment, Span
+from .align import Span
 from .graph import parse_penman
 
 _META_RE = re.compile(r"^# ::(\S+) ?(.*)$")
@@ -55,22 +55,21 @@ class CorpusDocument:
         return None
 
     def alignment_candidates(self):
-        """Parsed candidates from ::alignments-k lines (or the single
-        ::alignments line), in index order."""
+        """Span maps parsed from the ::alignments-k lines, in index order,
+        or from the single ::alignments line; a block may not carry both."""
         if self.graph is None:
             raise CorpusFormatError("document %s has no graph" % self.id)
-        keyed = []
-        for key, value in self.metadata.items():
-            match = _ALIGN_K_RE.match(key)
-            if match:
-                keyed.append((int(match.group(1)), value))
-        if keyed:
-            return [parse_alignment(value, self.graph, self.tokens)
-                    for _, value in sorted(keyed)]
+        lines = sorted((int(match.group(1)), value)
+                       for key, value in self.metadata.items()
+                       if (match := _ALIGN_K_RE.match(key)))
         if "alignments" in self.metadata:
-            return [parse_alignment(self.metadata["alignments"],
-                                    self.graph, self.tokens)]
-        return []
+            if lines:
+                raise CorpusFormatError(
+                    "document %s has both ::alignments and ::alignments-k "
+                    "lines" % self.id)
+            lines = [(0, self.metadata["alignments"])]
+        return [parse_alignment(value, self.graph, self.tokens)
+                for _, value in lines]
 
     def _strip_alignments(self):
         self.metadata = {k: v for k, v in self.metadata.items()
@@ -78,18 +77,20 @@ class CorpusDocument:
 
     def set_candidates(self, candidates):
         self._strip_alignments()
-        for k, candidate in enumerate(candidates):
-            self.metadata["alignments-%d" % k] = format_alignment(candidate)
+        for k, choices in enumerate(candidates):
+            self.metadata["alignments-%d" % k] = format_alignment(
+                self.graph, choices)
 
-    def set_alignment(self, candidate):
+    def set_alignment(self, choices):
         self._strip_alignments()
-        self.metadata["alignments"] = format_alignment(candidate)
+        self.metadata["alignments"] = format_alignment(self.graph, choices)
 
 
-def format_alignment(candidate):
-    addresses = candidate.graph.addresses()
+def format_alignment(graph, choices):
+    """The alignment line of a span map over the graph's fragment heads."""
+    addresses = graph.addresses()
     by_span = {}
-    for head, span in candidate.choices.items():
+    for head, span in choices.items():
         if span is not None:
             by_span.setdefault(span, []).append(addresses[head])
     items = []
@@ -100,6 +101,8 @@ def format_alignment(candidate):
 
 
 def parse_alignment(text, graph, tokens):
+    """The span map of an alignment line: its heads in the line's order,
+    then the graph's unaligned fragment heads, mapped to None."""
     order = list(graph.concepts)
     choices = {}
     for item in text.split():
@@ -119,17 +122,16 @@ def parse_alignment(text, graph, tokens):
             if head in choices:
                 raise CorpusFormatError("address %s is aligned twice" % addr)
             choices[head] = Span(start, end)
-    # sorted, two distinct spans overlap only if neighbours do, and a
-    # neighbour overlaps when it starts before its predecessor ends
+    # sorted, two distinct spans overlap only if neighbours do
     spans = sorted(set(choices.values()))
-    for (start, end), (next_start, next_end) in zip(spans, spans[1:]):
-        if next_start < end:
+    for span, next_span in zip(spans, spans[1:]):
+        if span.overlaps(next_span):
             raise CorpusFormatError(
                 "alignment spans %d-%d and %d-%d overlap"
-                % (start, end, next_start, next_end))
+                % (*span, *next_span))
     for head in graph.fragments:
         choices.setdefault(head, None)
-    return CandidateAlignment(graph, tokens, choices)
+    return choices
 
 
 def read_blocks(source):

@@ -80,7 +80,7 @@ class OracleRun:
 
 
 def prune_unaligned(graph, alignment):
-    """Remove concepts whose fragment has no aligned span.
+    """Remove concepts whose fragment the span map leaves unaligned.
 
     A removed concept with exactly one kept parent and one kept child is
     contracted (the parent edge's label survives); every other edge of a
@@ -91,8 +91,8 @@ def prune_unaligned(graph, alignment):
     """
     fragments = graph.fragments
     kept = set()
-    for head in alignment.aligned_heads():
-        if head in fragments:
+    for head, span in alignment.items():
+        if span is not None and head in fragments:
             kept.update(fragments[head].members)
     if len(kept) == len(graph.concepts):
         return graph
@@ -134,7 +134,7 @@ class EdgeLedger:
         self.graph = pruned
         self.open_edges = set(pruned.relations)
         self.state_to_gold = {}
-        self.span_of = {head: span for head, span in alignment.choices.items()
+        self.span_of = {head: span for head, span in alignment.items()
                         if span is not None and head in pruned.fragments}
         self.pending = {}
         self.span_at = {}

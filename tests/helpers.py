@@ -20,7 +20,7 @@ import pytest
 
 from amrtk.align import (
     FUZZY_PREFIX_LEN, QUANTITY_SUFFIX, UPDATING, AlignmentContext,
-    AlignmentRecord, CandidateAlignment, Span, collect_records, is_legal,
+    AlignmentRecord, Span, collect_records, is_legal,
 )
 from amrtk.graph import (
     ATTRIBUTE, VARIABLE, AmrGraph, Concept, Fragment, Relation,
@@ -716,16 +716,15 @@ def reference_train(corpus, epochs=30, learning_rate=0.5, seed=1,
 def brute_force_candidates(graph, tokens, rules, resources=None):
     """The span map of every legal record combination, each once; the
     all-unaligned candidate when none is legal."""
-    fragments, records = collect_records(graph, tokens, rules, resources)
-    order = [f.head for f in fragments]
+    records = collect_records(graph, tokens, rules, resources)
+    order = list(graph.fragments)
     out = {}
     for combo in itertools.product(*(records[h] or [None] for h in order)):
         choices = dict(zip(order, combo))
         if is_legal(choices):
-            cand = CandidateAlignment(graph, tokens, {
-                h: rec.span if rec else None for h, rec in choices.items()})
-            out.setdefault(cand, cand)
-    return list(out) or [CandidateAlignment(graph, tokens, dict.fromkeys(order))]
+            cand = {h: rec.span if rec else None for h, rec in choices.items()}
+            out.setdefault(tuple(cand.items()), cand)
+    return list(out.values()) or [dict.fromkeys(order)]
 
 
 def reference_tune(tokens, graph, alignment_set, smatch_restarts=4,

@@ -130,12 +130,13 @@ def test_criterion_4_algorithm_brute_force_equivalence():
                       resources))
 
     for graph, tokens, rules, res in cases:
-        fragments, records = collect_records(graph, tokens, rules, res)
-        assert len(fragments) <= 4
+        records = collect_records(graph, tokens, rules, res)
+        assert len(records) <= 4
         assert all(len(r) <= 3 for r in records.values())
-        expected = set(brute_force_candidates(graph, tokens, rules, res))
-        got = list(enumerate_alignments(graph, tokens, rules, limit=None,
-                                        resources=res))
+        expected = {tuple(c.items()) for c in
+                    brute_force_candidates(graph, tokens, rules, res)}
+        got = [tuple(c.items()) for c in enumerate_alignments(
+            graph, tokens, rules, limit=None, resources=res)]
         assert len(set(got)) == len(got)
         assert set(got) == expected
     report(4, "algorithm vs brute-force on %d fixtures" % len(cases),
@@ -151,7 +152,7 @@ def test_criterion_5_tuner_prefers_coherent_nuclear_alignment():
                                 full_rule_set(resources), resources=resources)
     swap_runs = {}
     for cand in aset:
-        spans = (cand.span_of("n2"), cand.span_of("n3"))
+        spans = (cand["n2"], cand["n3"])
         if set(spans) == {Span(4, 5), Span(10, 11)}:
             swap_runs[spans] = (cand, oracle_run(doc.tokens, doc.graph, cand))
     coherent = swap_runs[(Span(4, 5), Span(10, 11))]
@@ -165,8 +166,8 @@ def test_criterion_5_tuner_prefers_coherent_nuclear_alignment():
 
     assert cache_count(coherent[1]) < cache_count(crossed[1])
     best, best_run = tune(doc.tokens, doc.graph, aset)
-    assert best.span_of("n2") == Span(4, 5)
-    assert best.span_of("n3") == Span(10, 11)
+    assert best["n2"] == Span(4, 5)
+    assert best["n3"] == Span(10, 11)
     assert best_run.action_count == coherent[1].action_count
     report(5, "tuner picks the coherent nuclear alignment", started, 1.0)
 
@@ -237,18 +238,18 @@ def test_criterion_8_extended_rule_recall():
                   if d.id == "s04")
 
     # base rules alone miss both pairs the prefix-4 rule cannot reach
-    _, base_example = collect_records(example_graph, example_tokens,
-                                      base_rule_set(), resources)
+    base_example = collect_records(example_graph, example_tokens,
+                                   base_rule_set(), resources)
     assert AlignmentRecord(Span(3, 4)) not in base_example["e"]
-    _, base_figure = collect_records(figure.graph, figure.tokens,
-                                     base_rule_set(), resources)
+    base_figure = collect_records(figure.graph, figure.tokens,
+                                  base_rule_set(), resources)
     assert AlignmentRecord(Span(5, 6)) not in base_figure["a"]
 
     # the extended rules recall them through the morphosemantic links
-    _, ext_example = collect_records(example_graph, example_tokens,
-                                     full_rule_set(resources), resources)
+    ext_example = collect_records(example_graph, example_tokens,
+                                  full_rule_set(resources), resources)
     assert AlignmentRecord(Span(3, 4)) in ext_example["e"]
-    _, ext_figure = collect_records(figure.graph, figure.tokens,
-                                    full_rule_set(resources), resources)
+    ext_figure = collect_records(figure.graph, figure.tokens,
+                                 full_rule_set(resources), resources)
     assert AlignmentRecord(Span(5, 6)) in ext_figure["a"]
     report(8, "extended rules recall example/actions pairs", started, 5.0)

@@ -9,9 +9,12 @@ import pytest
 
 import amrtk.cli
 from amrtk import parser as parser_mod
+from amrtk.align import full_rule_set
 from amrtk.cli import main
 from amrtk.graph import GraphLookupError
-from helpers import bench_module, fixture, looping_model, overflowing_model
+from helpers import (
+    BENCH, bench_module, fixture, looping_model, overflowing_model,
+)
 
 RES = dict(
     embeddings=fixture("resources", "embeddings.txt"),
@@ -141,6 +144,23 @@ def align_tune_oracle(tmp_path, capsys, corpus):
 def test_align_tune_oracle_bytes_pinned(tmp_path, capsys, corpus):
     paths = align_tune_oracle(tmp_path, capsys, corpus)
     assert tuple(sha256_of(path) for path in paths) == PINNED_DIGESTS[corpus]
+
+
+@pytest.mark.parametrize("workload", ["compose-long", "compose-short"])
+def test_the_benchmark_writes_what_the_cli_writes(tmp_path, capsys,
+                                                  monkeypatch, workload):
+    # bench/pipeline.py drives the library calls of `amrtk align`, `tune`
+    # and `oracle` itself; at seed 1 its texts are the commands' bytes
+    monkeypatch.syspath_prepend(BENCH)
+    run = bench_module("run")
+    resources = run.load_resources()
+    result = run.pipeline.run_pass(
+        run.corpus_gen.generate(workload, 1), resources,
+        full_rule_set(resources), resources.lemmas, run.MODEL_SEEDS[workload],
+        run.NullTracer())
+    paths = align_tune_oracle(tmp_path, capsys, workload)
+    assert [result.texts[stage] for stage in ("align", "tune", "oracle")] \
+        == [read_text(path) for path in paths]
 
 
 @pytest.mark.parametrize("corpus, certified", [
@@ -765,6 +785,12 @@ REFUSALS = {
                                "# ::alignments 0-2|0 1-3|1\n"
                                "(b / boy :mod (t / tall))\n"},
         "ERR:corpus: alignment spans 0-2 and 1-3 overlap"),
+    "oracle-mixed-alignment-lines": (
+        "oracle -i {c}", {"c": "# ::id s1\n# ::tok the boy\n"
+                               "# ::alignments 0-1|0\n"
+                               "# ::alignments-0 1-2|0\n(b / boy)\n"},
+        "ERR:corpus: document s1 has both ::alignments and ::alignments-k "
+        "lines"),
     "train-trace-without-tok": (
         "train --traces {t} --model {m}",
         {"t": "# ::id s1\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import amrtk.parser
-from amrtk.align import CandidateAlignment, Span
+from amrtk.align import Span
 from amrtk.graph import parse_penman, serialize_penman
 from amrtk.oracle import oracle_run
 import helpers
@@ -34,8 +34,7 @@ def make_example(text, tokens, spans, lemma_table=None):
     g = parse_penman(text)
     choices = {h: Span(*span) if span else None
                for h, span in spans.items()}
-    cand = CandidateAlignment(g, tokens, choices)
-    run = oracle_run(tokens, g, cand)
+    run = oracle_run(tokens, g, choices)
     assert run.smatch_f1 == pytest.approx(1.0)
     return g, TrainingExample(tuple(tokens), run.actions)
 

@@ -76,8 +76,8 @@ def test_cosine_zero_norm_absent(tmp_path):
 def rich_records(text, tokens, resources):
     """The records of the rich-resource rules on the graph's root."""
     graph = parse_penman(text)
-    _, records = collect_records(graph, tokens, extended_rule_set(resources),
-                                 resources)
+    records = collect_records(graph, tokens, extended_rule_set(resources),
+                              resources)
     return records[graph.root]
 
 

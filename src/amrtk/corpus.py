@@ -15,10 +15,14 @@ from .align import Span
 from .graph import parse_penman
 
 _META_RE = re.compile(r"^# ::(\S+) ?(.*)$")
-_ALIGN_K_RE = re.compile(r"^alignments-(\d+)$")
+# a candidate's index k is written one way only, so no two lines share it
+_ALIGN_K_RE = re.compile(r"^alignments-(0|[1-9][0-9]*)$")
 _ITEM_RE = re.compile(r"^(\d+)-(\d+)\|(\d+(?:\+\d+)*)$")
 
 HEADER_ORDER = ["id", "snt", "tok", "pos"]
+
+# the headers amrtk reads, besides `alignments-k`: a block gives each once
+_READ_KEYS = frozenset({"tok", "snt", "pos", "alignments"})
 
 
 class CorpusFormatError(ValueError):
@@ -138,7 +142,10 @@ def read_blocks(source):
     """(metadata, body lines) for each blank-line-separated block of a
     path, stream or string.  A string is text when it is empty or holds a
     newline, else a path.  `# ::key value` lines are metadata; other `#`
-    lines are comments and are skipped."""
+    lines are comments and are skipped.  A later line of a key replaces
+    the earlier, except that a block may not repeat a key amrtk reads
+    (`_READ_KEYS` and `alignments-k`), nor give an `alignments-k` key whose
+    k is not 0 or an ASCII number without leading zeros."""
     if isinstance(source, str) and source and "\n" not in source:
         with open(source, encoding="utf-8") as handle:
             return read_blocks(handle)
@@ -146,7 +153,7 @@ def read_blocks(source):
         source = io.StringIO(source)
     blocks = []
     block = None
-    for line in source:
+    for number, line in enumerate(source, start=1):
         line = line.rstrip("\n")
         if not line.strip():
             block = None
@@ -156,7 +163,16 @@ def read_blocks(source):
             blocks.append(block)
         match = _META_RE.match(line)
         if match:
-            block[0][match.group(1)] = match.group(2)
+            key = match.group(1)
+            indexed = _ALIGN_K_RE.match(key)
+            if key.startswith("alignments-") and not indexed:
+                raise CorpusFormatError(
+                    "line %d: ::%s is not an ::alignments-k key "
+                    "(k = 0, 1, 2, ...)" % (number, key))
+            if key in block[0] and (indexed or key in _READ_KEYS):
+                raise CorpusFormatError(
+                    "line %d repeats ::%s within its block" % (number, key))
+            block[0][key] = match.group(2)
         elif not line.startswith("#"):
             block[1].append(line)
     return blocks

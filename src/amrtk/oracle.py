@@ -23,7 +23,7 @@ from .graph import AmrGraph, Relation, depth_to_root, forest_roots
 from .smatch import (
     score_counts, smatch_score, to_triples, triple_count, upper_bound,
 )
-from .transition import BARE, Action, apply, initial_state, is_terminal
+from .transition import BARE, Action, apply, initial_state
 
 logger = logging.getLogger(__name__)
 
@@ -159,15 +159,6 @@ class EdgeLedger:
 
     # --- open edges ---------------------------------------------------------
 
-    def open_edge_between(self, gold_b0, gold_s0):
-        """First open edge between the two concepts; b0-headed edges
-        (Left) are preferred when both directions exist."""
-        for source, target in ((gold_b0, gold_s0), (gold_s0, gold_b0)):
-            for rel in self.graph.outgoing(source):
-                if rel.target == target and rel in self.open_edges:
-                    return rel
-        return None
-
     def close_edges(self, gold_id):
         """Close every open edge of a concept: edges that can no longer
         be built."""
@@ -175,15 +166,6 @@ class EdgeLedger:
         self.open_edges.difference_update(self.graph.incoming(gold_id))
 
     # --- realization --------------------------------------------------------
-
-    def same_span_parent(self, gold_id):
-        """Deepest pending gold parent aligned to the same span."""
-        pending = self.pending[self.span_of[gold_id]]
-        parents = [rel.source for rel in self.graph.incoming(gold_id)
-                   if rel.source in pending]
-        if not parents:
-            return None
-        return max(parents, key=lambda h: depth_to_root(self.graph, h))
 
     def realize(self, gold_id, state_node):
         self.state_to_gold[state_node] = gold_id
@@ -218,29 +200,32 @@ class EdgeLedger:
 def oracle_action(state, ledger):
     """Pick the next action by checking the oracle conditions in order,
     and record in the ledger the concepts and edges it builds."""
+    sigma, _, beta, _, labels, _, history = state
     pruned = ledger.graph
-    b0 = state.b0
-    s0 = state.s0
-    node = len(state.labels)  # the node CONFIRM, NEW or ENTITY creates
-
-    if b0 is not None and b0.is_word():
-        span = ledger.span_at.get(b0.span[0])
+    node = len(labels)  # the node CONFIRM, NEW or ENTITY creates
+    if not beta:
+        # with the buffer empty, open edges of s0 can no longer be built
+        return BARE[transition.REDUCE]
+    (start, _), _, b0 = beta[0]
+    if b0 is None:  # a word
+        span = ledger.span_at.get(start)
         if span is None:
             return BARE[transition.DROP]
-        b1 = state.b1
-        if b1 is not None and b1.is_word() and span.covers(b1.span[0]):
-            return BARE[transition.MERGE]
+        if len(beta) > 1:
+            (b1_start, _), _, b1 = beta[1]
+            if b1 is None and span[0] <= b1_start < span[1]:
+                return BARE[transition.MERGE]
         pending = ledger.pending[span]
         if not pending:
             raise OracleError(
                 "aligned span %s has no pending concept (state: %r)"
-                % (span, state.history[-3:]))
+                % (span, history[-3:]))
         entity_heads = [h for h in pending if len(pruned.fragments[h]) > 1]
         if len(entity_heads) == 1:
             entity = entity_heads[0]
             wrapper = ledger.entity_wrapper(entity, pending)
             top = wrapper if wrapper is not None else entity
-            label = pruned.concept(top).label
+            label = pruned.concepts[top].label
             ledger.realize(top, node)
             if top != entity:
                 if label in ("name", "date-entity"):
@@ -257,32 +242,36 @@ def oracle_action(state, ledger):
         chosen = max(pending, key=lambda h: depth_to_root(pruned, h))
         ledger.realize(chosen, node)
         ledger.forfeit_outside_chain(chosen, span)
-        return Action(transition.CONFIRM, pruned.concept(chosen).label)
+        return Action(transition.CONFIRM, pruned.concepts[chosen].label)
 
-    # every concept on the stack or buffer was realized when it was built
-    if b0 is not None and b0.is_concept():
-        gold_b0 = ledger.state_to_gold[b0.node]
-        parent = ledger.same_span_parent(gold_b0)
-        if parent is not None:
+    # every concept on the stack or buffer was realized when it was built;
+    # its deepest pending parent on the same span is built first
+    gold_b0 = ledger.state_to_gold[b0]
+    pending = ledger.pending[ledger.span_of[gold_b0]]
+    if pending:
+        parents = [source for source, _, _ in pruned.incoming(gold_b0)
+                   if source in pending]
+        if parents:
+            parent = max(parents, key=lambda h: depth_to_root(pruned, h))
             ledger.realize(parent, node)
-            return Action(transition.NEW, pruned.concept(parent).label)
-        if s0 is not None:
-            rel = ledger.open_edge_between(gold_b0,
-                                           ledger.state_to_gold[s0.node])
-            if rel is not None:
-                ledger.open_edges.remove(rel)
-                if rel.source == gold_b0:
-                    return Action(transition.LEFT, rel.label)
-                return Action(transition.RIGHT, rel.label)
-
-    if s0 is None:  # b0 is a concept: the state is not terminal
+            return Action(transition.NEW, pruned.concepts[parent].label)
+    if not sigma:
         return BARE[transition.SHIFT]
-    if b0 is not None:
-        gold_s0 = ledger.state_to_gold[s0.node]
-        if not (ledger.open_edges.isdisjoint(pruned.outgoing(gold_s0))
-                and ledger.open_edges.isdisjoint(pruned.incoming(gold_s0))):
-            return BARE[transition.CACHE]
-    # with the buffer empty, open edges of s0 can no longer be built
+    gold_s0 = ledger.state_to_gold[sigma[-1][2]]
+    open_edges = ledger.open_edges
+    # the first open edge between them, b0-headed (Left) first; a
+    # relation is (source, target, label)
+    for rel in pruned.outgoing(gold_b0):
+        if rel[1] == gold_s0 and rel in open_edges:
+            open_edges.remove(rel)
+            return Action(transition.LEFT, rel[2])
+    for rel in pruned.outgoing(gold_s0):
+        if rel[1] == gold_b0 and rel in open_edges:
+            open_edges.remove(rel)
+            return Action(transition.RIGHT, rel[2])
+    if not (open_edges.isdisjoint(pruned.outgoing(gold_s0))
+            and open_edges.isdisjoint(pruned.incoming(gold_s0))):
+        return BARE[transition.CACHE]
     return BARE[transition.REDUCE]
 
 
@@ -294,7 +283,7 @@ def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
     state = initial_state(tokens)
     limit = STEP_LIMIT_FACTOR * len(tokens) + 100
     steps = 0
-    while not is_terminal(state):
+    while state[2] or state[0]:  # not terminal
         action = oracle_action(state, ledger)
         state = apply(state, action)
         steps += 1

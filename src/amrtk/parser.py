@@ -224,7 +224,11 @@ class ActionScorer:
 def _softmax(logits):
     peak = max(logits)
     exps = [math.exp(x - peak) for x in logits]
-    total = sum(exps)
+    # added left to right on every Python: from 3.12 `sum` compensates,
+    # which would move the bits of every probability and trained model
+    total = 0.0
+    for x in exps:
+        total += x
     return [x / total for x in exps]
 
 

@@ -17,7 +17,11 @@ concepts alone; each concept lives in exactly one item.
 
 States, items and actions are named tuples, compared and hashed by
 their fields, and the legal tags of a state are the one frozenset kept
-for its shape, so a step builds no more than its successor.
+for its shape, so a step builds no more than its successor.  The hot
+readers (`apply`, `legal_actions`, the oracle's step) unpack or index
+these tuples rather than read their named fields, which in Python 3.11
+cost about twice a dataclass attribute, and build them with
+`tuple.__new__`, as `_make` does.
 """
 
 import re
@@ -141,6 +145,9 @@ class ParserState(NamedTuple):
         return self.beta[1] if len(self.beta) > 1 else None
 
 
+_new = tuple.__new__  # a named tuple from its fields, as `_make` builds it
+
+
 def initial_state(tokens):
     if not tokens:
         raise TransitionError("token list may not be empty")
@@ -187,56 +194,61 @@ _LEGAL_BY_SHAPE = {
 }
 
 
+def _legal_tags(sigma, beta):
+    """The interned legal tag set of a stack and buffer's shape."""
+    return _LEGAL_BY_SHAPE[
+        None if not beta else WORD if beta[0][2] is None else CONCEPT,
+        len(beta) > 1 and beta[1][2] is None, bool(sigma)]
+
+
 def legal_actions(state):
     """The frozenset of legal action tags in a state, the one interned for
     the state's shape."""
-    beta = state.beta
-    b0 = None if not beta else WORD if beta[0].node is None else CONCEPT
-    return _LEGAL_BY_SHAPE[
-        b0, len(beta) > 1 and beta[1].node is None, bool(state.sigma)]
+    return _legal_tags(state[0], state[2])
 
 
 def apply(state, action):
     """Apply one action, returning the successor state."""
-    tag = action.tag
-    if tag not in legal_actions(state):
+    sigma, delta, beta, arcs, labels, tokens, history = state
+    tag, label = action
+    if tag not in _legal_tags(sigma, beta):
         raise TransitionError(
             "action %s is illegal in state (|sigma|=%d, |delta|=%d, |beta|=%d)"
-            % (action, len(state.sigma), len(state.delta), len(state.beta)))
-    sigma, delta, beta = state.sigma, state.delta, state.beta
-    arcs, labels = state.arcs, state.labels
-    b0 = state.b0
-
-    if tag == DROP:
-        beta = beta[1:]
-    elif tag == MERGE:
-        b1 = beta[1]
-        merged = StackItem((b0.span[0], b1.span[1]),
-                           b0.surface + "_" + b1.surface)
-        beta = (merged,) + beta[2:]
-    elif tag in (CONFIRM, NEW):
-        # CONFIRM derives the word at b0; NEW pushes a concept before b0
-        item = StackItem(b0.span, b0.surface, len(labels))
-        beta = (item,) + (beta[1:] if tag == CONFIRM else beta)
-        labels = labels + (action.label,)
-    elif tag == ENTITY:
-        beta = (StackItem(b0.span, b0.surface, len(labels)),) + beta[1:]
-        arcs, labels = _apply_entity(state, action.label)
-    elif tag in RELATION_ACTIONS:
-        if action in built_relations(state):
-            raise TransitionError(
-                "%s duplicates an arc of the state" % (action,))
-        s0 = sigma[-1].node
-        arcs = arcs + ((b0.node, action.label, s0) if tag == LEFT
-                       else (s0, action.label, b0.node),)
-    elif tag == CACHE:
+            % (action, len(sigma), len(delta), len(beta)))
+    # the tags in about the order the oracle uses them, most often first
+    if tag == CACHE:
         sigma, delta = sigma[:-1], (sigma[-1],) + delta
     elif tag == SHIFT:
-        sigma, delta, beta = sigma + delta + (b0,), (), beta[1:]
-    else:  # REDUCE
+        sigma, delta, beta = sigma + delta + (beta[0],), (), beta[1:]
+    elif tag == REDUCE:
         sigma = sigma[:-1]
-    return ParserState(sigma, delta, beta, arcs, labels, state.tokens,
-                       state.history + (action,))
+    elif tag == CONFIRM or tag == NEW:
+        # CONFIRM derives the word at b0; NEW pushes a concept before b0
+        span, surface, _ = beta[0]
+        item = _new(StackItem, (span, surface, len(labels)))
+        beta = (item,) + (beta[1:] if tag == CONFIRM else beta)
+        labels = labels + (label,)
+    elif tag == LEFT or tag == RIGHT:
+        s0, b0 = sigma[-1][2], beta[0][2]
+        arc = (b0, label, s0) if tag == LEFT else (s0, label, b0)
+        if arc in arcs:
+            raise TransitionError(
+                "%s duplicates an arc of the state" % (action,))
+        arcs = arcs + (arc,)
+    elif tag == DROP:
+        beta = beta[1:]
+    elif tag == ENTITY:
+        span, surface, _ = beta[0]
+        beta = (_new(StackItem, (span, surface, len(labels))),) + beta[1:]
+        arcs, labels = _apply_entity(span, arcs, labels, tokens, label)
+    else:  # MERGE
+        (start, _), surface, _ = beta[0]
+        (_, end), b1_surface, _ = beta[1]
+        merged = _new(StackItem, ((start, end), surface + "_" + b1_surface,
+                                  None))
+        beta = (merged,) + beta[2:]
+    return _new(ParserState, (sigma, delta, beta, arcs, labels, tokens,
+                              history + (action,)))
 
 
 def built_relations(state):
@@ -255,20 +267,19 @@ def built_relations(state):
     return built
 
 
-def _apply_entity(state, head_label):
-    """(arcs, labels) of the state once the buffer front is derived into an
-    entity: the head concept plus an internal fragment built from the
-    span's surface tokens.
+def _apply_entity(span, arcs, labels, tokens, head_label):
+    """(arcs, labels) of a state once its buffer front, over `span`, is
+    derived into an entity: the head concept plus an internal fragment
+    built from the span's surface tokens.
 
     The oracle relies on this layout: the head is node len(labels).  A
     `date-entity` head takes its date attributes, a `name` head its :opN
     pieces; any other head takes a :name concept at the next node, head
     + 1, and the pieces hang off that."""
-    b0 = state.b0
-    head = len(state.labels)
-    labels = list(state.labels) + [head_label]
-    arcs = list(state.arcs)
-    span_tokens = state.tokens[b0.span[0]:b0.span[1]]
+    head = len(labels)
+    labels = list(labels) + [head_label]
+    arcs = list(arcs)
+    span_tokens = tokens[span[0]:span[1]]
 
     def attach(parent, role, label):
         """A new concept under `parent`: its node."""

@@ -6,7 +6,8 @@ grouping, the reference matching-rule pass, the reference updating
 fixpoint, the brute-force candidate list, the reference tuner that scores every
 candidate, the reference action scorer and trainer, the reference
 legality rule, the reference decode step (state encoding, legal
-names and argmax) and the reference ensemble scoring and feature hash."""
+names and argmax), the reference ensemble scoring and feature hash, and
+the reference oracle step (action choice and application)."""
 
 import importlib.util
 import itertools
@@ -23,10 +24,13 @@ from amrtk.align import (
     AlignmentRecord, Span, collect_records, is_legal,
 )
 from amrtk.graph import (
-    ATTRIBUTE, VARIABLE, AmrGraph, Concept, Fragment, Relation,
-    name_op_values, strip_sense,
+    ATTRIBUTE, VARIABLE, AmrGraph, Concept, Fragment, Relation, depth_to_root,
+    forest_roots, name_op_values, strip_sense,
 )
-from amrtk.oracle import oracle_run
+from amrtk.oracle import (
+    STEP_LIMIT_FACTOR, EdgeLedger, OracleError, OracleRun, oracle_run,
+    prune_unaligned,
+)
 from amrtk.parser import (
     HASH_DIM, HASH_SEED, ActionScorer, Ensemble, TrainingError, _replay,
     best_action, encode_state, hash_features, legal_action_names,
@@ -41,8 +45,10 @@ from amrtk.smatch import (
 )
 from amrtk.surface import date_attributes, numeric_form
 from amrtk.transition import (
-    ALL_TAGS, BARE_ACTIONS, CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE, NEW,
-    REDUCE, RIGHT, SHIFT, Action, TransitionError, apply, legal_actions,
+    ALL_TAGS, BARE, BARE_ACTIONS, CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE,
+    NEW, REDUCE, RELATION_ACTIONS, RIGHT, SHIFT, Action, ParserState,
+    StackItem, TransitionError, _apply_entity, apply, built_relations,
+    initial_state, is_terminal, legal_actions,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -921,3 +927,167 @@ def reference_averaged_scores(model, encoding, legal):
 def reference_hash_features(feats):
     return [zlib.crc32(("%d|%s" % (HASH_SEED, f)).encode("utf-8")) % HASH_DIM
             for f in feats]
+
+
+# ---------------------------------------------------------------------------
+# The oracle step that unpacking and indexing the state tuple replaced:
+# `transition.apply` reading the state's and the action's named fields and
+# building through the named tuples' `__new__`, `oracle.oracle_action`
+# reading b0, b1 and s0 through the state's properties, and the two
+# `EdgeLedger` methods it asked, here functions of the ledger.  Kept
+# verbatim as the test oracle for `apply` and `oracle_run`, but for the
+# legality rule, read from `reference_legal_actions`, and `_apply_entity`,
+# which now takes the state's fields.
+
+def reference_apply(state, action):
+    """Apply one action, returning the successor state."""
+    tag = action.tag
+    if tag not in reference_legal_actions(state):
+        raise TransitionError(
+            "action %s is illegal in state (|sigma|=%d, |delta|=%d, |beta|=%d)"
+            % (action, len(state.sigma), len(state.delta), len(state.beta)))
+    sigma, delta, beta = state.sigma, state.delta, state.beta
+    arcs, labels = state.arcs, state.labels
+    b0 = state.b0
+
+    if tag == DROP:
+        beta = beta[1:]
+    elif tag == MERGE:
+        b1 = beta[1]
+        merged = StackItem((b0.span[0], b1.span[1]),
+                           b0.surface + "_" + b1.surface)
+        beta = (merged,) + beta[2:]
+    elif tag in (CONFIRM, NEW):
+        # CONFIRM derives the word at b0; NEW pushes a concept before b0
+        item = StackItem(b0.span, b0.surface, len(labels))
+        beta = (item,) + (beta[1:] if tag == CONFIRM else beta)
+        labels = labels + (action.label,)
+    elif tag == ENTITY:
+        beta = (StackItem(b0.span, b0.surface, len(labels)),) + beta[1:]
+        arcs, labels = _apply_entity(b0.span, state.arcs, state.labels,
+                                     state.tokens, action.label)
+    elif tag in RELATION_ACTIONS:
+        if action in built_relations(state):
+            raise TransitionError(
+                "%s duplicates an arc of the state" % (action,))
+        s0 = sigma[-1].node
+        arcs = arcs + ((b0.node, action.label, s0) if tag == LEFT
+                       else (s0, action.label, b0.node),)
+    elif tag == CACHE:
+        sigma, delta = sigma[:-1], (sigma[-1],) + delta
+    elif tag == SHIFT:
+        sigma, delta, beta = sigma + delta + (b0,), (), beta[1:]
+    else:  # REDUCE
+        sigma = sigma[:-1]
+    return ParserState(sigma, delta, beta, arcs, labels, state.tokens,
+                       state.history + (action,))
+
+
+def reference_open_edge_between(ledger, gold_b0, gold_s0):
+    """First open edge between the two concepts; b0-headed edges
+    (Left) are preferred when both directions exist."""
+    for source, target in ((gold_b0, gold_s0), (gold_s0, gold_b0)):
+        for rel in ledger.graph.outgoing(source):
+            if rel.target == target and rel in ledger.open_edges:
+                return rel
+    return None
+
+
+def reference_same_span_parent(ledger, gold_id):
+    """Deepest pending gold parent aligned to the same span."""
+    pending = ledger.pending[ledger.span_of[gold_id]]
+    parents = [rel.source for rel in ledger.graph.incoming(gold_id)
+               if rel.source in pending]
+    if not parents:
+        return None
+    return max(parents, key=lambda h: depth_to_root(ledger.graph, h))
+
+
+def reference_oracle_action(state, ledger):
+    """Pick the next action by checking the oracle conditions in order,
+    and record in the ledger the concepts and edges it builds."""
+    pruned = ledger.graph
+    b0 = state.b0
+    s0 = state.s0
+    node = len(state.labels)  # the node CONFIRM, NEW or ENTITY creates
+
+    if b0 is not None and b0.is_word():
+        span = ledger.span_at.get(b0.span[0])
+        if span is None:
+            return BARE[DROP]
+        b1 = state.b1
+        if b1 is not None and b1.is_word() and span.covers(b1.span[0]):
+            return BARE[MERGE]
+        pending = ledger.pending[span]
+        if not pending:
+            raise OracleError(
+                "aligned span %s has no pending concept (state: %r)"
+                % (span, state.history[-3:]))
+        entity_heads = [h for h in pending if len(pruned.fragments[h]) > 1]
+        if len(entity_heads) == 1:
+            entity = entity_heads[0]
+            wrapper = ledger.entity_wrapper(entity, pending)
+            top = wrapper if wrapper is not None else entity
+            label = pruned.concept(top).label
+            ledger.realize(top, node)
+            if top != entity:
+                if label in ("name", "date-entity"):
+                    ledger.settle(entity)
+                else:  # _apply_entity builds the name right after its head
+                    ledger.realize(entity, node + 1)
+                # the name node lives inside the entity fragment and never
+                # reaches the stack or buffer; edges into it are unbuildable
+                ledger.close_edges(entity)
+            ledger.open_edges.difference_update(pruned.fragments[entity].relations)
+            ledger.forfeit_outside_chain(top, span)
+            return Action(ENTITY, label)
+        # pending is in address order: the first deepest head is chosen
+        chosen = max(pending, key=lambda h: depth_to_root(pruned, h))
+        ledger.realize(chosen, node)
+        ledger.forfeit_outside_chain(chosen, span)
+        return Action(CONFIRM, pruned.concept(chosen).label)
+
+    # every concept on the stack or buffer was realized when it was built
+    if b0 is not None and b0.is_concept():
+        gold_b0 = ledger.state_to_gold[b0.node]
+        parent = reference_same_span_parent(ledger, gold_b0)
+        if parent is not None:
+            ledger.realize(parent, node)
+            return Action(NEW, pruned.concept(parent).label)
+        if s0 is not None:
+            rel = reference_open_edge_between(ledger, gold_b0,
+                                              ledger.state_to_gold[s0.node])
+            if rel is not None:
+                ledger.open_edges.remove(rel)
+                if rel.source == gold_b0:
+                    return Action(LEFT, rel.label)
+                return Action(RIGHT, rel.label)
+
+    if s0 is None:  # b0 is a concept: the state is not terminal
+        return BARE[SHIFT]
+    if b0 is not None:
+        gold_s0 = ledger.state_to_gold[s0.node]
+        if not (ledger.open_edges.isdisjoint(pruned.outgoing(gold_s0))
+                and ledger.open_edges.isdisjoint(pruned.incoming(gold_s0))):
+            return BARE[CACHE]
+    # with the buffer empty, open edges of s0 can no longer be built
+    return BARE[REDUCE]
+
+
+def reference_oracle_run(tokens, graph, alignment, smatch_restarts=4,
+                         smatch_seed=1):
+    """`oracle.oracle_run` stepping through the reference action and
+    application."""
+    pruned = prune_unaligned(graph, alignment)
+    ledger = EdgeLedger(pruned, alignment)
+    state = initial_state(tokens)
+    limit = STEP_LIMIT_FACTOR * len(tokens) + 100
+    steps = 0
+    while not is_terminal(state):
+        action = reference_oracle_action(state, ledger)
+        state = reference_apply(state, action)
+        steps += 1
+        if steps > limit:
+            raise OracleError("oracle exceeded %d steps" % limit)
+    return OracleRun(state, len(forest_roots(pruned)), graph,
+                     smatch_restarts, smatch_seed)

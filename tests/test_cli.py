@@ -791,6 +791,28 @@ REFUSALS = {
                                "# ::alignments-0 1-2|0\n(b / boy)\n"},
         "ERR:corpus: document s1 has both ::alignments and ::alignments-k "
         "lines"),
+    "tune-alignment-index-leading-zero": (
+        "tune -i {c}", {"c": "# ::tok the boy\n# ::alignments-1 1-2|0\n"
+                             "# ::alignments-01 0-1|0\n(b / boy)\n"},
+        "ERR:corpus: line 3: ::alignments-01 is not an ::alignments-k key "
+        "(k = 0, 1, 2, ...)"),
+    "tune-alignment-index-not-ascii": (
+        "tune -i {c}", {"c": "# ::tok the boy\n"
+                             "# ::alignments-٣ 1-2|0\n(b / boy)\n"},
+        "ERR:corpus: line 2: ::alignments-٣ is not an ::alignments-k "
+        "key (k = 0, 1, 2, ...)"),
+    "tune-repeated-alignment-index": (
+        "tune -i {c}", {"c": "# ::tok the boy\n# ::alignments-0 1-2|0\n"
+                             "# ::alignments-0 0-1|0\n(b / boy)\n"},
+        "ERR:corpus: line 3 repeats ::alignments-0 within its block"),
+    "oracle-repeated-alignments": (
+        "oracle -i {c}", {"c": "# ::tok the boy\n# ::alignments 0-1|0\n"
+                               "# ::alignments 1-2|0\n(b / boy)\n"},
+        "ERR:corpus: line 3 repeats ::alignments within its block"),
+    "align-repeated-tok": (
+        "align -i {c}", {"c": "(g / girl)\n\n# ::tok the boy\n# ::snt x\n"
+                              "# ::tok a boy\n(b / boy)\n"},
+        "ERR:corpus: line 5 repeats ::tok within its block"),
     "train-trace-without-tok": (
         "train --traces {t} --model {m}",
         {"t": "# ::id s1\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},

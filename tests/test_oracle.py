@@ -30,7 +30,8 @@ from amrtk.transition import (
 from helpers import (
     assert_apply_refuses_every_illegal_tag,
     assert_decode_step_matches_reference, bench_module, fixture, hard_corpus,
-    reference_legal_actions, reference_tune,
+    random_graph, reference_legal_actions, reference_oracle_run,
+    reference_tune,
 )
 
 FIGURE_TEXT = """
@@ -596,6 +597,59 @@ def test_name_under_a_date_entity_wrapper_is_settled_unbuilt():
     while not is_terminal(state):
         state = apply(state, oracle_action(state, ledger))
     assert ledger.state_to_gold == {0: "d"}
+
+
+# the corpora whose every candidate the indexed oracle step is checked on
+ORACLE_STEP_CORPORA = ["train_corpus", "oracle_corpus", "hard-1"] + [
+    "%s-%d" % (workload, seed) for workload in ("compose-long", "compose-short")
+    for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name", ORACLE_STEP_CORPORA)
+def test_oracle_run_equals_the_reference_step(name):
+    # under both rule sets, the step that unpacks and indexes the state
+    # builds the actions, forest and score of the step that read its
+    # named fields
+    if name.endswith("_corpus"):
+        text = fixture(name + ".amr")
+    elif name == "hard-1":
+        text = hard_corpus(1, 24)
+    else:
+        workload, seed = name.rsplit("-", 1)
+        text = bench_module("corpus_gen").generate(workload, int(seed))
+    resources = fixture_resources()
+    runs = 0
+    for rules in (base_rule_set(), full_rule_set(resources)):
+        for doc in read_corpus(text):
+            for cand in enumerate_alignments(doc.graph, doc.tokens, rules,
+                                             resources=resources):
+                run = oracle_run(doc.tokens, doc.graph, cand)
+                reference = reference_oracle_run(doc.tokens, doc.graph, cand)
+                assert (run.actions, run.trees, run.smatch_f1) == \
+                    (reference.actions, reference.trees, reference.smatch_f1)
+                runs += 1
+    assert runs > len(read_corpus(text))
+
+
+def test_oracle_run_equals_the_reference_step_on_random_graphs():
+    # random graphs, with edges both ways and cycles, under random span
+    # maps that stack heads on one span: these reach a choice between a
+    # Left and a Right edge and between same-span parents at different
+    # depths, which the corpora above do not
+    rng = random.Random(1)
+    for _ in range(1000):
+        graph = random_graph(rng, rng.randint(1, 7))
+        n = rng.randint(1, 8)
+        tokens = ["w%d" % i for i in range(n)]
+        bounds = [0] + sorted(rng.sample(range(1, n), rng.randrange(n))) + [n]
+        spans = [Span(a, b) for a, b in zip(bounds, bounds[1:])]
+        spans = rng.sample(spans, rng.randint(1, len(spans)))
+        cand = {head: rng.choice(spans) if rng.random() < 0.85 else None
+                for head in graph.fragments}
+        run = oracle_run(tokens, graph, cand)
+        reference = reference_oracle_run(tokens, graph, cand)
+        assert (run.actions, run.trees, run.smatch_f1) == \
+            (reference.actions, reference.trees, reference.smatch_f1)
 
 
 def run_fields(run):

@@ -843,3 +843,15 @@ def test_accuracy_pass_holds_no_block_of_rows(pipeline_traces):
     # a block of every instance's rows would take 831 instances x 27 rows
     # x 30 actions x 8 bytes, about 5.4 MB
     assert peaks[1] <= peaks[0] + (1 << 20)
+
+
+def test_softmax_adds_its_total_left_to_right(monkeypatch):
+    # 1 + 1e-16 + 1e-16 is 1.0 added left to right, but 1.0000000000000002
+    # exactly rounded, as the compensated `sum` of Python 3.12 gives it;
+    # `math.fsum` stands in for that `sum` so that a `_softmax` calling
+    # `sum` fails here on 3.11 too
+    logits = [0.0, math.log(1e-16), math.log(1e-16)]
+    exps = [math.exp(x) for x in logits]
+    assert math.fsum(exps) > exps[0] + exps[1] + exps[2] == 1.0
+    monkeypatch.setattr(amrtk.parser, "sum", math.fsum, raising=False)
+    assert amrtk.parser._softmax(logits) == exps

@@ -5,17 +5,19 @@ from types import SimpleNamespace
 import pytest
 
 from amrtk import transition
+from amrtk.corpus import read_corpus
 from amrtk.graph import parse_penman, serialize_penman
 from amrtk.parser import _drain
 from amrtk.smatch import smatch_score
 from amrtk.transition import (
-    BARE_ACTIONS, CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE, NEW, REDUCE,
-    RELATION_ACTIONS, RIGHT, SHIFT, Action, ParserState, StackItem,
+    ALL_TAGS, BARE_ACTIONS, CACHE, CONFIRM, DROP, ENTITY, LEFT, MERGE, NEW,
+    REDUCE, RELATION_ACTIONS, RIGHT, SHIFT, Action, ParserState, StackItem,
     StateError, TransitionError, apply, built_relations, extract_graph,
     initial_state, is_terminal, legal_actions, parse_action,
 )
 from helpers import (
-    assert_apply_refuses_every_illegal_tag, reference_legal_actions,
+    assert_apply_refuses_every_illegal_tag, fixture, reference_apply,
+    reference_legal_actions,
 )
 
 FIGURE_TOKENS = ("North Korea froze its nuclear actions in exchange for "
@@ -428,3 +430,45 @@ def test_random_walks_keep_the_state_invariants():
         assert len(parse_penman(serialize_penman(graph)).relations) == \
             len(graph.relations)
     assert steps > 3000
+
+
+@pytest.mark.parametrize("name", ["train_corpus", "oracle_corpus"])
+def test_apply_equals_the_reference_on_random_walks(name):
+    # seeded walks over each fixture sentence, one action in five drawn
+    # from every tag and the rest from the legal ones, with few roles so
+    # that arcs repeat: `apply` builds the reference's successor, of the
+    # same named-tuple types, or refuses with the reference's message
+    rng = random.Random(1)
+    applied = set()
+    refusals = {}
+    for doc in read_corpus(fixture(name + ".amr")):
+        for _ in range(20):
+            state = initial_state(doc.tokens)
+            for _ in range(10 * len(doc.tokens)):
+                if is_terminal(state):
+                    break
+                tags = ALL_TAGS if rng.random() < 0.2 \
+                    else sorted(legal_actions(state))
+                tag = rng.choice(tags)
+                action = Action(tag) if tag in BARE_ACTIONS else Action(
+                    tag, rng.choice(WALK_ROLES[:2] if tag in RELATION_ACTIONS
+                                    else WALK_LABELS))
+                try:
+                    expected = reference_apply(state, action)
+                except TransitionError as error:
+                    with pytest.raises(TransitionError) as raised:
+                        apply(state, action)
+                    assert str(raised.value) == str(error)
+                    kind = "duplicate" if "duplicates" in str(error) \
+                        else "illegal"
+                    refusals[kind] = refusals.get(kind, 0) + 1
+                    continue
+                successor = apply(state, action)
+                assert successor == expected
+                assert type(successor) is ParserState
+                assert all(type(item) is StackItem for part in successor[:3]
+                           for item in part)
+                applied.add(tag)
+                state = successor
+    assert applied == set(ALL_TAGS)
+    assert refusals["duplicate"] and refusals["illegal"]

@@ -47,9 +47,6 @@ class Span(_SpanFields):
             raise AlignmentInputError("bad span (%d, %d)" % (start, end))
         return tuple.__new__(cls, (start, end))
 
-    def covers(self, index):
-        return self.start <= index < self.end
-
     def overlaps(self, other):
         return self.start < other.end and other.start < self.end
 
@@ -90,13 +87,16 @@ class AlignmentSet:
 
 
 class AlignmentContext:
-    """Everything a rule predicate may look at, normalized once per
-    sentence: a rule's `match` reads each token's lowercase form, lemma
-    set and numeral, each label's base and each fragment's values from
-    here instead of working them out per span.  `base` is the aligner's
-    one sense-strip, and every rule reads a token's lemma forms from
-    `lemma_sets`.  A context serves one `collect_records` call, so nothing
-    it caches outlives the call."""
+    """Everything a rule predicate may look at, worked out once per
+    sentence when the context is built: each token's lowercase form
+    (`lowered`), lemma set (`lemma_sets`) and numeral (`numerals`), each
+    concept label's sense-stripped lowercase form (`bases`, the aligner's
+    one sense-strip), each fragment head's `:opN` values (`name_values`,
+    empty unless the head is a `name` with members) and sorted literal
+    (role, value) pairs (`attributes`), and the one-token spans of the
+    negation words (`negation_spans`).  Only `spans(width)` is built on
+    first use, since the widths depend on the rules.  A context serves
+    one `collect_records` call, so nothing it holds outlives the call."""
 
     def __init__(self, graph, tokens, resources):
         self.graph = graph
@@ -106,21 +106,23 @@ class AlignmentContext:
         self.lowered = tuple(token.lower() for token in self.tokens)
         self.lemma_sets = tuple(lemmas(token) for token in self.tokens)
         self.numerals = tuple(numeric_form(token) for token in self.tokens)
-        self._bases = {}
+        self.bases = {concept.label: strip_sense(concept.label).lower()
+                      for concept in graph.concepts.values()}
+        self.name_values = {
+            head: tuple(name_op_values(graph, head))
+            if graph.concepts[head].label == "name" and len(fragment) > 1
+            else () for head, fragment in graph.fragments.items()}
+        self.attributes = {
+            head: sorted((rel.label, graph.concepts[rel.target].label)
+                         for rel in fragment.relations)
+            for head, fragment in graph.fragments.items()}
+        self.negation_spans = tuple(
+            Span(index, index + 1) for index, token in enumerate(self.lowered)
+            if token in NEGATION_WORDS)
         self._rows = {}
-        self._name_values = {}
-        self._attributes = {}
-        self._negation_spans = None
 
     def span_tokens(self, span):
         return self.tokens[span.start:span.end]
-
-    def base(self, label):
-        """The sense-stripped lowercase form of a concept label."""
-        base = self._bases.get(label)
-        if base is None:
-            base = self._bases[label] = strip_sense(label).lower()
-        return base
 
     def spans(self, width):
         """Every span of `width` tokens, left to right."""
@@ -130,37 +132,6 @@ class AlignmentContext:
                 Span(start, start + width)
                 for start in range(len(self.tokens) - width + 1))
         return row
-
-    def name_values(self, fragment):
-        """The `:opN` values of a `name` fragment in numerical order;
-        empty for a fragment of any other shape."""
-        values = self._name_values.get(fragment.head)
-        if values is None:
-            values = ()
-            if (self.graph.concepts[fragment.head].label == "name"
-                    and len(fragment) > 1):
-                values = tuple(name_op_values(self.graph, fragment.head))
-            self._name_values[fragment.head] = values
-        return values
-
-    def attributes(self, fragment):
-        """The sorted (role, value) pairs of a fragment's grouped literal
-        children, such as a `date-entity`'s date attributes."""
-        pairs = self._attributes.get(fragment.head)
-        if pairs is None:
-            pairs = self._attributes[fragment.head] = sorted(
-                (rel.label, self.graph.concepts[rel.target].label)
-                for rel in fragment.relations)
-        return pairs
-
-    def negation_spans(self):
-        """The one-token spans of the negation words."""
-        if self._negation_spans is None:
-            row = self.spans(1)
-            self._negation_spans = tuple(
-                row[index] for index, token in enumerate(self.lowered)
-                if token in NEGATION_WORDS)
-        return self._negation_spans
 
 
 @dataclass(frozen=True)
@@ -188,13 +159,13 @@ class Rule:
 
 def _concept_rule(name, same):
     """The matching rule that tests `same(base, index, ctx)` on the base
-    of a single-concept fragment's label (`ctx.base`, the one sense-strip
+    of a single-concept fragment's label (`ctx.bases`, the one sense-strip
     of the aligner) and the token of a one-token span."""
     def widths(fragment, ctx):
         return (1,) if len(fragment) == 1 else ()
 
     def match(fragment, span, ctx):
-        return same(ctx.base(ctx.graph.concepts[fragment.head].label),
+        return same(ctx.bases[ctx.graph.concepts[fragment.head].label],
                     span.start, ctx)
     return Rule(name, MATCHING, widths=widths, match=match)
 
@@ -204,12 +175,13 @@ def _name_rule(name, same):
     `:opN` value of a `name` fragment, as written, and the token in its
     place in a span as wide as the values."""
     def widths(fragment, ctx):
-        width = len(ctx.name_values(fragment))
+        width = len(ctx.name_values[fragment.head])
         return (width,) if width else ()
 
     def match(fragment, span, ctx):
         return all(same(value, index, ctx) for value, index
-                   in zip(ctx.name_values(fragment), range(span.start, span.end)))
+                   in zip(ctx.name_values[fragment.head],
+                          range(span.start, span.end)))
     return Rule(name, MATCHING, widths=widths, match=match)
 
 
@@ -236,7 +208,7 @@ def _date_widths(fragment, ctx):
 
 
 def _date_entity(fragment, span, ctx):
-    return ctx.attributes(fragment) == sorted(
+    return ctx.attributes[fragment.head] == sorted(
         date_attributes(ctx.span_tokens(span)))
 
 
@@ -271,8 +243,8 @@ def _minus_polarity_triggers(fragment, ctx):
             if rel.label == ":polarity"]
 
 
-def _negation_spans(fragment, record, ctx):
-    return ctx.negation_spans()
+def _negation_word_spans(fragment, record, ctx):
+    return ctx.negation_spans
 
 
 def _quantity_triggers(fragment, ctx):
@@ -300,7 +272,7 @@ def base_rule_set():
         Rule("entity-type", UPDATING,
              triggers=_entity_type_triggers, derive=_same_span),
         Rule("minus-polarity", UPDATING,
-             triggers=_minus_polarity_triggers, derive=_negation_spans),
+             triggers=_minus_polarity_triggers, derive=_negation_word_spans),
         Rule("quantity", UPDATING,
              triggers=_quantity_triggers, derive=_same_span),
     ]

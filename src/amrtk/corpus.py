@@ -22,7 +22,7 @@ _ITEM_RE = re.compile(r"^(\d+)-(\d+)\|(\d+(?:\+\d+)*)$")
 HEADER_ORDER = ["id", "snt", "tok", "pos"]
 
 # the headers amrtk reads, besides `alignments-k`: a block gives each once
-_READ_KEYS = frozenset({"tok", "snt", "pos", "alignments"})
+_READ_KEYS = frozenset({"id", "tok", "snt", "pos", "alignments"})
 
 
 class CorpusFormatError(ValueError):

@@ -1,5 +1,5 @@
 """Surface-form utilities shared by the aligner and the transition system:
-number words, date recognition and token splitting for entity building."""
+negation words, number words and date recognition."""
 
 import re
 
@@ -60,12 +60,3 @@ def date_attributes(tokens):
             op_index += 1
     return out
 
-
-def entity_name_pieces(tokens):
-    """Tokens split on internal hyphens, for :opN children of a name."""
-    pieces = []
-    for token in tokens:
-        for piece in token.split("-"):
-            if piece:
-                pieces.append(piece)
-    return pieces

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .graph import (
     ATTRIBUTE, CONSTANT, VARIABLE, AmrGraph, Concept, Relation, forest_roots,
 )
-from .surface import date_attributes, entity_name_pieces
+from .surface import date_attributes
 
 DROP = "DROP"
 MERGE = "MERGE"
@@ -273,9 +273,10 @@ def _apply_entity(span, arcs, labels, tokens, head_label):
     built from the span's surface tokens.
 
     The oracle relies on this layout: the head is node len(labels).  A
-    `date-entity` head takes its date attributes, a `name` head its :opN
-    pieces; any other head takes a :name concept at the next node, head
-    + 1, and the pieces hang off that."""
+    `date-entity` head takes its date attributes, a `name` head one :opN
+    per token of the span, as written, which is how the aligner's name
+    rules match them; any other head takes a :name concept at the next
+    node, head + 1, and the :opN values hang off that."""
     head = len(labels)
     labels = list(labels) + [head_label]
     arcs = list(arcs)
@@ -292,8 +293,8 @@ def _apply_entity(span, arcs, labels, tokens, head_label):
             attach(head, role, value)
     else:
         name = head if head_label == "name" else attach(head, ":name", "name")
-        for i, piece in enumerate(entity_name_pieces(span_tokens), start=1):
-            attach(name, ":op%d" % i, piece)
+        for i, token in enumerate(span_tokens, start=1):
+            attach(name, ":op%d" % i, token)
     return tuple(arcs), tuple(labels)
 
 

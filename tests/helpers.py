@@ -1016,7 +1016,8 @@ def reference_oracle_action(state, ledger):
         if span is None:
             return BARE[DROP]
         b1 = state.b1
-        if b1 is not None and b1.is_word() and span.covers(b1.span[0]):
+        if (b1 is not None and b1.is_word()
+                and span.start <= b1.span[0] < span.end):
             return BARE[MERGE]
         pending = ledger.pending[span]
         if not pending:

@@ -84,7 +84,6 @@ def test_span_is_a_value():
         [Span(0, 1), Span(0, 2), Span(1, 2), Span(2, 3)]
     assert Span(0, 5) < Span(1, 2) and max(Span(3, 4), Span(3, 5)) == Span(3, 5)
     assert (Span(1, 3).start, Span(1, 3).end) == (1, 3)
-    assert Span(1, 3).covers(2) and not Span(1, 3).covers(3)
     assert repr(Span(1, 3)) == "Span(start=1, end=3)"
 
 

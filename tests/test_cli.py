@@ -813,6 +813,10 @@ REFUSALS = {
         "align -i {c}", {"c": "(g / girl)\n\n# ::tok the boy\n# ::snt x\n"
                               "# ::tok a boy\n(b / boy)\n"},
         "ERR:corpus: line 5 repeats ::tok within its block"),
+    "align-repeated-id": (
+        "align -i {c}", {"c": "# ::id a\n# ::id b\n# ::tok the boy\n"
+                              "(b / boy)\n"},
+        "ERR:corpus: line 2 repeats ::id within its block"),
     "train-trace-without-tok": (
         "train --traces {t} --model {m}",
         {"t": "# ::id s1\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},

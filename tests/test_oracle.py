@@ -12,7 +12,8 @@ from amrtk.align import (
 )
 from amrtk.corpus import read_corpus
 from amrtk.graph import (
-    LITERAL_KINDS, depth_to_root, parse_penman, serialize_penman,
+    LITERAL_KINDS, depth_to_root, name_op_values, parse_penman,
+    serialize_penman,
 )
 from amrtk.oracle import (
     EdgeLedger, oracle_action, oracle_run, prune_unaligned, tune,
@@ -183,6 +184,22 @@ def test_oracle_merge_then_entity():
     assert str(run.actions[0]) == "MERGE"
     assert str(run.actions[1]) == "ENTITY(country)"
     assert run.smatch_f1 == pytest.approx(1.0)
+
+
+def test_entity_rebuilds_a_hyphenated_name_the_aligner_matched():
+    # the name rules match one :opN value per token, so ENTITY writes the
+    # token `F-16` as one value; splitting it at the hyphen lost the name
+    g = parse_penman('(f / fly-01 :ARG1 (a / aircraft '
+                     ':name (n / name :op1 "F-16")))')
+    tokens = "the F-16 flew".split()
+    best, run = tune(tokens, g, enumerate_alignments(g, tokens,
+                                                     base_rule_set()))
+    assert (best["a"], best["n"]) == (Span(1, 2), Span(1, 2))
+    assert "ENTITY(aircraft)" in [str(a) for a in run.actions]
+    assert name_op_values(run.parsed, next(
+        cid for cid, c in run.parsed.concepts.items()
+        if c.label == "name")) == ["F-16"]
+    assert run.smatch_f1 == pytest.approx(0.6667, abs=5e-5)
 
 
 def test_oracle_drop_unaligned_word():

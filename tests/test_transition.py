@@ -303,8 +303,7 @@ def test_extract_writes_a_literal_label_heading_arcs_as_a_variable():
         "        :ARG1 c0)\n"
         "    :ARG0 (c2 / 1\n"
         "        :name (c3 / name\n"
-        "            :op1 \"North\"\n"
-        "            :op2 \"Korea\")))")
+        "            :op1 \"North-Korea\")))")
     assert len(parse_penman(text).relations) == len(g.relations)
 
 

@@ -11,7 +11,6 @@ best-ranked legal span maps, found by a depth-first search.
 """
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import name_op_values, strip_sense
@@ -51,8 +50,7 @@ class Span(_SpanFields):
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True)
-class AlignmentRecord:
+class AlignmentRecord(NamedTuple):
     """One way to align a fragment.
 
     `trigger` is None for matching-rule records.  Updating-rule records
@@ -134,8 +132,7 @@ class AlignmentContext:
         return row
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """An alignment rule.
 
     Matching rules implement `widths(fragment, ctx)`, the span lengths

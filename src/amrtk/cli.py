@@ -71,15 +71,32 @@ def _write(path, writer, items):
         writer(items, stream)
 
 
+def _load_table(loader, path):
+    """The TSV table `loader` reads at the resolved `path`; a line on
+    stderr names the malformed lines it skipped."""
+    path = _resource_path(path)
+    table = loader(path)
+    if table.skipped:
+        sys.stderr.write("%s: skipped %d malformed line(s)\n"
+                         % (path, table.skipped))
+    return table
+
+
+def _load_lemmas(args):
+    """The lemma table named by `--lemmas`, or None."""
+    if not args.lemmas:
+        return None
+    return _load_table(resources_mod.load_lemmas, args.lemmas)
+
+
 def _load_resources(args):
     """The resources named on the `align` command line."""
-    embeddings = morph = lemmas = None
+    embeddings = morph = None
     if args.embeddings:
         embeddings = resources_mod.load_embeddings(_resource_path(args.embeddings))
     if args.morph:
-        morph = resources_mod.load_morphosemantic(_resource_path(args.morph))
-    if args.lemmas:
-        lemmas = resources_mod.load_lemmas(_resource_path(args.lemmas))
+        morph = _load_table(resources_mod.load_morphosemantic, args.morph)
+    lemmas = _load_lemmas(args)
     return resources_mod.Resources(embeddings=embeddings, morph=morph,
                                    lemmas=lemmas,
                                    cosine_threshold=args.cosine_threshold)
@@ -140,9 +157,11 @@ def cmd_tune(args):
     mean_actions = sum(r.action_count for r in runs) / len(runs)
     forests = sum(1 for r in runs if r.trees > 1)
     certified = sum(1 for r in runs if r.certified)
+    forfeited = sum(r.forfeited for r in runs)
     report = ("mean-oracle-smatch\t%.4f\nmean-actions\t%.2f\n"
               "forest-sentences\t%d\ncertified-sentences\t%d\n"
-              % (mean_f1, mean_actions, forests, certified))
+              "forfeited-concepts\t%d\n"
+              % (mean_f1, mean_actions, forests, certified, forfeited))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report)
@@ -200,9 +219,7 @@ def _read_training_corpus(path):
 def cmd_train(args):
     from . import parser as parser_mod
     examples = _read_training_corpus(args.traces)
-    lemma_table = None
-    if args.lemmas:
-        lemma_table = resources_mod.load_lemmas(_resource_path(args.lemmas))
+    lemma_table = _load_lemmas(args)
     model = parser_mod.train(
         examples, epochs=args.epochs, learning_rate=args.learning_rate,
         seed=args.seed, dev_fraction=args.dev_fraction,
@@ -220,9 +237,7 @@ def cmd_parse(args):
     from . import parser as parser_mod
     members = [parser_mod.load_model(path) for path in args.model]
     model = members[0] if len(members) == 1 else parser_mod.Ensemble(members)
-    lemma_table = None
-    if args.lemmas:
-        lemma_table = resources_mod.load_lemmas(_resource_path(args.lemmas))
+    lemma_table = _load_lemmas(args)
     out_docs = []
     for doc in _read(args.input, corpus_mod.read_corpus):
         result = parser_mod.decode(model, _require_tokens(doc), pos=doc.pos,

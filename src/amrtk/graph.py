@@ -9,7 +9,6 @@ node uniformly.
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # concept kinds
@@ -163,15 +162,34 @@ class AmrGraph:
             self.root, len(self.concepts), len(self.relations))
 
 
-@dataclass(frozen=True)
 class Fragment:
-    """A connected alignable unit: a head concept plus grouped children."""
-    head: str
-    members: tuple
-    relations: tuple
+    """A connected alignable unit: a head concept plus grouped children.
+
+    Its length is its member count, so it is not a named tuple; it is
+    compared and hashed by its fields, and is not changed once built."""
+    __slots__ = ("head", "members", "relations")
+
+    def __init__(self, head, members, relations):
+        self.head = head
+        self.members = members
+        self.relations = relations
+
+    def _key(self):
+        return self.head, self.members, self.relations
 
     def __len__(self):
         return len(self.members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Fragment(head=%r, members=%r, relations=%r)" % self._key()
 
 
 def tokenize_penman(text):

@@ -15,7 +15,6 @@ Smatch-searches only those that can win and keeps the highest-scoring
 one, breaking ties by the smaller action count, then by candidate order.
 """
 
-import logging
 from functools import cached_property
 
 from . import transition
@@ -24,8 +23,6 @@ from .smatch import (
     score_counts, smatch_score, to_triples, triple_count, upper_bound,
 )
 from .transition import BARE, Action, apply, initial_state
-
-logger = logging.getLogger(__name__)
 
 STEP_LIMIT_FACTOR = 50
 
@@ -40,16 +37,19 @@ class StatsError(ValueError):
 
 class OracleRun:
     """One oracle run: its `actions`, the number of `trees` it rebuilt
-    (`forest_roots` of the pruned graph) and, read on first use, the
+    (`forest_roots` of the pruned graph), the number of aligned concepts
+    it `forfeited` (`EdgeLedger.forfeited`) and, read on first use, the
     rebuilt graph `parsed` and its Smatch against the gold graph:
     `smatch_f1`, and `certified` when the matched count reached its upper
     bound.  Deferring the graph and its score lets `tune` drop a run that
     cannot win before paying for either; once read, the run lets go of
     the terminal state and the gold graph."""
 
-    def __init__(self, state, trees, gold, smatch_restarts, smatch_seed):
+    def __init__(self, state, trees, forfeited, gold, smatch_restarts,
+                 smatch_seed):
         self.actions = state.history
         self.trees = trees
+        self.forfeited = forfeited
         self._state = state
         self._gold = gold
         self._smatch_args = {"restarts": smatch_restarts, "seed": smatch_seed}
@@ -128,12 +128,14 @@ class EdgeLedger:
     a token to the span of the first aligned head, in address order, that
     covers it.  `state_to_gold` maps each built node to the gold concept
     it stands for.  A head is settled, and a node recorded, when the
-    oracle picks the action that builds it."""
+    oracle picks the action that builds it; `forfeited` counts the heads
+    settled unbuilt by `forfeit_outside_chain`."""
 
     def __init__(self, pruned, alignment):
         self.graph = pruned
         self.open_edges = set(pruned.relations)
         self.state_to_gold = {}
+        self.forfeited = 0
         self.span_of = {head: span for head, span in alignment.items()
                         if span is not None and head in pruned.fragments}
         self.pending = {}
@@ -194,7 +196,7 @@ class EdgeLedger:
         for head in [h for h in self.pending[span] if h not in reachable]:
             self.settle(head)
             self.close_edges(head)
-            logger.debug("forfeited unreachable same-span concept %s", head)
+            self.forfeited += 1
 
 
 def oracle_action(state, ledger):
@@ -289,8 +291,8 @@ def oracle_run(tokens, graph, alignment, smatch_restarts=4, smatch_seed=1):
         steps += 1
         if steps > limit:
             raise OracleError("oracle exceeded %d steps" % limit)
-    return OracleRun(state, len(forest_roots(pruned)), graph,
-                     smatch_restarts, smatch_seed)
+    return OracleRun(state, len(forest_roots(pruned)), ledger.forfeited,
+                     graph, smatch_restarts, smatch_seed)
 
 
 def tune(tokens, graph, alignment_set, smatch_restarts=4, smatch_seed=1):

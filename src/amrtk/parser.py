@@ -15,7 +15,7 @@ import random
 import re
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,15 +42,13 @@ _SALT_CRC = zlib.crc32(b"%d|" % HASH_SEED)
 STEP_FACTOR = 20
 
 
-@dataclass(frozen=True)
-class TrainingExample:
+class TrainingExample(NamedTuple):
     tokens: tuple
     actions: tuple
     pos: tuple = None
 
 
-@dataclass
-class DecodeResult:
+class DecodeResult(NamedTuple):
     graph: object
     actions: tuple
     warning: str = None

@@ -2,12 +2,9 @@
 word embeddings (GloVe text layout), a morphosemantic link table and a
 lemma table.  All tables are read-only after load."""
 
-import logging
 import math
 from array import array
 from operator import mul
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_COSINE_THRESHOLD = 0.7
 
@@ -141,8 +138,6 @@ def _load_tsv(path):
                 skipped += 1
                 continue
             rows.append((parts[0].strip().lower(), parts[1].strip().lower()))
-    if skipped:
-        logger.warning("%s: skipped %d malformed line(s)", path, skipped)
     return rows, skipped
 
 

@@ -20,7 +20,7 @@ their fields, and the legal tags of a state are the one frozenset kept
 for its shape, so a step builds no more than its successor.  The hot
 readers (`apply`, `legal_actions`, the oracle's step) unpack or index
 these tuples rather than read their named fields, which in Python 3.11
-cost about twice a dataclass attribute, and build them with
+cost about twice a plain instance attribute, and build them with
 `tuple.__new__`, as `_make` does.
 """
 

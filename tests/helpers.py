@@ -1090,5 +1090,5 @@ def reference_oracle_run(tokens, graph, alignment, smatch_restarts=4,
         steps += 1
         if steps > limit:
             raise OracleError("oracle exceeded %d steps" % limit)
-    return OracleRun(state, len(forest_roots(pruned)), graph,
-                     smatch_restarts, smatch_seed)
+    return OracleRun(state, len(forest_roots(pruned)), ledger.forfeited,
+                     graph, smatch_restarts, smatch_seed)

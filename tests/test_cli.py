@@ -45,6 +45,10 @@ def fresh_interpreter(*argv):
                           capture_output=True, text=True)
 
 
+# `amrtk` with the arguments after it, for `fresh_interpreter`
+CLI_MAIN = "import sys, amrtk.cli; sys.exit(amrtk.cli.main(sys.argv[1:]))"
+
+
 def align_tune(tmp_path, capsys, source=None):
     source = source or fixture("train_corpus.amr")
     aligned = str(tmp_path / "aligned.amr")
@@ -344,16 +348,73 @@ def test_a_sourceless_cycle_counts_as_a_tree_of_a_forest(tmp_path, capsys):
 
 
 def test_tune_on_a_cyclic_graph_writes_only_its_report(tmp_path):
-    # a new interpreter has no log handler but logging's last resort,
-    # which would print any warning to stderr ahead of the report
+    # in a new interpreter, as a shell runs the command, nothing reaches
+    # stderr ahead of the report
     source = tmp_path / "aligned.amr"
     source.write_text(CYCLE_BESIDE_TREE, encoding="utf-8")
     done = fresh_interpreter(
-        "import sys, amrtk.cli; sys.exit(amrtk.cli.main(sys.argv[1:]))",
-        "tune", "-i", str(source), "-o", str(tmp_path / "tuned.amr"))
+        CLI_MAIN, "tune", "-i", str(source), "-o", str(tmp_path / "tuned.amr"))
     assert (done.returncode, done.stdout) == (0, "")
     assert done.stderr == ("mean-oracle-smatch\t0.6923\nmean-actions\t23.00\n"
-                           "forest-sentences\t1\ncertified-sentences\t1\n")
+                           "forest-sentences\t1\ncertified-sentences\t1\n"
+                           "forfeited-concepts\t0\n")
+
+
+FIVE_BOYS = "# ::id five-boys\n# ::tok %s\n(a / and %s)\n" % (
+    " ".join("the boy and".split() * 5),
+    " ".join(":op%d (b%d / boy)" % (i, i) for i in range(1, 6)))
+
+
+def test_tune_reports_the_concepts_its_winners_forfeit(tmp_path, capsys):
+    # every candidate stacks boys on one span: the winner puts b1 and b2
+    # on the first `boy`, builds b1 there and forfeits b2
+    aligned = str(tmp_path / "aligned.amr")
+    source = tmp_path / "five-boys.amr"
+    source.write_text(FIVE_BOYS, encoding="utf-8")
+    assert run_cli(capsys, "align", "-i", str(source), "-o", aligned,
+                   "--base-only")[0] == 0
+    report = str(tmp_path / "report")
+    assert run_cli(capsys, "tune", "-i", aligned, "-o", "-",
+                   "--report", report)[0] == 0
+    assert read_text(report).splitlines()[4] == "forfeited-concepts\t1"
+
+
+def malformed_tables(tmp_path):
+    """A morphosemantic and a lemma TSV that each hold one malformed line."""
+    morph = tmp_path / "morph.tsv"
+    morph.write_text("example\texemplify\nexample exemplify\n", encoding="utf-8")
+    lemmas = tmp_path / "lemmas.tsv"
+    lemmas.write_text("runs\trun\nsleeps\tsleep\textra\n", encoding="utf-8")
+    return str(morph), str(lemmas)
+
+
+def test_a_malformed_table_line_is_reported_before_the_counts(tmp_path):
+    # a new interpreter, as a shell runs each command: the warning bytes
+    # are those of its first run, before any handler could be set up
+    morph, lemmas = malformed_tables(tmp_path)
+    done = fresh_interpreter(
+        CLI_MAIN, "align", "-i", fixture("train_corpus.amr"),
+        "-o", str(tmp_path / "aligned.amr"), "--morph", morph,
+        "--lemmas", lemmas)
+    assert (done.returncode, done.stdout) == (0, "")
+    assert done.stderr == ("%s: skipped 1 malformed line(s)\n"
+                           "%s: skipped 1 malformed line(s)\n"
+                           "truncated-sentences\t0\n" % (morph, lemmas))
+
+
+def test_train_reports_a_malformed_lemma_line_before_its_epochs(tmp_path):
+    _, lemmas = malformed_tables(tmp_path)
+    traces = tmp_path / "traces.txt"
+    traces.write_text("# ::tok the cat\nDROP\nCONFIRM(cat)\nSHIFT\nREDUCE\n",
+                      encoding="utf-8")
+    done = fresh_interpreter(
+        CLI_MAIN, "train", "--traces", str(traces),
+        "--model", str(tmp_path / "model.json"), "--epochs", "2",
+        "--lemmas", lemmas)
+    assert (done.returncode, done.stdout) == (0, "")
+    lines = done.stderr.splitlines(keepends=True)
+    assert lines[0] == "%s: skipped 1 malformed line(s)\n" % lemmas
+    assert [line.split("\t")[0] for line in lines[1:]] == ["epoch 1", "epoch 2"]
 
 
 PERSONS = """\
@@ -894,6 +955,44 @@ def test_only_train_and_parse_import_numpy(tmp_path):
         ("import", 0, False), ("align", 0, False), ("tune", 0, False),
         ("oracle", 0, False), ("smatch", 0, False), ("stats", 0, False),
         ("train", 0, True)]
+
+
+# Run in a fresh interpreter: the import of amrtk.cli and the five
+# commands that do no array math load none of the standard library's
+# costly start-up modules.  Writes [step, exit code, those loaded] rows as
+# JSON to steps.json.
+STARTUP_IMPORTS = """
+import json, os, sys
+import amrtk.cli
+fixtures, out = sys.argv[1], sys.argv[2]
+res = os.path.join(fixtures, "resources")
+path = lambda name: os.path.join(out, name)
+costly = lambda: [m for m in ("dataclasses", "inspect", "logging")
+                  if m in sys.modules]
+steps = [("import", 0, costly())]
+for argv in (
+        ["align", "-i", os.path.join(fixtures, "train_corpus.amr"),
+         "-o", path("aligned.amr"),
+         "--embeddings", os.path.join(res, "embeddings.txt"),
+         "--morph", os.path.join(res, "morph.tsv"),
+         "--lemmas", os.path.join(res, "lemmas.tsv")],
+        ["tune", "-i", path("aligned.amr"), "-o", path("tuned.amr")],
+        ["oracle", "-i", path("tuned.amr"), "-o", path("traces.txt")],
+        ["smatch", "--gold", path("tuned.amr"), "--pred", path("tuned.amr")],
+        ["stats", "--traces", path("traces.txt"), "-o", path("stats.tsv")]):
+    code = amrtk.cli.main(argv)
+    steps.append((argv[0], code, costly()))
+with open(path("steps.json"), "w") as handle:
+    json.dump(steps, handle)
+"""
+
+
+def test_commands_start_without_dataclasses_inspect_or_logging(tmp_path):
+    done = fresh_interpreter(STARTUP_IMPORTS, fixture(), str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(read_text(str(tmp_path / "steps.json")))
+    assert steps == [[step, 0, []] for step in (
+        "import", "align", "tune", "oracle", "smatch", "stats")]
 
 
 def test_a_graph_lookup_error_ends_in_an_err_line(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from amrtk.graph import (
     ATTRIBUTE, CONSTANT, VARIABLE,
-    AmrGraph, Concept, GraphLookupError, PenmanStructureError, Relation,
+    AmrGraph, Concept, Fragment, GraphLookupError, PenmanStructureError, Relation,
     PenmanSyntaxError, SerializationError,
     depth_to_root, forest_roots, name_op_values, parse_penman,
     serialize_penman, strip_sense, tokenize_penman,
@@ -229,6 +229,16 @@ def test_fragments_group_name_ops():
     # partition property
     all_members = [m for f in frags.values() for m in f.members]
     assert sorted(all_members) == sorted(g.concepts)
+
+
+def test_a_fragment_is_its_fields():
+    name = parse_penman(FIGURE_GRAPH).fragments["n"]
+    same = Fragment(name.head, name.members, name.relations)
+    assert (same == name, hash(same) == hash(name), len(same)) == (True, True, 3)
+    assert same != Fragment("n", name.members[:1], ())
+    assert same != tuple(name.members)
+    assert repr(Fragment("c", ("c",), ())) == \
+        "Fragment(head='c', members=('c',), relations=())"
 
 
 def test_fragments_singleton():

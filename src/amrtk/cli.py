@@ -34,8 +34,7 @@ ERROR_CODES = [
     (oracle_mod.StatsError, "stats"),
     (smatch_mod.SmatchSizeError, "smatch"),
     (transition.TransitionError, "transition"),
-    (FileNotFoundError, "io"),
-    (PermissionError, "io"),
+    (OSError, "io"),
     (ValueError, "input"),
 ]
 
@@ -102,14 +101,6 @@ def _load_resources(args):
                                    cosine_threshold=args.cosine_threshold)
 
 
-def _require_tokens(doc):
-    tokens = doc.tokens
-    if not tokens:
-        raise corpus_mod.CorpusFormatError(
-            "document %s has no ::tok or ::snt line" % doc.id)
-    return tokens
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -126,7 +117,7 @@ def cmd_align(args):
             raise corpus_mod.CorpusFormatError(
                 "document %s has no graph" % doc.id)
         aset = align_mod.enumerate_alignments(
-            doc.graph, _require_tokens(doc), rules,
+            doc.graph, doc.tokens, rules,
             limit=args.max_candidates, resources=resources)
         doc.set_candidates(aset.candidates)
         truncated += aset.truncated
@@ -145,7 +136,7 @@ def cmd_tune(args):
         if not candidates:
             raise corpus_mod.CorpusFormatError(
                 "document %s has no alignment candidates" % doc.id)
-        best, run = oracle_mod.tune(_require_tokens(doc), doc.graph,
+        best, run = oracle_mod.tune(doc.tokens, doc.graph,
                                     candidates, smatch_restarts=args.restarts,
                                     smatch_seed=args.seed)
         doc.set_alignment(best)
@@ -182,7 +173,7 @@ def _tuned_candidate(doc):
 def cmd_oracle(args):
     blocks = []
     for doc in _read(args.input, corpus_mod.read_corpus):
-        tokens = _require_tokens(doc)
+        tokens = doc.tokens
         run = oracle_mod.oracle_run(tokens, doc.graph, _tuned_candidate(doc),
                                     smatch_restarts=args.restarts,
                                     smatch_seed=args.seed)
@@ -240,7 +231,7 @@ def cmd_parse(args):
     lemma_table = _load_lemmas(args)
     out_docs = []
     for doc in _read(args.input, corpus_mod.read_corpus):
-        result = parser_mod.decode(model, _require_tokens(doc), pos=doc.pos,
+        result = parser_mod.decode(model, doc.tokens, pos=doc.pos,
                                    lemma_table=lemma_table)
         metadata = {k: doc.metadata[k] for k in ("id", "snt", "tok", "pos")
                     if k in doc.metadata}

@@ -41,11 +41,13 @@ class CorpusDocument:
 
     @property
     def tokens(self):
-        if "tok" in self.metadata:
-            return self.metadata["tok"].split()
-        if "snt" in self.metadata:
-            return self.metadata["snt"].split()
-        return []
+        """The ::tok tokens, else the ::snt words; a block that gives
+        no token is refused."""
+        tokens = self.metadata.get("tok", self.metadata.get("snt", "")).split()
+        if not tokens:
+            raise CorpusFormatError(
+                "document %s has no ::tok or ::snt line" % self.id)
+        return tokens
 
     @property
     def pos(self):
@@ -140,15 +142,12 @@ def parse_alignment(text, graph, tokens):
 
 def read_blocks(source):
     """(metadata, body lines) for each blank-line-separated block of a
-    path, stream or string.  A string is text when it is empty or holds a
-    newline, else a path.  `# ::key value` lines are metadata; other `#`
-    lines are comments and are skipped.  A later line of a key replaces
+    stream or a string of text.  `# ::key value` lines are metadata; other
+    `#` lines are comments and are skipped, so a run of comment lines (a
+    release file's header) is no block.  A later line of a key replaces
     the earlier, except that a block may not repeat a key amrtk reads
     (`_READ_KEYS` and `alignments-k`), nor give an `alignments-k` key whose
     k is not 0 or an ASCII number without leading zeros."""
-    if isinstance(source, str) and source and "\n" not in source:
-        with open(source, encoding="utf-8") as handle:
-            return read_blocks(handle)
     if isinstance(source, str):
         source = io.StringIO(source)
     blocks = []
@@ -158,10 +157,12 @@ def read_blocks(source):
         if not line.strip():
             block = None
             continue
+        match = _META_RE.match(line)
+        if not match and line.startswith("#"):
+            continue
         if block is None:
             block = ({}, [])
             blocks.append(block)
-        match = _META_RE.match(line)
         if match:
             key = match.group(1)
             indexed = _ALIGN_K_RE.match(key)
@@ -173,7 +174,7 @@ def read_blocks(source):
                 raise CorpusFormatError(
                     "line %d repeats ::%s within its block" % (number, key))
             block[0][key] = match.group(2)
-        elif not line.startswith("#"):
+        else:
             block[1].append(line)
     return blocks
 
@@ -193,7 +194,7 @@ def write_blocks(blocks, stream):
 
 
 def read_corpus(source):
-    """Read CorpusDocuments from a path, stream or string."""
+    """Read CorpusDocuments from a stream or a string of text."""
     documents = []
     for metadata, graph_lines in read_blocks(source):
         graph_text = "\n".join(graph_lines) or None
@@ -214,8 +215,9 @@ def corpus_to_string(documents):
 
 
 def read_traces(source):
-    """Read an action-trace file: metadata headers then one action per
-    line, blank-line separated.  Returns (metadata, action strings) pairs."""
+    """Read action traces from a stream or a string of text: metadata
+    headers then one action per line, blank-line separated.  Returns
+    (metadata, action strings) pairs."""
     return [(metadata, [line.strip() for line in lines])
             for metadata, lines in read_blocks(source)]
 

@@ -314,22 +314,18 @@ def exhaustive_counts(a, b):
     guarded by a factorial size limit on the smaller set."""
     ta = to_triples(a)
     tb = to_triples(b)
+    totals = triple_count(ta), triple_count(tb)
     vars_a = a.var_ids()
     vars_b = b.var_ids()
-    if min(len(vars_a), len(vars_b)) > EXHAUSTIVE_VAR_LIMIT:
+    if len(vars_a) > len(vars_b):
+        # an injective map matches as many triples as its inverse does
+        ta, tb, vars_a, vars_b = tb, ta, vars_b, vars_a
+    if len(vars_a) > EXHAUSTIVE_VAR_LIMIT:
         raise SmatchSizeError(
             "exhaustive search limited to %d variables" % EXHAUSTIVE_VAR_LIMIT)
-    best = 0
-    if len(vars_a) <= len(vars_b):
-        for image in itertools.permutations(vars_b, len(vars_a)):
-            mapping = dict(zip(vars_a, image))
-            best = max(best, _match_count(ta, tb, mapping))
-    else:
-        for image in itertools.permutations(vars_a, len(vars_b)):
-            mapping = {va: vb for vb, va in zip(vars_b, image)}
-            best = max(best, _match_count(ta, tb, mapping))
-    return SearchCounts(best, triple_count(ta), triple_count(tb),
-                        best == upper_bound(ta, tb))
+    best = max(_match_count(ta, tb, dict(zip(vars_a, image)))
+               for image in itertools.permutations(vars_b, len(vars_a)))
+    return SearchCounts(best, *totals, best == upper_bound(ta, tb))
 
 
 def exhaustive_smatch(a, b):

@@ -1,6 +1,6 @@
-"""Shared test utilities: random graph pairs, fixture paths, a generator
-of hard sentences, a model that decodes until the step guard and one
-whose logits overflow, the
+"""Shared test utilities: random graph pairs, fixture paths and texts, a
+generator of hard sentences, a model that decodes until the step guard
+and one whose logits overflow, the
 reference Smatch hill-climbing and search, the reference fragment
 grouping, the reference matching-rule pass, the reference updating
 fixpoint, the brute-force candidate list, the reference tuner that scores every
@@ -62,6 +62,12 @@ VALUE_POOL = ["-", "2", "2002"]
 
 def fixture(*parts):
     return os.path.join(FIXTURES, *parts)
+
+
+def fixture_text(*parts):
+    """The text of a fixture file, for the corpus readers."""
+    with open(fixture(*parts), encoding="utf-8") as handle:
+        return handle.read()
 
 
 def bench_module(name):

@@ -21,7 +21,9 @@ from amrtk.parser import (
 from amrtk.resources import load_lemmas, load_morphosemantic, Resources
 from amrtk.smatch import exhaustive_smatch, smatch_score
 from amrtk.transition import apply, extract_graph, initial_state, is_terminal
-from helpers import brute_force_candidates, fixture, random_graph_pair
+from helpers import (
+    brute_force_candidates, fixture, fixture_text, random_graph_pair,
+)
 
 
 def report(number, name, started, limit):
@@ -38,8 +40,8 @@ def fixture_resources():
 
 
 def fixture_graphs():
-    docs = read_corpus(fixture("graphs.amr")) + \
-        read_corpus(fixture("oracle_corpus.amr"))
+    docs = read_corpus(fixture_text("graphs.amr")) + \
+        read_corpus(fixture_text("oracle_corpus.amr"))
     return [(doc.id, doc.graph) for doc in docs]
 
 
@@ -47,7 +49,7 @@ def tuned_oracle_corpus():
     resources = fixture_resources()
     rules = full_rule_set(resources)
     out = []
-    for doc in read_corpus(fixture("oracle_corpus.amr")):
+    for doc in read_corpus(fixture_text("oracle_corpus.amr")):
         aset = enumerate_alignments(doc.graph, doc.tokens, rules,
                                     resources=resources)
         best, run = tune(doc.tokens, doc.graph, aset)
@@ -146,7 +148,7 @@ def test_criterion_4_algorithm_brute_force_equivalence():
 def test_criterion_5_tuner_prefers_coherent_nuclear_alignment():
     started = time.perf_counter()
     resources = fixture_resources()
-    doc = next(d for d in read_corpus(fixture("oracle_corpus.amr"))
+    doc = next(d for d in read_corpus(fixture_text("oracle_corpus.amr"))
                if d.id == "s04")
     aset = enumerate_alignments(doc.graph, doc.tokens,
                                 full_rule_set(resources), resources=resources)
@@ -175,7 +177,7 @@ def test_criterion_5_tuner_prefers_coherent_nuclear_alignment():
 def _train_fixture():
     resources = fixture_resources()
     rules = full_rule_set(resources)
-    docs = read_corpus(fixture("train_corpus.amr"))
+    docs = read_corpus(fixture_text("train_corpus.amr"))
     assert len(docs) == 10
     examples = []
     targets = []
@@ -234,7 +236,7 @@ def test_criterion_8_extended_rule_recall():
 
     example_graph = parse_penman("(e / exemplify-01 :ARG0 (t / they))")
     example_tokens = ["They", "set", "an", "example", "."]
-    figure = next(d for d in read_corpus(fixture("oracle_corpus.amr"))
+    figure = next(d for d in read_corpus(fixture_text("oracle_corpus.amr"))
                   if d.id == "s04")
 
     # base rules alone miss both pairs the prefix-4 rule cannot reach

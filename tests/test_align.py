@@ -23,7 +23,7 @@ from amrtk.resources import (
     load_lemmas, load_morphosemantic,
 )
 from helpers import (
-    bench_module, brute_force_candidates, fixture, hard_corpus,
+    bench_module, brute_force_candidates, fixture, fixture_text, hard_corpus,
     reference_matching_records, reference_updating_records,
 )
 
@@ -436,14 +436,14 @@ def rule_shape_cases():
     dates at the bounds of their widths, graphs with edges the updating
     rules must not follow, and the token and label forms that the context
     normalizes: case, number words, sense suffixes and hyphenated names."""
-    docs = read_corpus(fixture("train_corpus.amr")) + \
-        read_corpus(fixture("oracle_corpus.amr"))
+    docs = read_corpus(fixture_text("train_corpus.amr")) + \
+        read_corpus(fixture_text("oracle_corpus.amr"))
     corpus_gen = bench_module("corpus_gen")
     for workload in ("compose-long", "compose-short"):
         docs += read_corpus(corpus_gen.generate(workload, 1))
     docs += read_corpus(hard_corpus(1, 24))
     cases = [(doc.graph, doc.tokens) for doc in docs]
-    for doc in read_corpus(fixture("graphs.amr")):
+    for doc in read_corpus(fixture_text("graphs.amr")):
         cases.append((doc.graph, [strip_sense(c.label)
                                   for c in doc.graph.concepts.values()]))
     city = '(c / city :name (n / name :op1 "New" :op2 "York" :op3 "City"))'

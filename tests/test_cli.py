@@ -127,12 +127,13 @@ def corpus_path(tmp_path, corpus):
     return fixture(corpus + ".amr")
 
 
-def align_tune_oracle(tmp_path, capsys, corpus):
-    """Paths of the align, tune and oracle outputs for a corpus."""
+def align_tune_oracle(tmp_path, capsys, source):
+    """Paths of the align, tune and oracle outputs for the corpus file at
+    `source`."""
     aligned, tuned, traces = (str(tmp_path / name)
                               for name in ("aligned", "tuned", "traces"))
     steps = [
-        ("align", "-i", corpus_path(tmp_path, corpus), "-o", aligned,
+        ("align", "-i", source, "-o", aligned,
          "--embeddings", RES["embeddings"], "--morph", RES["morph"],
          "--lemmas", RES["lemmas"]),
         ("tune", "-i", aligned, "-o", tuned, "--seed", "1",
@@ -146,8 +147,19 @@ def align_tune_oracle(tmp_path, capsys, corpus):
 
 @pytest.mark.parametrize("corpus", sorted(PINNED_DIGESTS))
 def test_align_tune_oracle_bytes_pinned(tmp_path, capsys, corpus):
-    paths = align_tune_oracle(tmp_path, capsys, corpus)
+    paths = align_tune_oracle(tmp_path, capsys, corpus_path(tmp_path, corpus))
     assert tuple(sha256_of(path) for path in paths) == PINNED_DIGESTS[corpus]
+
+
+def test_a_release_header_changes_no_byte(tmp_path, capsys):
+    # an AMR release file opens with a comment-only line and a blank line
+    headed = tmp_path / "headed.amr"
+    headed.write_text("# AMR release; corpus: fixture\n\n"
+                      + read_text(fixture("train_corpus.amr")),
+                      encoding="utf-8")
+    paths = align_tune_oracle(tmp_path, capsys, str(headed))
+    assert tuple(sha256_of(path) for path in paths) == \
+        PINNED_DIGESTS["train_corpus"]
 
 
 @pytest.mark.parametrize("workload", ["compose-long", "compose-short"])
@@ -162,7 +174,7 @@ def test_the_benchmark_writes_what_the_cli_writes(tmp_path, capsys,
         run.corpus_gen.generate(workload, 1), resources,
         full_rule_set(resources), resources.lemmas, run.MODEL_SEEDS[workload],
         run.NullTracer())
-    paths = align_tune_oracle(tmp_path, capsys, workload)
+    paths = align_tune_oracle(tmp_path, capsys, corpus_path(tmp_path, workload))
     assert [result.texts[stage] for stage in ("align", "tune", "oracle")] \
         == [read_text(path) for path in paths]
 
@@ -170,7 +182,7 @@ def test_the_benchmark_writes_what_the_cli_writes(tmp_path, capsys,
 @pytest.mark.parametrize("corpus, certified", [
     ("train_corpus", 10), ("oracle_corpus", 16)])
 def test_tune_reports_certified_sentences(tmp_path, capsys, corpus, certified):
-    align_tune_oracle(tmp_path, capsys, corpus)
+    align_tune_oracle(tmp_path, capsys, corpus_path(tmp_path, corpus))
     assert read_text(tmp_path / "report").splitlines()[3] == \
         "certified-sentences\t%d" % certified
 
@@ -226,7 +238,8 @@ PARSER_DIGESTS = {
 
 @pytest.mark.parametrize("corpus", sorted(PARSER_DIGESTS))
 def test_train_parse_bytes_pinned(tmp_path, capsys, corpus):
-    _, tuned, traces = align_tune_oracle(tmp_path, capsys, corpus)
+    _, tuned, traces = align_tune_oracle(tmp_path, capsys,
+                                         corpus_path(tmp_path, corpus))
     digests = []
     models = []
     for seed, extra in (("1", ()), ("2", ("--dev-fraction", "0.3"))):
@@ -596,6 +609,24 @@ def test_missing_file_errors(tmp_path, capsys):
     assert err.startswith("ERR:io:")
 
 
+@pytest.mark.parametrize("command", [
+    "align -i {d} -o -", "train --traces {t} --model {d} --epochs 1"],
+    ids=["input", "model"])
+def test_a_directory_in_place_of_a_file_errors(tmp_path, capsys, command):
+    # every OSError, IsADirectoryError too, is an ERR:io line
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    traces = tmp_path / "traces.txt"
+    traces.write_text("# ::tok boy\nCONFIRM(boy)\nSHIFT\nREDUCE\n",
+                      encoding="utf-8")
+    code, out, err = run_cli(capsys,
+                             *command.format(d=directory, t=traces).split())
+    errors = [line for line in err.splitlines() if line.startswith("ERR:")]
+    assert (code, out) == (2, "")
+    assert len(errors) == 1 and err.endswith(errors[0] + "\n")
+    assert errors[0].startswith("ERR:io: ") and str(directory) in errors[0]
+
+
 def test_bad_model_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "other"}')
@@ -829,6 +860,9 @@ REFUSALS = {
     "tune-without-candidates": (
         "tune -i {c}", {"c": "# ::id s1\n# ::tok boy\n(b / boy)\n"},
         "ERR:corpus: document s1 has no alignment candidates"),
+    "tune-aligned-without-tokens": (
+        "tune -i {c}", {"c": "# ::id s1\n# ::alignments 0-1|0\n(b / boy)\n"},
+        "ERR:corpus: document s1 has no ::tok or ::snt line"),
     "oracle-untuned": (
         "oracle -i {c}", {"c": "# ::id s1\n# ::tok boy\n(b / boy)\n"},
         "ERR:corpus: document s1 needs exactly one alignment "

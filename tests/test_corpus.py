@@ -12,7 +12,7 @@ from amrtk.corpus import (
 from amrtk.resources import (
     Resources, load_embeddings, load_lemmas, load_morphosemantic,
 )
-from helpers import bench_module, fixture
+from helpers import bench_module, fixture, fixture_text
 
 SAMPLE = """\
 # ::id x1
@@ -39,16 +39,23 @@ def test_read_corpus_blocks():
 
 
 def test_read_corpus_fixture_files():
-    docs = read_corpus(fixture("oracle_corpus.amr"))
+    docs = read_corpus(fixture_text("oracle_corpus.amr"))
     assert len(docs) == 16
     assert all(doc.graph is not None for doc in docs)
-    docs2 = read_corpus(fixture("graphs.amr"))
+    docs2 = read_corpus(fixture_text("graphs.amr"))
     assert len(docs2) == 18
 
 
 def test_tokens_come_from_snt_without_tok():
     doc = read_corpus("# ::snt The boy  sleeps\n(s / sleep-01)\n")[0]
     assert doc.tokens == ["The", "boy", "sleeps"]
+
+
+def test_a_block_without_tokens_is_refused():
+    doc = read_corpus("# ::id s1\n(b / boy)\n")[0]
+    with pytest.raises(CorpusFormatError,
+                       match=r"^document s1 has no ::tok or ::snt line$"):
+        doc.tokens
 
 
 def test_candidates_of_a_block_without_a_graph_are_refused():
@@ -85,8 +92,8 @@ def test_alignment_stacked_heads():
 def candidate_corpora():
     """The fixture corpora and the benchmark workloads at seeds 1-3."""
     corpus_gen = bench_module("corpus_gen")
-    yield read_corpus(fixture("train_corpus.amr"))
-    yield read_corpus(fixture("oracle_corpus.amr"))
+    yield read_corpus(fixture_text("train_corpus.amr"))
+    yield read_corpus(fixture_text("oracle_corpus.amr"))
     for workload in ("compose-long", "compose-short"):
         for seed in (1, 2, 3):
             yield read_corpus(corpus_gen.generate(workload, seed))
@@ -185,7 +192,19 @@ def test_traces_round_trip():
 
 
 def test_empty_text_is_an_empty_corpus():
-    # an empty string is text, not the path ""
     assert read_corpus("") == []
     assert read_traces("") == []
     assert read_corpus("\n") == []
+
+
+def test_a_string_without_a_newline_is_text():
+    [doc] = read_corpus("(b / boy)")
+    assert doc.graph.concept(doc.graph.root).label == "boy"
+
+
+def test_comment_lines_open_no_block():
+    # an AMR release file opens with a comment-only header and a blank line
+    assert read_corpus("# only a comment\n") == []
+    [doc] = read_corpus("# AMR release; corpus: fixture\n\n"
+                        "# ::id a\n# ::tok boy\n(b / boy)\n")
+    assert (doc.id, doc.tokens, doc.graph_text) == ("a", ["boy"], "(b / boy)")

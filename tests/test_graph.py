@@ -9,7 +9,9 @@ from amrtk.graph import (
     depth_to_root, forest_roots, name_op_values, parse_penman,
     serialize_penman, strip_sense, tokenize_penman,
 )
-from helpers import fixture, hard_corpus, random_graph, reference_fragments
+from helpers import (
+    fixture_text, hard_corpus, random_graph, reference_fragments,
+)
 
 FIGURE_GRAPH = """
 (f / freeze-01
@@ -259,7 +261,7 @@ def test_fragments_follow_the_reference_grouping():
     from amrtk.corpus import read_corpus
     graphs = [doc.graph for name in ("graphs.amr", "oracle_corpus.amr",
                                      "train_corpus.amr")
-              for doc in read_corpus(fixture(name))]
+              for doc in read_corpus(fixture_text(name))]
     graphs += [doc.graph for doc in read_corpus(hard_corpus(3, 12))]
     shared = {"n": Concept("n", "name", VARIABLE),
               "d": Concept("d", "date-entity", VARIABLE),
@@ -403,11 +405,9 @@ def test_depth_missing_concept():
 
 
 def test_depth_monotone_under_unique_parent():
-    import os
-    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
     from amrtk.corpus import read_corpus
     for name in ("graphs.amr", "oracle_corpus.amr"):
-        for doc in read_corpus(os.path.join(fixtures, name)):
+        for doc in read_corpus(fixture_text(name)):
             g = doc.graph
             for rel in g.relations:
                 if len(g.incoming(rel.target)) == 1:

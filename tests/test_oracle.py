@@ -30,8 +30,8 @@ from amrtk.transition import (
 )
 from helpers import (
     assert_apply_refuses_every_illegal_tag,
-    assert_decode_step_matches_reference, bench_module, fixture, hard_corpus,
-    random_graph, reference_legal_actions, reference_oracle_run,
+    assert_decode_step_matches_reference, bench_module, fixture, fixture_text,
+    hard_corpus, random_graph, reference_legal_actions, reference_oracle_run,
     reference_tune,
 )
 
@@ -478,8 +478,8 @@ def pinned_candidates(rule_set):
     resources = fixture_resources()
     rules = base_rule_set() if rule_set == "base" else full_rule_set(resources)
     corpus_gen = bench_module("corpus_gen")
-    documents = (read_corpus(fixture("train_corpus.amr"))
-                 + read_corpus(fixture("oracle_corpus.amr"))
+    documents = (read_corpus(fixture_text("train_corpus.amr"))
+                 + read_corpus(fixture_text("oracle_corpus.amr"))
                  + read_corpus(corpus_gen.generate("compose-long", 1))
                  + read_corpus(corpus_gen.generate("compose-short", 1)))
     return tuple((doc.tokens, doc.graph, cand) for doc in documents
@@ -561,8 +561,8 @@ def test_every_oracle_state_has_the_reference_legal_tags():
     # a model that names every role of the gold graphs as LEFT and RIGHT
     resources = fixture_resources()
     documents = (read_corpus(hard_corpus(1, 24))
-                 + read_corpus(fixture("train_corpus.amr"))
-                 + read_corpus(fixture("oracle_corpus.amr")))
+                 + read_corpus(fixture_text("train_corpus.amr"))
+                 + read_corpus(fixture_text("oracle_corpus.amr")))
     roles = sorted({rel.label for doc in documents
                     for rel in doc.graph.relations})
     model = ActionScorer(
@@ -628,7 +628,7 @@ def test_oracle_run_equals_the_reference_step(name):
     # builds the actions, forest and score of the step that read its
     # named fields
     if name.endswith("_corpus"):
-        text = fixture(name + ".amr")
+        text = fixture_text(name + ".amr")
     elif name == "hard-1":
         text = hard_corpus(1, 24)
     else:
@@ -697,7 +697,7 @@ def tune_corpus(text, rules):
 @pytest.mark.parametrize("name", ["train_corpus", "oracle_corpus"])
 def test_tune_equals_scoring_every_candidate_on_fixtures(name):
     for rules in (base_rule_set(), full_rule_set(fixture_resources())):
-        tune_corpus(fixture(name + ".amr"), rules)
+        tune_corpus(fixture_text(name + ".amr"), rules)
 
 
 @pytest.mark.parametrize("workload", ["compose-long", "compose-short"])

@@ -13,7 +13,7 @@ from amrtk.smatch import (
     smatch_score, to_triples, triple_count, upper_bound,
 )
 from helpers import (
-    fixture, perturbed_pair, random_graph, random_graph_pair,
+    fixture_text, perturbed_pair, random_graph, random_graph_pair,
     reference_hill_climb, reference_smatch_counts,
 )
 
@@ -201,9 +201,14 @@ def test_upper_bound_bounds_exhaustive_and_certifies_it():
     certified = 0
     for a, b in pairs:
         bound = upper_bound(to_triples(a), to_triples(b))
-        exact = exhaustive_counts(a, b)[0]
+        counts = exhaustive_counts(a, b)
+        exact = counts.matched
         assert bound >= exact
         found = search_counts(a, b, restarts=4, seed=1)
+        # either graph may be the larger: each order counts its own totals
+        assert counts[1:3] == found[1:3]
+        assert exhaustive_counts(b, a) == \
+            (exact, counts.total_b, counts.total_a, counts.certified)
         assert found.certified == (found.matched == bound)
         if found.certified:
             certified += 1
@@ -242,7 +247,7 @@ def test_certified_pair_builds_no_weight_table(monkeypatch):
 
 def test_hill_climb_matches_recount_reference():
     rng = random.Random(17)
-    graphs = [doc.graph for doc in read_corpus(fixture("graphs.amr"))]
+    graphs = [doc.graph for doc in read_corpus(fixture_text("graphs.amr"))]
     pairs = [(a, b) for a in graphs for b in graphs]
     pairs += [perturbed_pair(rng, rng.randint(8, 15)) for _ in range(30)]
     pairs += [(random_graph(rng, rng.randint(8, 15)),

@@ -16,7 +16,7 @@ from amrtk.transition import (
     initial_state, is_terminal, legal_actions, parse_action,
 )
 from helpers import (
-    assert_apply_refuses_every_illegal_tag, fixture, reference_apply,
+    assert_apply_refuses_every_illegal_tag, fixture_text, reference_apply,
     reference_legal_actions,
 )
 
@@ -440,7 +440,7 @@ def test_apply_equals_the_reference_on_random_walks(name):
     rng = random.Random(1)
     applied = set()
     refusals = {}
-    for doc in read_corpus(fixture(name + ".amr")):
+    for doc in read_corpus(fixture_text(name + ".amr")):
         for _ in range(20):
             state = initial_state(doc.tokens)
             for _ in range(10 * len(doc.tokens)):

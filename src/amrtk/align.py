@@ -365,7 +365,8 @@ def enumerate_alignments(graph, tokens, rules, limit=DEFAULT_CANDIDATE_LIMIT,
     stops at `limit` + 1 candidates; `truncated` means more exist.  Each
     candidate is a span map over every fragment head, in fragment order;
     with no legal assignment the one candidate leaves every head unaligned.
-    `per_fragment_cap` is accepted for older callers and ignored.
+    `per_fragment_cap` is ignored; it is accepted because
+    `bench/pipeline.py` still passes it.
     """
     if not tokens:
         raise AlignmentInputError("token list may not be empty")

@@ -31,7 +31,6 @@ ERROR_CODES = [
     (transition.DecodeError, "decode"),
     (align_mod.AlignmentInputError, "align"),
     (oracle_mod.OracleError, "oracle"),
-    (oracle_mod.StatsError, "stats"),
     (smatch_mod.SmatchSizeError, "smatch"),
     (transition.TransitionError, "transition"),
     (OSError, "io"),
@@ -51,11 +50,17 @@ def _resource_path(path):
 
 
 def _read(path, reader):
-    """`reader` applied to the file at `path`; `-` is stdin, left open."""
+    """The blocks `reader` reads from the file at `path`; `-` is stdin,
+    left open.  An input that holds no block is refused: it is a wrong
+    or empty file, and every command would pass it without notice."""
     if path == "-":
-        return reader(sys.stdin)
-    with open(path, encoding="utf-8") as stream:
-        return reader(stream)
+        blocks = reader(sys.stdin)
+    else:
+        with open(path, encoding="utf-8") as stream:
+            blocks = reader(stream)
+    if not blocks:
+        raise corpus_mod.CorpusFormatError("input %s holds no block" % path)
+    return blocks
 
 
 def _open_output(path):
@@ -113,9 +118,6 @@ def cmd_align(args):
     documents = _read(args.input, corpus_mod.read_corpus)
     truncated = 0
     for doc in documents:
-        if doc.graph is None:
-            raise corpus_mod.CorpusFormatError(
-                "document %s has no graph" % doc.id)
         aset = align_mod.enumerate_alignments(
             doc.graph, doc.tokens, rules,
             limit=args.max_candidates, resources=resources)
@@ -128,14 +130,9 @@ def cmd_align(args):
 
 def cmd_tune(args):
     documents = _read(args.input, corpus_mod.read_corpus)
-    if not documents:
-        raise corpus_mod.CorpusFormatError("the corpus holds no documents")
     runs = []
     for doc in documents:
         candidates = doc.alignment_candidates()
-        if not candidates:
-            raise corpus_mod.CorpusFormatError(
-                "document %s has no alignment candidates" % doc.id)
         best, run = oracle_mod.tune(doc.tokens, doc.graph,
                                     candidates, smatch_restarts=args.restarts,
                                     smatch_seed=args.seed)
@@ -161,20 +158,11 @@ def cmd_tune(args):
     return 0
 
 
-def _tuned_candidate(doc):
-    candidates = doc.alignment_candidates()
-    if len(candidates) != 1:
-        raise corpus_mod.CorpusFormatError(
-            "document %s needs exactly one alignment (run `amrtk tune`); "
-            "found %d" % (doc.id, len(candidates)))
-    return candidates[0]
-
-
 def cmd_oracle(args):
     blocks = []
     for doc in _read(args.input, corpus_mod.read_corpus):
         tokens = doc.tokens
-        run = oracle_mod.oracle_run(tokens, doc.graph, _tuned_candidate(doc),
+        run = oracle_mod.oracle_run(tokens, doc.graph, doc.tuned_alignment(),
                                     smatch_restarts=args.restarts,
                                     smatch_seed=args.seed)
         metadata = {k: doc.metadata[k] for k in ("id", "tok", "pos")
@@ -186,24 +174,15 @@ def cmd_oracle(args):
     return 0
 
 
-def _trace_tokens(metadata):
-    """The tokens of a trace block, which must have a ::tok line."""
-    if "tok" not in metadata:
-        raise corpus_mod.CorpusFormatError("trace block lacks ::tok")
-    return tuple(metadata["tok"].split())
-
-
 def _read_training_corpus(path):
     from . import parser as parser_mod
     examples = []
     for metadata, action_lines in _read(path, corpus_mod.read_traces):
-        tokens = _trace_tokens(metadata)
-        pos = tuple(metadata["pos"].split()) if "pos" in metadata else None
-        if pos is not None and len(pos) != len(tokens):
-            raise corpus_mod.CorpusFormatError(
-                "trace block ::pos arity mismatch")
+        doc = corpus_mod.CorpusDocument(metadata)
+        tokens, pos = tuple(doc.tokens), doc.pos
         actions = tuple(transition.parse_action(line) for line in action_lines)
-        examples.append(parser_mod.TrainingExample(tokens, actions, pos))
+        examples.append(parser_mod.TrainingExample(tokens, actions,
+                                                   pos and tuple(pos)))
     return examples
 
 
@@ -249,13 +228,9 @@ def cmd_smatch(args):
     if len(gold_docs) != len(pred_docs):
         raise corpus_mod.CorpusFormatError(
             "gold has %d graphs, pred has %d" % (len(gold_docs), len(pred_docs)))
-    if not gold_docs:
-        raise corpus_mod.CorpusFormatError("gold and pred hold no graphs")
     matched = total_pred = total_gold = certified = 0
     for gold_doc, pred_doc in zip(gold_docs, pred_docs):
         pred, gold = pred_doc.graph, gold_doc.graph
-        if gold is None or pred is None:
-            raise corpus_mod.CorpusFormatError("block without a graph")
         if None not in (gold_doc.id, pred_doc.id) and gold_doc.id != pred_doc.id:
             raise corpus_mod.CorpusFormatError(
                 "gold block %s is paired with pred block %s"
@@ -276,18 +251,14 @@ def cmd_smatch(args):
 
 
 def cmd_stats(args):
-    blocks = []
-    for path in args.traces:
-        blocks.extend(_read(path, corpus_mod.read_traces))
-    if not blocks:
-        raise oracle_mod.StatsError("no trace blocks found")
-    rows = [(len(_trace_tokens(metadata)), len(actions))
-            for metadata, actions in blocks]
+    rows = [(len(corpus_mod.CorpusDocument(metadata).tokens), len(actions))
+            for path in args.traces
+            for metadata, actions in _read(path, corpus_mod.read_traces)]
     with _open_output(args.output) as out:
         for row in rows:
             out.write("%d\t%d\n" % row)
     total = sum(n_actions for _, n_actions in rows)
-    sys.stderr.write("mean-actions\t%.2f\n" % (total / len(blocks)))
+    sys.stderr.write("mean-actions\t%.2f\n" % (total / len(rows)))
     return 0
 
 

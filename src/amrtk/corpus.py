@@ -15,6 +15,10 @@ from .align import Span
 from .graph import parse_penman
 
 _META_RE = re.compile(r"^# ::(\S+) ?(.*)$")
+# a header line may give several keys, as AMR release files do: `::`
+# after whitespace and before a non-space character starts the next one
+_NEXT_KEY_RE = re.compile(r"\s+::(?=\S)")
+_KEY_RE = re.compile(r"(\S+) ?(.*)$")  # a key and its value, past `::`
 # a candidate's index k is written one way only, so no two lines share it
 _ALIGN_K_RE = re.compile(r"^alignments-(0|[1-9][0-9]*)$")
 _ITEM_RE = re.compile(r"^(\d+)-(\d+)\|(\d+(?:\+\d+)*)$")
@@ -32,12 +36,19 @@ class CorpusFormatError(ValueError):
 class CorpusDocument:
     def __init__(self, metadata, graph=None, graph_text=None):
         self.metadata = dict(metadata)
-        self.graph = graph
+        self._graph = graph
         self.graph_text = graph_text
 
     @property
     def id(self):
         return self.metadata.get("id")
+
+    @property
+    def graph(self):
+        """The block's graph; a block without one is refused."""
+        if self._graph is None:
+            raise CorpusFormatError("document %s has no graph" % self.id)
+        return self._graph
 
     @property
     def tokens(self):
@@ -62,9 +73,9 @@ class CorpusDocument:
 
     def alignment_candidates(self):
         """Span maps parsed from the ::alignments-k lines, in index order,
-        or from the single ::alignments line; a block may not carry both."""
-        if self.graph is None:
-            raise CorpusFormatError("document %s has no graph" % self.id)
+        or from the single ::alignments line; a block must carry one of
+        the two forms and may not carry both."""
+        graph = self.graph
         lines = sorted((int(match.group(1)), value)
                        for key, value in self.metadata.items()
                        if (match := _ALIGN_K_RE.match(key)))
@@ -74,8 +85,21 @@ class CorpusDocument:
                     "document %s has both ::alignments and ::alignments-k "
                     "lines" % self.id)
             lines = [(0, self.metadata["alignments"])]
-        return [parse_alignment(value, self.graph, self.tokens)
+        if not lines:
+            raise CorpusFormatError(
+                "document %s has no ::alignments or ::alignments-k line"
+                % self.id)
+        return [parse_alignment(value, graph, self.tokens)
                 for _, value in lines]
+
+    def tuned_alignment(self):
+        """The span map of a tuned block's one alignment line."""
+        candidates = self.alignment_candidates()
+        if len(candidates) != 1:
+            raise CorpusFormatError(
+                "document %s needs exactly one alignment (run `amrtk tune`); "
+                "found %d" % (self.id, len(candidates)))
+        return candidates[0]
 
     def _strip_alignments(self):
         self.metadata = {k: v for k, v in self.metadata.items()
@@ -142,12 +166,15 @@ def parse_alignment(text, graph, tokens):
 
 def read_blocks(source):
     """(metadata, body lines) for each blank-line-separated block of a
-    stream or a string of text.  `# ::key value` lines are metadata; other
-    `#` lines are comments and are skipped, so a run of comment lines (a
-    release file's header) is no block.  A later line of a key replaces
-    the earlier, except that a block may not repeat a key amrtk reads
-    (`_READ_KEYS` and `alignments-k`), nor give an `alignments-k` key whose
-    k is not 0 or an ASCII number without leading zeros."""
+    stream or a string of text.  `# ::key value` lines are metadata, and a
+    line may give several keys (`# ::id x ::date d ::preferred`; a key
+    without a value reads as ""); other `#` lines are comments and are
+    skipped, so a run of comment lines (a release file's header) is no
+    block.  A later value of a key replaces the earlier, except that a
+    block may not repeat a key amrtk reads (`_READ_KEYS` and
+    `alignments-k`), within a line or across lines, nor give an
+    `alignments-k` key whose k is not 0 or an ASCII number without
+    leading zeros."""
     if isinstance(source, str):
         source = io.StringIO(source)
     blocks = []
@@ -163,8 +190,14 @@ def read_blocks(source):
         if block is None:
             block = ({}, [])
             blocks.append(block)
-        if match:
-            key = match.group(1)
+        if not match:
+            block[1].append(line)
+            continue
+        pairs = [match.groups()]
+        if "::" in match.group(2):
+            pairs = [_KEY_RE.match(text).groups()
+                     for text in _NEXT_KEY_RE.split(line[len("# ::"):])]
+        for key, value in pairs:
             indexed = _ALIGN_K_RE.match(key)
             if key.startswith("alignments-") and not indexed:
                 raise CorpusFormatError(
@@ -173,9 +206,7 @@ def read_blocks(source):
             if key in block[0] and (indexed or key in _READ_KEYS):
                 raise CorpusFormatError(
                     "line %d repeats ::%s within its block" % (number, key))
-            block[0][key] = match.group(2)
-        else:
-            block[1].append(line)
+            block[0][key] = value
     return blocks
 
 

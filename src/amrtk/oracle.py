@@ -31,10 +31,6 @@ class OracleError(RuntimeError):
     pass
 
 
-class StatsError(ValueError):
-    pass
-
-
 class OracleRun:
     """One oracle run: its `actions`, the number of `trees` it rebuilt
     (`forest_roots` of the pruned graph), the number of aligned concepts

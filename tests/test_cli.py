@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -162,6 +163,20 @@ def test_a_release_header_changes_no_byte(tmp_path, capsys):
         PINNED_DIGESTS["train_corpus"]
 
 
+def test_release_keys_on_the_id_line_change_no_other_byte(tmp_path, capsys):
+    # an AMR release file's `::id` line gives several keys
+    released = tmp_path / "released.amr"
+    released.write_text(re.sub(
+        r"(?m)^# ::id .*", r"\g<0> ::date 2012-12-04T17:55:20 "
+        "::annotator fixture ::preferred",
+        read_text(fixture("train_corpus.amr"))), encoding="utf-8")
+    paths = align_tune_oracle(tmp_path, capsys, str(released))
+    texts = [re.sub(r"(?m)^# ::(date|annotator|preferred)( .*)?\n", "",
+                    read_text(path)) for path in paths]
+    assert tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                 for text in texts) == PINNED_DIGESTS["train_corpus"]
+
+
 @pytest.mark.parametrize("workload", ["compose-long", "compose-short"])
 def test_the_benchmark_writes_what_the_cli_writes(tmp_path, capsys,
                                                   monkeypatch, workload):
@@ -260,6 +275,25 @@ def test_train_parse_bytes_pinned(tmp_path, capsys, corpus):
         assert run_cli(capsys, *argv)[0] == 0
         digests.append(sha256_of(parsed))
     assert tuple(digests) == PARSER_DIGESTS[corpus]
+
+
+def test_train_and_stats_read_snt_traces_as_tok_traces(tmp_path, capsys):
+    traces = align_tune_oracle(tmp_path, capsys,
+                               fixture("train_corpus.amr"))[2]
+    snt_traces = str(tmp_path / "snt-traces")
+    with open(snt_traces, "w", encoding="utf-8") as handle:
+        handle.write(read_text(traces).replace("# ::tok ", "# ::snt "))
+    assert "::tok" not in read_text(snt_traces)
+    outputs = []
+    for path in (traces, snt_traces):
+        model = path + ".model"
+        code, _, log = run_cli(capsys, "train", "--traces", path, "--model",
+                               model, "--epochs", "3", "--lemmas",
+                               RES["lemmas"])
+        assert code == 0
+        outputs.append((read_text(model), log,
+                        run_cli(capsys, "stats", "--traces", path)))
+    assert outputs[0] == outputs[1]
 
 
 def test_tune_writes_metadata_and_report(tmp_path, capsys):
@@ -679,12 +713,16 @@ BROKEN_MODELS = {
 }
 
 
+# a model file that `parse` loads: one action, no weight
+MODEL_TEXT = json.dumps({
+    "format": "amrtk-model", "version": 1, "actions": ["DROP"], "bias": [0.0],
+    "weights": [{}], "predicate_lemmas": [], "lemma_fallback": True,
+    "hash_dim": parser_mod.HASH_DIM, "hash_seed": parser_mod.HASH_SEED})
+
+
 @pytest.mark.parametrize("case", list(BROKEN_MODELS))
 def test_foreign_feature_space_errors(tmp_path, capsys, case):
-    model = {"format": "amrtk-model", "version": 1, "actions": ["DROP"],
-             "bias": [0.0], "weights": [{}], "predicate_lemmas": [],
-             "lemma_fallback": True,
-             "hash_dim": parser_mod.HASH_DIM, "hash_seed": parser_mod.HASH_SEED}
+    model = json.loads(MODEL_TEXT)
     corpus = tmp_path / "c.amr"
     corpus.write_text("# ::tok a\n(c / cat)\n")
     path = tmp_path / "model.json"
@@ -849,7 +887,8 @@ def test_align_takes_a_cosine_threshold_in_minus_one_to_one(
 
 
 # one block per refusal that no other test reaches: the command, the
-# files it reads ({name} is the path of file `name`) and its one error line
+# files it reads ({name} is the path of file `name`) and its one error
+# line, in which {name} is that path too
 REFUSALS = {
     "align-without-tokens": (
         "align -i {c}", {"c": "# ::id s1\n(b / boy)\n"},
@@ -859,14 +898,21 @@ REFUSALS = {
         "ERR:corpus: document s1 has no graph"),
     "tune-without-candidates": (
         "tune -i {c}", {"c": "# ::id s1\n# ::tok boy\n(b / boy)\n"},
-        "ERR:corpus: document s1 has no alignment candidates"),
+        "ERR:corpus: document s1 has no ::alignments or ::alignments-k "
+        "line"),
     "tune-aligned-without-tokens": (
         "tune -i {c}", {"c": "# ::id s1\n# ::alignments 0-1|0\n(b / boy)\n"},
         "ERR:corpus: document s1 has no ::tok or ::snt line"),
     "oracle-untuned": (
         "oracle -i {c}", {"c": "# ::id s1\n# ::tok boy\n(b / boy)\n"},
+        "ERR:corpus: document s1 has no ::alignments or ::alignments-k "
+        "line"),
+    "oracle-candidates": (
+        "oracle -i {c}", {"c": "# ::id s1\n# ::tok boy\n"
+                               "# ::alignments-0 0-1|0\n"
+                               "# ::alignments-1 0-1|0\n(b / boy)\n"},
         "ERR:corpus: document s1 needs exactly one alignment "
-        "(run `amrtk tune`); found 0"),
+        "(run `amrtk tune`); found 2"),
     "oracle-alignment-not-a-head": (
         "oracle -i {c}", {"c": "# ::tok Korea\n# ::alignments 0-1|2\n"
                                "(c / country :name (n / name :op1 Korea))\n"},
@@ -915,11 +961,14 @@ REFUSALS = {
     "train-trace-without-tok": (
         "train --traces {t} --model {m}",
         {"t": "# ::id s1\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},
-        "ERR:corpus: trace block lacks ::tok"),
+        "ERR:corpus: document s1 has no ::tok or ::snt line"),
     "train-pos-arity": (
         "train --traces {t} --model {m}",
         {"t": "# ::tok boy\n# ::pos NN VB\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},
-        "ERR:corpus: trace block ::pos arity mismatch"),
+        "ERR:corpus: document None: 2 POS tags for 1 tokens"),
+    "train-without-blocks": (
+        "train --traces {t} --model {m}", {"t": ""},
+        "ERR:corpus: input {t} holds no block"),
     "smatch-count-mismatch": (
         "smatch --gold {g} --pred {p}",
         {"g": "(b / boy)\n\n(g / girl)\n", "p": "(b / boy)\n"},
@@ -927,14 +976,34 @@ REFUSALS = {
     "smatch-block-without-graph": (
         "smatch --gold {g} --pred {p}",
         {"g": "(b / boy)\n", "p": "# ::tok boy\n"},
-        "ERR:corpus: block without a graph"),
+        "ERR:corpus: document None has no graph"),
+    "smatch-gold-without-blocks": (
+        "smatch --gold {g} --pred {p}", {"g": "", "p": "(b / boy)\n"},
+        "ERR:corpus: input {g} holds no block"),
+    "smatch-pred-without-blocks": (
+        "smatch --gold {g} --pred {p}", {"g": "(b / boy)\n", "p": ""},
+        "ERR:corpus: input {p} holds no block"),
     "stats-without-blocks": (
         "stats --traces {t}", {"t": ""},
-        "ERR:stats: no trace blocks found"),
+        "ERR:corpus: input {t} holds no block"),
+    "stats-one-trace-file-without-blocks": (
+        "stats --traces {t} {u}",
+        {"t": "# ::tok boy\nCONFIRM(boy)\nSHIFT\nREDUCE\n", "u": ""},
+        "ERR:corpus: input {u} holds no block"),
     "stats-trace-without-tok": (
         "stats --traces {t}",
         {"t": "# ::tok boy\nCONFIRM(boy)\n\n# ::id s2\nSHIFT\nREDUCE\n"},
-        "ERR:corpus: trace block lacks ::tok"),
+        "ERR:corpus: document s2 has no ::tok or ::snt line"),
+    "stats-trace-with-an-empty-tok-line": (
+        "stats --traces {t}", {"t": "# ::id s1\n# ::tok \nSHIFT\n"},
+        "ERR:corpus: document s1 has no ::tok or ::snt line"),
+    "align-without-blocks": (
+        "align -i {c}", {"c": ""}, "ERR:corpus: input {c} holds no block"),
+    "oracle-without-blocks": (
+        "oracle -i {c}", {"c": ""}, "ERR:corpus: input {c} holds no block"),
+    "parse-without-blocks": (
+        "parse -i {c} --model {model}", {"c": "", "model": MODEL_TEXT},
+        "ERR:corpus: input {c} holds no block"),
 }
 
 
@@ -947,8 +1016,27 @@ def test_each_refusal_ends_in_its_err_line(tmp_path, capsys, command, files,
         paths[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, *command.format(**paths).split())
-    assert (code, out, err) == (2, "", line + "\n")
+    assert (code, out, err) == (2, "", line.format(**paths) + "\n")
     assert not os.path.exists(paths["m"])
+
+
+# one block that gives no token, read as a corpus block by `align`, `tune`,
+# `oracle` and `parse` and as a trace block by `train` and `stats`
+TOKENLESS_BLOCK = "# ::id s1\n# ::alignments 0-1|0\n(b / boy)\n"
+
+
+@pytest.mark.parametrize("command", [
+    "align -i {c}", "tune -i {c}", "oracle -i {c}",
+    "parse -i {c} --model {model}", "train --traces {c} --model {m}",
+    "stats --traces {c}"], ids=lambda command: command.split()[0])
+def test_every_command_refuses_a_tokenless_block_alike(tmp_path, capsys,
+                                                       command):
+    paths = {"c": str(tmp_path / "c"), "model": str(tmp_path / "model"),
+             "m": str(tmp_path / "m")}
+    (tmp_path / "c").write_text(TOKENLESS_BLOCK, encoding="utf-8")
+    (tmp_path / "model").write_text(MODEL_TEXT, encoding="utf-8")
+    assert run_cli(capsys, *command.format(**paths).split()) == (
+        2, "", "ERR:corpus: document s1 has no ::tok or ::snt line\n")
 
 
 # Run in a fresh interpreter: numpy stays out of sys.modules through the

@@ -7,7 +7,7 @@ from amrtk.align import (
 )
 from amrtk.corpus import (
     CorpusFormatError, corpus_to_string, format_alignment, parse_alignment,
-    read_corpus, read_traces, write_traces,
+    read_blocks, read_corpus, read_traces, write_traces,
 )
 from amrtk.resources import (
     Resources, load_embeddings, load_lemmas, load_morphosemantic,
@@ -208,3 +208,33 @@ def test_comment_lines_open_no_block():
     [doc] = read_corpus("# AMR release; corpus: fixture\n\n"
                         "# ::id a\n# ::tok boy\n(b / boy)\n")
     assert (doc.id, doc.tokens, doc.graph_text) == ("a", ["boy"], "(b / boy)")
+
+
+def test_a_header_line_may_give_several_keys():
+    # an AMR release file's `::id` line; `::` opens a key only after
+    # whitespace and before a non-space character
+    [doc] = read_corpus("# ::id bolt12_64556_5627.1 ::date 2012-12-04T17:55:20 "
+                        "::annotator SDL-AMR-09 ::preferred\n"
+                        "# ::snt a::b :: c ::\n(b / boy)\n")
+    assert doc.metadata == {
+        "id": "bolt12_64556_5627.1", "date": "2012-12-04T17:55:20",
+        "annotator": "SDL-AMR-09", "preferred": "", "snt": "a::b :: c ::"}
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("# ::id a ::id b\n", 1, "id"),
+    ("# ::id a ::tok x\n# ::tok y\n", 2, "tok"),
+    ("# ::tok x\n# ::id a ::tok y\n", 2, "tok"),
+    ("# ::tok x ::alignments-0 0-1|0 ::alignments-0 0-1|0\n", 1,
+     "alignments-0")])
+def test_a_read_key_repeated_within_or_across_lines_is_refused(text, line,
+                                                               key):
+    with pytest.raises(CorpusFormatError,
+                       match=r"^line %d repeats ::%s within its block$"
+                       % (line, key)):
+        read_blocks(text)
+
+
+def test_an_unread_key_repeated_on_one_line_keeps_its_last_value():
+    [(metadata, _)] = read_blocks("# ::node 0 boy ::node 1 girl\n")
+    assert metadata == {"node": "1 girl"}

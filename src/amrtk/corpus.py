@@ -14,11 +14,10 @@ import re
 from .align import Span
 from .graph import parse_penman
 
-_META_RE = re.compile(r"^# ::(\S+) ?(.*)$")
-# a header line may give several keys, as AMR release files do: `::`
-# after whitespace and before a non-space character starts the next one
-_NEXT_KEY_RE = re.compile(r"\s+::(?=\S)")
+_META_RE = re.compile(r"^# ::(\S+)")  # a header line and its first key
+_NEXT_KEY_RE = re.compile(r"\s+::(?=\S)")  # where a line's next key starts
 _KEY_RE = re.compile(r"(\S+) ?(.*)$")  # a key and its value, past `::`
+_TEXT_KEYS = frozenset({"snt", "tok", "pos"})  # free text: one key a line
 # a candidate's index k is written one way only, so no two lines share it
 _ALIGN_K_RE = re.compile(r"^alignments-(0|[1-9][0-9]*)$")
 _ITEM_RE = re.compile(r"^(\d+)-(\d+)\|(\d+(?:\+\d+)*)$")
@@ -53,11 +52,11 @@ class CorpusDocument:
     @property
     def tokens(self):
         """The ::tok tokens, else the ::snt words; a block that gives
-        no token is refused."""
+        no token this way (no such line, or an empty one) is refused."""
         tokens = self.metadata.get("tok", self.metadata.get("snt", "")).split()
         if not tokens:
             raise CorpusFormatError(
-                "document %s has no ::tok or ::snt line" % self.id)
+                "document %s gives no token (::tok, else ::snt)" % self.id)
         return tokens
 
     @property
@@ -167,14 +166,16 @@ def parse_alignment(text, graph, tokens):
 def read_blocks(source):
     """(metadata, body lines) for each blank-line-separated block of a
     stream or a string of text.  `# ::key value` lines are metadata, and a
-    line may give several keys (`# ::id x ::date d ::preferred`; a key
-    without a value reads as ""); other `#` lines are comments and are
-    skipped, so a run of comment lines (a release file's header) is no
-    block.  A later value of a key replaces the earlier, except that a
-    block may not repeat a key amrtk reads (`_READ_KEYS` and
-    `alignments-k`), within a line or across lines, nor give an
-    `alignments-k` key whose k is not 0 or an ASCII number without
-    leading zeros."""
+    line may give several keys, as AMR release files do: `::` after
+    whitespace and before a non-space character starts the next key, and
+    a key without a value reads as "" (`# ::id x ::date d ::preferred`);
+    but a `::snt`, `::tok` or `::pos` line is that one key, to its end
+    (`# ::tok a ::)` is two tokens).  Other `#` lines are comments, so a
+    run of them (a release file's header) is no block.  A later value of
+    a key replaces the earlier, except that a block may not repeat a key
+    amrtk reads (`_READ_KEYS` and `alignments-k`), within a line or
+    across lines, nor give an `alignments-k` key whose k is not 0 or an
+    ASCII number without leading zeros."""
     if isinstance(source, str):
         source = io.StringIO(source)
     blocks = []
@@ -193,11 +194,10 @@ def read_blocks(source):
         if not match:
             block[1].append(line)
             continue
-        pairs = [match.groups()]
-        if "::" in match.group(2):
-            pairs = [_KEY_RE.match(text).groups()
-                     for text in _NEXT_KEY_RE.split(line[len("# ::"):])]
-        for key, value in pairs:
+        text = line[len("# ::"):]
+        parts = ([text] if match.group(1) in _TEXT_KEYS
+                 else _NEXT_KEY_RE.split(text))
+        for key, value in (_KEY_RE.match(part).groups() for part in parts):
             indexed = _ALIGN_K_RE.match(key)
             if key.startswith("alignments-") and not indexed:
                 raise CorpusFormatError(

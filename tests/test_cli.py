@@ -892,7 +892,7 @@ def test_align_takes_a_cosine_threshold_in_minus_one_to_one(
 REFUSALS = {
     "align-without-tokens": (
         "align -i {c}", {"c": "# ::id s1\n(b / boy)\n"},
-        "ERR:corpus: document s1 has no ::tok or ::snt line"),
+        "ERR:corpus: document s1 gives no token (::tok, else ::snt)"),
     "align-without-graph": (
         "align -i {c}", {"c": "# ::id s1\n# ::tok boy\n"},
         "ERR:corpus: document s1 has no graph"),
@@ -902,7 +902,15 @@ REFUSALS = {
         "line"),
     "tune-aligned-without-tokens": (
         "tune -i {c}", {"c": "# ::id s1\n# ::alignments 0-1|0\n(b / boy)\n"},
-        "ERR:corpus: document s1 has no ::tok or ::snt line"),
+        "ERR:corpus: document s1 gives no token (::tok, else ::snt)"),
+    "oracle-without-tokens": (
+        "oracle -i {c}",
+        {"c": "# ::id s1\n# ::alignments 0-1|0\n(b / boy)\n"},
+        "ERR:corpus: document s1 gives no token (::tok, else ::snt)"),
+    "parse-without-tokens": (
+        "parse -i {c} --model {model}",
+        {"c": "# ::id s1\n(b / boy)\n", "model": MODEL_TEXT},
+        "ERR:corpus: document s1 gives no token (::tok, else ::snt)"),
     "oracle-untuned": (
         "oracle -i {c}", {"c": "# ::id s1\n# ::tok boy\n(b / boy)\n"},
         "ERR:corpus: document s1 has no ::alignments or ::alignments-k "
@@ -961,7 +969,7 @@ REFUSALS = {
     "train-trace-without-tok": (
         "train --traces {t} --model {m}",
         {"t": "# ::id s1\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},
-        "ERR:corpus: document s1 has no ::tok or ::snt line"),
+        "ERR:corpus: document s1 gives no token (::tok, else ::snt)"),
     "train-pos-arity": (
         "train --traces {t} --model {m}",
         {"t": "# ::tok boy\n# ::pos NN VB\nCONFIRM(boy)\nSHIFT\nREDUCE\n"},
@@ -993,10 +1001,10 @@ REFUSALS = {
     "stats-trace-without-tok": (
         "stats --traces {t}",
         {"t": "# ::tok boy\nCONFIRM(boy)\n\n# ::id s2\nSHIFT\nREDUCE\n"},
-        "ERR:corpus: document s2 has no ::tok or ::snt line"),
+        "ERR:corpus: document s2 gives no token (::tok, else ::snt)"),
     "stats-trace-with-an-empty-tok-line": (
         "stats --traces {t}", {"t": "# ::id s1\n# ::tok \nSHIFT\n"},
-        "ERR:corpus: document s1 has no ::tok or ::snt line"),
+        "ERR:corpus: document s1 gives no token (::tok, else ::snt)"),
     "align-without-blocks": (
         "align -i {c}", {"c": ""}, "ERR:corpus: input {c} holds no block"),
     "oracle-without-blocks": (
@@ -1018,25 +1026,6 @@ def test_each_refusal_ends_in_its_err_line(tmp_path, capsys, command, files,
     code, out, err = run_cli(capsys, *command.format(**paths).split())
     assert (code, out, err) == (2, "", line.format(**paths) + "\n")
     assert not os.path.exists(paths["m"])
-
-
-# one block that gives no token, read as a corpus block by `align`, `tune`,
-# `oracle` and `parse` and as a trace block by `train` and `stats`
-TOKENLESS_BLOCK = "# ::id s1\n# ::alignments 0-1|0\n(b / boy)\n"
-
-
-@pytest.mark.parametrize("command", [
-    "align -i {c}", "tune -i {c}", "oracle -i {c}",
-    "parse -i {c} --model {model}", "train --traces {c} --model {m}",
-    "stats --traces {c}"], ids=lambda command: command.split()[0])
-def test_every_command_refuses_a_tokenless_block_alike(tmp_path, capsys,
-                                                       command):
-    paths = {"c": str(tmp_path / "c"), "model": str(tmp_path / "model"),
-             "m": str(tmp_path / "m")}
-    (tmp_path / "c").write_text(TOKENLESS_BLOCK, encoding="utf-8")
-    (tmp_path / "model").write_text(MODEL_TEXT, encoding="utf-8")
-    assert run_cli(capsys, *command.format(**paths).split()) == (
-        2, "", "ERR:corpus: document s1 has no ::tok or ::snt line\n")
 
 
 # Run in a fresh interpreter: numpy stays out of sys.modules through the

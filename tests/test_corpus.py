@@ -53,8 +53,9 @@ def test_tokens_come_from_snt_without_tok():
 
 def test_a_block_without_tokens_is_refused():
     doc = read_corpus("# ::id s1\n(b / boy)\n")[0]
-    with pytest.raises(CorpusFormatError,
-                       match=r"^document s1 has no ::tok or ::snt line$"):
+    with pytest.raises(
+            CorpusFormatError,
+            match=r"^document s1 gives no token \(::tok, else ::snt\)$"):
         doc.tokens
 
 
@@ -221,11 +222,20 @@ def test_a_header_line_may_give_several_keys():
         "annotator": "SDL-AMR-09", "preferred": "", "snt": "a::b :: c ::"}
 
 
+def test_a_snt_tok_or_pos_line_is_one_key():
+    # free text may hold ` ::word`, which must not drop out of the tokens
+    [doc] = read_corpus("# ::id s1 ::date d\n# ::snt a ::b\n# ::tok a ::)\n"
+                        "# ::pos DT ::x\n(b / boy)\n")
+    assert doc.metadata == {"id": "s1", "date": "d", "snt": "a ::b",
+                            "tok": "a ::)", "pos": "DT ::x"}
+    assert doc.tokens == ["a", "::)"]
+
+
 @pytest.mark.parametrize("text, line, key", [
     ("# ::id a ::id b\n", 1, "id"),
     ("# ::id a ::tok x\n# ::tok y\n", 2, "tok"),
     ("# ::tok x\n# ::id a ::tok y\n", 2, "tok"),
-    ("# ::tok x ::alignments-0 0-1|0 ::alignments-0 0-1|0\n", 1,
+    ("# ::id a ::alignments-0 0-1|0 ::alignments-0 0-1|0\n", 1,
      "alignments-0")])
 def test_a_read_key_repeated_within_or_across_lines_is_refused(text, line,
                                                                key):
